@@ -12,7 +12,7 @@ from blochlab.inner import SingularMeasureSpec, InnerSpec
 from blochlab.arcs import ArcSet
 from blochlab.blochnorm import BlochReport, WeightSpec, bloch_norm, weighted_bloch_norm, weight_integral_test
 from blochlab.approximation import runge_pair, uniform_fit, product_decompose
-from blochlab.pipeline import BlockParams, SimulApproxResult, build_block, simul_approx_disc, simul_approx_polydisc
+from blochlab.pipeline import SimulApproxResult, simul_approx_disc, simul_approx_polydisc
 from blochlab.universality import TargetEnumeration, Certificate, UniversalCandidate, certify, universal_build, cluster_probe, lacunary_baseline
 
 __version__ = "0.1.0"
@@ -38,9 +38,7 @@ __all__ = [
     "runge_pair",
     "uniform_fit",
     "product_decompose",
-    "BlockParams",
     "SimulApproxResult",
-    "build_block",
     "simul_approx_disc",
     "simul_approx_polydisc",
     "TargetEnumeration",

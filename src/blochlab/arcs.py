@@ -44,8 +44,8 @@ class ArcSet:
                 merged[-1] = (merged[-1][0], max(merged[-1][1], e))
             else:
                 merged.append((s, e))
-        # merge a wrap-around tail into the head
-        if len(merged) >= 2 and merged[-1][1] >= TWO_PI and _wrap(merged[-1][1]) >= merged[0][0]:
+        # merge a wrap-around tail into every head arc its wrapped end reaches
+        while len(merged) >= 2 and merged[-1][1] >= TWO_PI and _wrap(merged[-1][1]) >= merged[0][0]:
             s0, e0 = merged.pop(0)
             s1, e1 = merged.pop()
             merged.append((s1, s1 + min(TWO_PI, (max(_wrap(e1), e0) + TWO_PI - s1))))
@@ -115,6 +115,10 @@ class ArcSet:
         if first_s > last_e:
             gaps.append((last_e, first_s))
         return ArcSet.from_arcs(gaps)
+
+    def intersection(self, other: "ArcSet") -> "ArcSet":
+        """Exact intersection: the complement of the union of the complements."""
+        return ArcSet.from_arcs(self.complement().arcs + other.complement().arcs).complement()
 
     def to_json(self) -> list:
         return [[s, e] for s, e in self.arcs]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import FunctionExpr, Polynomial1D, PolynomialND
-from .numerics import NonFiniteSampleError, SampleGrid
+from .numerics import NonFiniteSampleError, SampleGrid, dyadic_radii
 
 __all__ = [
     "BlochReport",
@@ -33,24 +33,11 @@ __all__ = [
     "profile_to_csv",
     "weighted_bloch_norm",
     "weight_integral_test",
-    "default_radial_schedule",
 ]
 
 
 class WeightError(ValueError):
     """Weight not admissible or not evaluable where needed."""
-
-
-def default_radial_schedule(j_max: int = 24, linear: int = 64) -> tuple:
-    """Dyadic shells r_j = 1 - 2^-j, j = 0..j_max, refined by a linear grid.
-
-    The dyadic tail tracks hyperbolic-scale variation near the boundary.
-    The linear refinement (and r = 0) pins down interior maxima of
-    low-degree integrands, which dyadic points alone miss by percents.
-    """
-    dy = 1.0 - 0.5 ** np.arange(0, j_max + 1)
-    lin = np.arange(0, linear) / linear
-    return tuple(np.unique(np.concatenate([[0.0], dy, lin])))
 
 
 @dataclass(frozen=True)
@@ -168,7 +155,7 @@ def bloch_norm(f, domain: str = "disc", grid: SampleGrid = None) -> BlochReport:
         raise ValueError("disc norm needs a one-variable function")
     if grid is None:
         grid = SampleGrid(domain="disc" if f.dim == 1 else "polydisc", dim=f.dim)
-    radii = grid.radii if grid.radii else default_radial_schedule()
+    radii = grid.radii if grid.radii else dyadic_radii()
     if any(r >= 1.0 for r in radii):
         raise ValueError("grid radii must be < 1")
     degree = _poly_degree(f)
@@ -311,7 +298,7 @@ def weighted_bloch_norm(f, w: WeightSpec, grid: SampleGrid = None) -> BlochRepor
     f = _as_expr(f)
     if grid is None:
         grid = SampleGrid(domain="disc" if f.dim == 1 else "polydisc", dim=f.dim)
-    radii = grid.radii if grid.radii else default_radial_schedule()
+    radii = grid.radii if grid.radii else dyadic_radii()
     degree = _poly_degree(f)
 
     origin = 0.0 if f.dim == 1 else np.zeros(f.dim)

@@ -8,7 +8,7 @@ inner atoms supply value and derivative jointly from their closed forms).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,9 +76,7 @@ class Polynomial1D:
         b = self.coeffs * r ** np.arange(self.coeffs.size)
         if count < b.size:
             raise ValueError("need at least degree+1 angular samples")
-        padded = np.zeros(count, dtype=complex)
-        padded[: b.size] = b
-        return np.fft.fft(padded)
+        return np.fft.fft(b, n=count)
 
     def sup_on_circle(self, r: float = 1.0, oversample: int = 8) -> float:
         m = int(2 ** np.ceil(np.log2(max(oversample * (self.degree + 1), 64))))

@@ -14,7 +14,7 @@ drive it below a prescribed target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -167,21 +167,6 @@ def cantor_nodes(spec: SingularMeasureSpec, depth: int):
     return mids, width, spec.mass / mids.size
 
 
-def cantor_to_atomic(spec: SingularMeasureSpec, depth: int = None) -> SingularMeasureSpec:
-    """Discretize a Cantor measure into equal point masses at midpoints.
-
-    The result is an exact atomic measure (no quadrature error), useful as
-    a fast stand-in wherever evaluation arbitrarily close to the boundary
-    is needed.
-    """
-    if spec.kind != "cantor":
-        raise ValueError("expected a cantor measure")
-    d = spec.depth if depth is None else depth
-    mids, _, m = cantor_nodes(spec, d)
-    atoms = tuple((complex(np.exp(1j * t)), m) for t in mids)
-    return SingularMeasureSpec(kind="atomic", atoms=atoms)
-
-
 def _kernel_bound(dist, width, mass):
     # second angular derivative of the Herglotz/derivative kernels, crude sup
     d = np.maximum(dist, 1e-300)
@@ -308,7 +293,10 @@ def _eval_blaschke(zeros, z, one_minus_sq_z):
             t = (1.0 - abs(a) ** 2) * one_minus_sq_z / np.abs(den) ** 2
         der = der * fv + val * fd
         val = val * fv
-        log_sq = log_sq + np.log1p(-np.minimum(t, 1.0))
+        # t = 1 exactly at a zero of B: log 0 = -inf, which expm1 below
+        # turns into the correct 1 - |B|^2 = 1
+        with np.errstate(divide="ignore"):
+            log_sq = log_sq + np.log1p(-np.minimum(t, 1.0))
     oms = -np.expm1(log_sq)
     return val, der, oms
 
@@ -371,47 +359,10 @@ def hyperbolic_quotient(spec: InnerSpec, z):
     return q
 
 
-@dataclass(frozen=True)
-class QuotientMap:
-    """Sampled hyperbolic-quotient field with its supremum."""
-
-    points: np.ndarray
-    values: np.ndarray
-    supremum: float
-    argmax: complex
-    saturated_count: int
-    low_confidence: bool
-
-    def to_csv(self, path):
-        data = np.column_stack([self.points.real, self.points.imag, self.values])
-        np.savetxt(path, data, delimiter=",", header="re_z,im_z,q", comments="")
-
-
 def disc_grid_points(radii, angular_count: int) -> np.ndarray:
     ang = circle_angles(angular_count)
     r = np.asarray(radii, dtype=float)
     return (r[:, None] * np.exp(1j * ang)[None, :]).ravel()
-
-
-def quotient_field(spec: InnerSpec, radii=None, angular_count: int = 256) -> QuotientMap:
-    """Sample q over a disc grid and take the supremum over clean samples."""
-    if radii is None:
-        radii = dyadic_radii(j_max=12, linear=16)
-    pts = disc_grid_points(radii, angular_count)
-    _, _, _, q, sat = _chain_eval(spec, pts)
-    clean = ~sat & np.isfinite(q)
-    n_sat = int(np.sum(~clean))
-    if not np.any(clean):
-        raise QuadratureError("all samples saturated; no quotient estimate")
-    idx = int(np.nanargmax(np.where(clean, q, -np.inf)))
-    return QuotientMap(
-        points=pts,
-        values=np.where(clean, q, np.nan),
-        supremum=float(q[idx]),
-        argmax=complex(pts[idx]),
-        saturated_count=n_sat,
-        low_confidence=n_sat > 0.05 * pts.size,
-    )
 
 
 @dataclass(frozen=True)
@@ -463,18 +414,6 @@ def compose_shrink(spec: InnerSpec, eta: float, max_chain: int = 64,
         if sup < eta:
             return ShrinkResult(InnerSpec.composition([spec] * length), sup, True, length)
     return ShrinkResult(InnerSpec.composition([spec] * best_len), best_sup, False, best_len)
-
-
-def normalize_origin(spec: InnerSpec) -> InnerSpec:
-    """Post-compose with a disc automorphism so the result vanishes at 0.
-
-    The automorphism has hyperbolic quotient identically 1, so the measured
-    quotient field is unchanged.
-    """
-    a, _ = inner_eval(spec, 0.0)
-    if abs(a) < 1e-14:
-        return spec
-    return InnerSpec.composition([spec, InnerSpec.blaschke([a])])
 
 
 @dataclass(frozen=True)

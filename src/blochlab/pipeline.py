@@ -18,63 +18,36 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .approximation import ApproxError, product_decompose, runge_pair, uniform_fit
+# runge_pair and indicator_measure stay imported: the benchmark tracer patches them here
+from .approximation import ApproxError, product_decompose, runge_pair, uniform_fit  # noqa: F401
 from .arcs import ArcSet
-from .blochnorm import bloch_norm, default_radial_schedule
+from .blochnorm import bloch_norm
 from .expressions import FunctionExpr, Polynomial1D, PolynomialND, taylor_truncate
 from .inner import InnerSpec, ShrinkFailure, ShrinkResult, compose_shrink, hyperbolic_quotient
-from .numerics import indicator_measure
+from .numerics import dyadic_radii, indicator_measure  # noqa: F401
 
 __all__ = [
-    "BlockParams",
     "SimulApproxResult",
     "PipelineError",
     "plateau_polynomial",
-    "build_block",
     "simul_approx_disc",
     "simul_approx_polydisc",
 ]
 
 TWO_PI = 2.0 * np.pi
 
+# polydisc factors: at most this many product terms, each factor built by
+# the disc routine at this degree cap
+_FACTOR_TERM_CAP = 8
+_FACTOR_DEGREE_CAP = 192
+
 
 class PipelineError(RuntimeError):
     """A pipeline stage failed; the message names the stage."""
-
-
-@dataclass(frozen=True)
-class BlockParams:
-    """Budgets for one disc block.
-
-    eps1 is the sup-error budget on E, eps2 the measure-defect budget,
-    eta the hyperbolic-quotient target handed to compose_shrink.
-    center_value, when set, prescribes |P(0)| for the plateau factor
-    (trading origin value against Bloch seminorm); None keeps the
-    mean-zero convention P(0) ~ 0.
-    """
-
-    eps1: float
-    eps2: float
-    eta: float
-    degree_cap: int = 4096
-    trunc_radius: float = 1.0 - 2.0 ** -11
-    seed: int = 17
-    center_value: float = None
-
-    def __post_init__(self):
-        for name in ("eps1", "eps2", "eta"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1)")
-        if not 0.0 < self.trunc_radius < 1.0:
-            raise ValueError("truncation radius must lie in (0, 1)")
-        if self.degree_cap < 8:
-            raise ValueError("degree cap too small")
-        if self.center_value is not None and not 0.0 <= self.center_value < 1.0:
-            raise ValueError("center_value must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -197,16 +170,16 @@ def _multiplier_constant(q: Polynomial1D) -> float:
     m = int(2 ** math.ceil(math.log2(max(8 * (q.degree + 1), 256))))
     dq = q.derivative()
     best = 0.0
-    for r in default_radial_schedule(16):
+    for r in dyadic_radii(16):
         vals = (1.0 - r * r) * np.abs(dq.circle_values(r, m)) \
             + np.abs(q.circle_values(r, m))
         best = max(best, float(np.max(vals)))
     return best
 
 
-def _shrink_or_report(base: InnerSpec, eta: float, max_chain: int = 16):
+def _shrink_or_report(base: InnerSpec, eta: float):
     try:
-        return compose_shrink(base, eta, max_chain=max_chain)
+        return compose_shrink(base, eta, max_chain=16)
     except ShrinkFailure:
         # non-contracting base: measure the raw quotient and keep length 1
         rng = np.random.default_rng(5)
@@ -236,7 +209,6 @@ def _verified_subarcs(F: ArcSet, f_poly: Polynomial1D, phi, tol: float,
         th = a + length * (np.arange(per_arc) + 0.5) / per_arc
         zeta = np.exp(1j * th)
         ok = np.abs(f_poly(zeta) - np.asarray(phi(zeta), dtype=complex)) < tol
-        step = length / per_arc
         i = 0
         while i < per_arc:
             if ok[i]:
@@ -248,7 +220,6 @@ def _verified_subarcs(F: ArcSet, f_poly: Polynomial1D, phi, tol: float,
                 i = j + 1
             else:
                 i += 1
-        del step
     if not arcs:
         return ArcSet.empty()
     return ArcSet.from_arcs(arcs)
@@ -263,7 +234,7 @@ def _zero_result(dim: int = 1) -> SimulApproxResult:
     f = PolynomialND({(0,) * dim: 0.0}, dim)
     report = {
         "norm": 0.0, "value_at_zero": 0.0, "sup_error": 0.0,
-        "measure": 1.0, "measure_ci": 0.0, "eta_used": 0.0,
+        "measure": 1.0, "eta_used": 0.0,
         "degrees": {"Q": 0, "P": 0, "f": 0}, "chain_length": 0,
         "trivial_zero": True,
     }
@@ -271,135 +242,24 @@ def _zero_result(dim: int = 1) -> SimulApproxResult:
 
 
 # ---------------------------------------------------------------------------
-# Disc block
-
-
-def build_block(phi, params: BlockParams, inner_base: InnerSpec, F: ArcSet = None):
-    """One disc block f = Q (P o J_eta); returns (f expr, E, report).
-
-    The report holds the measured analogues of the block contract:
-    origin value against eps1, Bloch norm against eta + |f(0)|, sup
-    error on E against eps1, and the measure of E against 1 - eps2.
-    """
-    if _is_zero_target(phi):
-        res = _zero_result()
-        zero = FunctionExpr.constant(0.0)
-        report = dict(res.report)
-        report["f_poly"] = Polynomial1D.zero()
-        return zero, res.E, report
-
-    if F is None:
-        # size F to the measure budget plus collar headroom; anything
-        # larger drives the forced gap level of P up exponentially
-        F = _default_arcs(min(0.97, 1.0 - 0.8 * params.eps2))
-
-    # outer factor: polynomial boundary fit of phi on F
-    try:
-        qfit = uniform_fit(F, phi, params.eps1 / 2.0,
-                           degree_cap=min(1024, params.degree_cap))
-        fit_failed = False
-    except ApproxError as exc:
-        if exc.best is None:
-            raise PipelineError(f"uniform fit stage failed: {exc}") from exc
-        qfit, fit_failed = exc.best, True
-    q = qfit.poly
-    mult = _multiplier_constant(q)
-
-    shrink = _shrink_or_report(inner_base, params.eta)
-
-    # plateau budget: what remains of eps1 after the fit margin
-    sup_q = max(qfit.sup_norm, 1e-12)
-    delta_p = (0.9 * params.eps1 - qfit.margin) / sup_q
-    margin = min(max(delta_p, 1e-3), 0.96)
-    if params.center_value is not None:
-        center = params.center_value
-    else:
-        # spend most of the origin budget: a mean-zero plateau forces the
-        # gap level of P up by Jensen, so |f(0)| ~ 0 is the expensive choice
-        center = min(0.9, 0.8 * params.eps1 / max(abs(complex(q.coeffs[0])), 1e-9))
-    p_path = "runge_pair"
-    try:
-        if params.center_value is not None:
-            raise ApproxError("center prescribed; least squares does not apply")
-        # the least-squares route either succeeds at moderate degree or
-        # not at all; capping it keeps the fallback path fast
-        p_poly = runge_pair(F, margin, degree_cap=min(512, params.degree_cap)).poly
-        p_diag = {"margin_request": margin}
-    except ApproxError:
-        p_poly, p_diag = plateau_polynomial(F, margin, center, params.degree_cap)
-        p_path = "plateau"
-
-    j_expr = FunctionExpr.radialize(shrink.spec)
-    f_expr = FunctionExpr.product(
-        FunctionExpr.poly1d(q),
-        FunctionExpr.compose(FunctionExpr.poly1d(p_poly), j_expr))
-    # the composition with an inner J spreads the spectrum of P; size the
-    # truncation degree so the gap-level excursion decays below the error
-    # budget at the truncation radius
-    f_degree = min(2 * params.degree_cap, q.degree + p_poly.degree + 64)
-    peak = max(float(p_diag.get("gap_level", 1.0)), 1.0) * sup_q
-    if peak > 1.0:
-        needed = math.log(peak / (0.05 * params.eps1)) / -math.log(params.trunc_radius)
-        f_degree = max(f_degree, min(8 * params.degree_cap, int(needed) + 1))
-    trunc = taylor_truncate(f_expr, params.trunc_radius, f_degree)
-    f_poly = trunc.poly
-
-    E = _verified_subarcs(F, f_poly, phi, params.eps1)
-    est = indicator_measure(E.contains_point, 200_000, params.seed)
-
-    zs = np.exp(1j * E.sample(4096)) if E.arcs else np.zeros(0, dtype=complex)
-    sup_err = float(np.max(np.abs(f_poly(zs) - np.asarray(phi(zs), dtype=complex)))) \
-        if zs.size else float("inf")
-    norm_rep = bloch_norm(f_poly)
-    f0 = abs(complex(f_poly.coeffs[0]))
-    report = {
-        "f_poly": f_poly,
-        "value_at_zero": f0,
-        "norm": norm_rep.norm,
-        "norm_report": norm_rep,
-        "sup_error": sup_err,
-        "measure": est.value,
-        "measure_ci": est.half_width,
-        "measure_exact_arcs": E.measure,
-        "eta_target": params.eta,
-        "eta_achieved": shrink.achieved_sup,
-        "eta_met": shrink.target_met,
-        "chain_length": shrink.chain_length,
-        "multiplier": mult,
-        "fit_margin": qfit.margin,
-        "fit_failed": fit_failed,
-        "p_path": p_path,
-        "p_diag": p_diag,
-        "degrees": {"Q": q.degree, "P": p_poly.degree, "f": f_poly.degree},
-        "truncation_tail": trunc.tail_bound,
-        "item1_origin": f0 < params.eps1,
-        "item2_norm": norm_rep.norm < params.eta + f0,
-        "item3_error": sup_err < params.eps1,
-        "measure_ok": est.value + est.half_width >= 1.0 - params.eps2,
-    }
-    return f_expr, E, report
-
-
-# ---------------------------------------------------------------------------
 # Disc lemma: one polynomial, small norm and small boundary error
 
 
 def simul_approx_disc(phi, eps: float, inner_base: InnerSpec,
-                      degree_cap: int = 4096, seed: int = 17,
-                      F: ArcSet = None) -> SimulApproxResult:
+                      degree_cap: int = 4096) -> SimulApproxResult:
     """Polynomial f with measured Bloch norm and sup error on E against eps.
 
     The canonical budget split is recorded; the plateau center is then
     swept (trading |f(0)| against seminorm) and the best measured norm
     kept.  A result is returned even when the norm budget cannot be met;
-    report["norm_ok"] says which.
+    report["norm_ok"] says which.  E is a finite union of arcs, so its
+    measure is exact.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     if _is_zero_target(phi):
         return _zero_result()
-    if F is None:
-        F = _default_arcs(min(0.98, 1.0 - eps + 0.01))
+    F = _default_arcs(min(0.98, 1.0 - eps + 0.01))
 
     try:
         qfit = uniform_fit(F, phi, eps / 2.0, degree_cap=min(1024, degree_cap))
@@ -443,7 +303,6 @@ def simul_approx_disc(phi, eps: float, inner_base: InnerSpec,
 
     _, f_poly, norm_rep, p_poly, p_diag, trunc, center = best
     E = _verified_subarcs(F, f_poly, phi, eps)
-    est = indicator_measure(E.contains_point, 200_000, seed)
     zs = np.exp(1j * E.sample(4096)) if E.arcs else np.zeros(0, dtype=complex)
     sup_err = float(np.max(np.abs(f_poly(zs) - np.asarray(phi(zs), dtype=complex)))) \
         if zs.size else float("inf")
@@ -453,9 +312,7 @@ def simul_approx_disc(phi, eps: float, inner_base: InnerSpec,
         "norm_report": norm_rep,
         "value_at_zero": norm_rep.value_at_zero,
         "sup_error": sup_err,
-        "measure": est.value,
-        "measure_ci": est.half_width,
-        "measure_exact_arcs": E.measure,
+        "measure": E.measure,
         "eta_used": eta,
         "eta_achieved": shrink.achieved_sup,
         "chain_length": shrink.chain_length,
@@ -471,7 +328,7 @@ def simul_approx_disc(phi, eps: float, inner_base: InnerSpec,
         "plateau": p_diag,
         "norm_ok": norm_rep.norm < eps,
         "error_ok": sup_err < eps,
-        "measure_ok": est.value + est.half_width >= 1.0 - eps,
+        "measure_ok": E.measure >= 1.0 - eps,
     }
     f_nd = PolynomialND.from_poly1d(f_poly, axis=0, dim=1)
     return SimulApproxResult(f_nd, E, report)
@@ -492,29 +349,32 @@ def _shell_arrays(p: Polynomial1D, radii, m: int):
     return mod, sem
 
 
-def _tensor_bloch_norm(terms, radii=None, m: int = 256):
+def _tensor_bloch_norm(terms):
     """Measured polydisc Bloch norm of sum_l prod_j p_{j,l} (N = 2 factors).
 
     Exact on the sampled grid: for each radius pair the angular maximum
     of sum_l (sem_1 mod_2 + mod_1 sem_2) is taken over the outer product
     of the two circles.
     """
-    if radii is None:
-        radii = default_radial_schedule(12, linear=16)
+    radii = dyadic_radii(12, linear=16)
     data = []
     deg = 0
     for p1, p2 in terms:
         deg = max(deg, p1.degree + 1, p2.degree + 1)
-    m = int(2 ** math.ceil(math.log2(max(m, 2 * deg))))
+    m = int(2 ** math.ceil(math.log2(max(256, 2 * deg))))
     for p1, p2 in terms:
         data.append((_shell_arrays(p1, radii, m), _shell_arrays(p2, radii, m)))
     best = 0.0
+    # m x m buffers reused across radius pairs: fresh temporaries of this
+    # size are page-faulted in again on every pair
+    acc, contrib, prod = (np.empty((m, m)) for _ in range(3))
     for i in range(len(radii)):
         for k in range(len(radii)):
-            acc = None
+            acc.fill(0.0)
             for (mod1, sem1), (mod2, sem2) in data:
-                contrib = np.outer(sem1[i], mod2[k]) + np.outer(mod1[i], sem2[k])
-                acc = contrib if acc is None else acc + contrib
+                np.multiply.outer(sem1[i], mod2[k], out=contrib)
+                contrib += np.multiply.outer(mod1[i], sem2[k], out=prod)
+                acc += contrib
             best = max(best, float(np.max(acc)))
     f0 = abs(sum(complex(p1.coeffs[0]) * complex(p2.coeffs[0]) for p1, p2 in terms))
     return f0 + best, f0
@@ -536,7 +396,6 @@ def _product_polynd(terms) -> PolynomialND:
 
 
 def simul_approx_polydisc(phi, eps: float, n_dim: int, inner_base: InnerSpec,
-                          m_cap: int = 8, degree_cap: int = 192,
                           seed: int = 17) -> SimulApproxResult:
     """Tensor assembly f = sum_l prod_j f_{j,l} on the polydisc.
 
@@ -544,18 +403,20 @@ def simul_approx_polydisc(phi, eps: float, n_dim: int, inner_base: InnerSpec,
     Factors are built by the disc pipeline from a product decomposition
     of phi; eta is fixed from the measured cross-factor sups.  Only
     N <= 2 is assembled; the report carries the measured inequalities.
+    E is a product of per-axis arc sets, so its measure is exact; ``seed``
+    drives the sup-error sample.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     if n_dim == 1:
-        return simul_approx_disc(phi, eps, inner_base, seed=seed)
+        return simul_approx_disc(phi, eps, inner_base)
     if n_dim != 2:
         raise PipelineError("polydisc assembly implemented for N <= 2 only")
     if _is_zero_target(lambda z: phi(np.stack([z, z], axis=-1))):
         return _zero_result(2)
 
     try:
-        dec = product_decompose(phi, n_dim, eps / 2.0, m_cap=m_cap)
+        dec = product_decompose(phi, n_dim, eps / 2.0, m_cap=_FACTOR_TERM_CAP)
     except ApproxError as exc:
         if exc.best is None:
             raise PipelineError(f"decomposition stage failed: {exc}") from exc
@@ -584,7 +445,7 @@ def simul_approx_polydisc(phi, eps: float, n_dim: int, inner_base: InnerSpec,
                 return scale * np.asarray(fac(z), dtype=complex)
 
             sub = simul_approx_disc(target, min(0.9, delta_used), inner_base,
-                                    degree_cap=degree_cap, seed=seed + 7 * l + j)
+                                    degree_cap=_FACTOR_DEGREE_CAP)
             row.append(sub.f_disc)
             factor_reports.append({"term": l, "axis": j, "norm": sub.report["norm"],
                                    "sup_error": sub.report["sup_error"],
@@ -607,22 +468,18 @@ def simul_approx_polydisc(phi, eps: float, n_dim: int, inner_base: InnerSpec,
     f_nd = _product_polynd(factor_polys)
     norm, f0 = _tensor_bloch_norm(factor_polys)
 
-    # E = intersection over terms of products of the per-factor sets
+    # E = intersection over terms of products of the per-factor sets, i.e.
+    # the product over axes of the intersection of that axis's sets
     e_sets = [[r["E"] for r in factor_reports if r["axis"] == j] for j in range(n_dim)]
+    axis_sets = [reduce(ArcSet.intersection, sets) for sets in e_sets]
+    measure = float(np.prod([s.measure for s in axis_sets]))
 
-    def in_e(pts):
-        ok = np.ones(pts.shape[0], dtype=bool)
-        for j in range(n_dim):
-            ang = np.angle(pts[:, j]) % TWO_PI
-            for es in e_sets[j]:
-                ok &= es.contains(ang)
-        return ok
-
-    est = indicator_measure(in_e, 200_000, seed, n_dim=n_dim)
     rng = np.random.default_rng(seed + 1)
     ang = rng.uniform(0.0, TWO_PI, size=(20_000, n_dim))
     pts = np.exp(1j * ang)
-    mask = in_e(pts)
+    mask = np.ones(pts.shape[0], dtype=bool)
+    for j, axis_set in enumerate(axis_sets):
+        mask &= axis_set.contains(ang[:, j])
     if np.any(mask):
         approx = np.zeros(int(mask.sum()), dtype=complex)
         sel = pts[mask]
@@ -640,8 +497,7 @@ def simul_approx_polydisc(phi, eps: float, n_dim: int, inner_base: InnerSpec,
         "norm": norm,
         "value_at_zero": f0,
         "sup_error": sup_err,
-        "measure": est.value,
-        "measure_ci": est.half_width,
+        "measure": measure,
         "eta_bound": eta_bound,
         "eta_achieved": shrink.achieved_sup,
         "chain_length": shrink.chain_length,
@@ -654,6 +510,6 @@ def simul_approx_polydisc(phi, eps: float, n_dim: int, inner_base: InnerSpec,
         "degrees": {"f": f_nd.total_degree},
         "norm_ok": norm < eps,
         "error_ok": sup_err < eps,
-        "measure_ok": est.value + est.half_width >= 1.0 - eps,
+        "measure_ok": measure >= 1.0 - eps,
     }
     return SimulApproxResult(f_nd, e_arcs, report)

@@ -169,12 +169,6 @@ def from_document(doc):
     raise SerializationError(f"unknown document kind {kind!r}")
 
 
-class _ReprFloat(float):
-    # json emits repr(float) already; the subclass is here so numpy
-    # scalars lose their type before encoding
-    pass
-
-
 def _plain(obj):
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}

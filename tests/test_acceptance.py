@@ -167,12 +167,12 @@ def test_criterion_06_simultaneous_approximation_disc():
     all_ok = True
     for name, phi in targets.items():
         t0 = time.time()
-        res = simul_approx_disc(phi, 0.5, _weak_base(), seed=17)
+        res = simul_approx_disc(phi, 0.5, _weak_base())
         elapsed = time.time() - t0
         rep = res.report
         norm_ok = rep["norm"] < 0.5
         err_ok = rep["sup_error"] < 0.5
-        meas_ok = rep["measure"] + rep["measure_ci"] >= 0.5
+        meas_ok = rep["measure"] >= 0.5
         ok = norm_ok and err_ok and meas_ok and elapsed < 300.0
         all_ok = all_ok and ok
         clauses = "".join(c if f else c.upper() for c, f in
@@ -192,7 +192,7 @@ def test_criterion_07_polydisc_tensor_assembly():
     inequalities_ok = rep["norm_ok"] and rep["error_ok"] and rep["measure_ok"]
 
     phi1 = lambda z: np.asarray(z, dtype=complex).real.astype(complex)
-    a = simul_approx_disc(phi1, 0.5, _weak_base(), seed=17)
+    a = simul_approx_disc(phi1, 0.5, _weak_base())
     b = simul_approx_polydisc(phi1, 0.5, 1, _weak_base(), seed=17)
     agree = max(abs(a.report["norm"] - b.report["norm"]),
                 abs(a.report["sup_error"] - b.report["sup_error"]),

@@ -40,6 +40,33 @@ def test_complement_disjoint():
     assert not np.any(both)
 
 
+def test_intersection_across_angle_zero():
+    two_pi = 2 * np.pi
+    F = ArcSet.from_arcs([(-0.5, 0.7)])  # crosses angle 0
+    G = ArcSet.from_arcs([(0.2, 1.5), (two_pi - 0.3, two_pi - 0.1)])
+    # overlaps: [0.2, 0.7] and [2 pi - 0.3, 2 pi - 0.1], total length 0.7
+    H = F.intersection(G)
+    assert H.measure == pytest.approx(0.7 / two_pi, abs=1e-14)
+    th = np.linspace(0, two_pi, 2000, endpoint=False)
+    assert np.array_equal(H.contains(th), F.contains(th) & G.contains(th))
+    assert F.intersection(ArcSet.full_circle()).measure == pytest.approx(F.measure)
+    assert F.intersection(ArcSet.empty()).arcs == ()
+    # the complement of G wraps past angle 0 and covers two of its gaps
+    F = ArcSet.from_arcs([(1.0, 2.0)])
+    G = ArcSet.from_arcs([(0.3, 0.4), (0.5, 0.6), (0.8, 2.0)])
+    H = F.intersection(G)
+    assert H.measure == pytest.approx(1.0 / two_pi, abs=1e-14)
+    assert np.array_equal(H.contains(th), F.contains(th) & G.contains(th))
+
+
+def test_from_arcs_wrap_absorbs_several_head_arcs():
+    two_pi = 2 * np.pi
+    F = ArcSet.from_arcs([(0.1, 0.2), (0.3, 0.4), (2.0, two_pi + 0.35)])
+    assert len(F.arcs) == 1
+    assert F.arcs[0] == pytest.approx((2.0, two_pi + 0.4))
+    assert F.measure == pytest.approx((two_pi - 1.6) / two_pi)
+
+
 def test_sample_lands_inside():
     F = ArcSet.from_arcs([(1.0, 2.0)])
     th = F.sample(256)

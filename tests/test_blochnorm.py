@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from blochlab.blochnorm import (WeightSpec, WeightError, bloch_norm,
-                                default_radial_schedule, little_bloch_profile,
-                                profile_to_csv, weight_integral_test,
-                                weighted_bloch_norm)
+                                little_bloch_profile, profile_to_csv,
+                                weight_integral_test, weighted_bloch_norm)
 from blochlab.expressions import FunctionExpr, Polynomial1D, PolynomialND
+from blochlab.numerics import dyadic_radii
 
 
 def _monomial(n):
@@ -77,7 +77,7 @@ def test_ball_radial_derivative_norm():
 
 
 def test_little_bloch_profile_vanishes_for_polynomial():
-    radii = tuple(r for r in default_radial_schedule(16, linear=8) if r > 0)
+    radii = tuple(r for r in dyadic_radii(16, linear=8) if r > 0)
     prof = little_bloch_profile(_monomial(3), radii)
     assert prof[-1] < prof[np.argmax(prof)]
     assert prof[-1] < 0.05

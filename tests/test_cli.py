@@ -105,6 +105,22 @@ def test_certify_and_verify_tamper_detection(tmp_path):
     assert not vdoc3["passed"]
 
 
+def test_verify_simul_detects_tampered_measure(tmp_path):
+    config = os.path.join(os.path.dirname(__file__), "..", "configs", "simul_zero.json")
+    with open(config) as fh:
+        cfg = json.load(fh)
+    status, doc, report = _run(tmp_path, "simul", cfg)
+    assert status == 0
+    status2, vdoc, _ = _run(tmp_path, "verify", {"artifact": report}, name="v1")
+    assert status2 == 0 and vdoc["passed"]
+    # the stored measure must equal the exact measure of the stored E
+    doc["report"]["measure"] -= 0.01
+    serialize.save(report, doc)
+    status3, vdoc3, _ = _run(tmp_path, "verify", {"artifact": report}, name="v2")
+    assert status3 == 1
+    assert not vdoc3["passed"]
+
+
 def test_determinism_same_seed_byte_identical(tmp_path):
     cfg = {"function": {"kind": "monomial", "n": 3}}
     _, _, report = _run(tmp_path, "bloch-norm", cfg, seed=11)

@@ -3,8 +3,8 @@ import pytest
 
 from blochlab.arcs import ArcSet
 from blochlab.inner import InnerSpec
-from blochlab.pipeline import (BlockParams, build_block, plateau_polynomial,
-                               simul_approx_disc, simul_approx_polydisc)
+from blochlab.pipeline import (plateau_polynomial, simul_approx_disc,
+                               simul_approx_polydisc)
 
 TWO_PI = 2.0 * np.pi
 
@@ -34,30 +34,6 @@ def test_plateau_polynomial_rejects_full_circle():
         plateau_polynomial(ArcSet.full_circle(), 0.3, 0.0)
 
 
-def test_build_block_zero_target():
-    params = BlockParams(eps1=0.3, eps2=0.2, eta=0.5)
-    f, E, rep = build_block(lambda z: np.zeros_like(np.asarray(z)), params,
-                            _weak_base())
-    assert rep["value_at_zero"] == 0.0
-    assert rep["norm"] == 0.0
-    assert E.is_full()
-
-
-def test_build_block_constant_target_budgets():
-    params = BlockParams(eps1=0.3, eps2=0.2, eta=0.5)
-    f, E, rep = build_block(
-        lambda z: np.ones_like(np.asarray(z, dtype=complex)), params, _weak_base())
-    # origin, boundary error and measure contracts hold; the norm contract
-    # with eta < 1 is out of reach at these budgets and is reported honestly
-    assert rep["item1_origin"]
-    assert rep["item3_error"]
-    assert rep["measure_ok"]
-    assert rep["sup_error"] < params.eps1
-    assert rep["value_at_zero"] < params.eps1
-    assert np.isfinite(rep["norm"])
-    assert not rep["item2_norm"]
-
-
 def test_simul_disc_zero_target():
     res = simul_approx_disc(lambda z: np.zeros_like(np.asarray(z)), 0.5,
                             _weak_base())
@@ -73,7 +49,8 @@ def test_simul_disc_constant_target():
     assert rep["error_ok"]
     assert rep["measure_ok"]
     assert rep["sup_error"] < 0.5
-    assert rep["measure"] + rep["measure_ci"] >= 0.5
+    assert rep["value_at_zero"] < 0.5
+    assert rep["measure"] >= 0.5
     # canonical and used splits both recorded
     assert rep["split_canonical"]["delta_Q"] == pytest.approx(0.25)
     assert rep["split_used"]["delta_P"] > 0
@@ -89,7 +66,7 @@ def test_simul_disc_result_is_polynomial():
 
 def test_simul_polydisc_n1_delegates_to_disc():
     phi = lambda z: np.asarray(z, dtype=complex).real.astype(complex)
-    a = simul_approx_disc(phi, 0.5, _weak_base(), seed=17)
+    a = simul_approx_disc(phi, 0.5, _weak_base())
     b = simul_approx_polydisc(phi, 0.5, 1, _weak_base(), seed=17)
     assert abs(a.report["norm"] - b.report["norm"]) < 0.05
     assert abs(a.report["sup_error"] - b.report["sup_error"]) < 0.05
@@ -102,10 +79,10 @@ def test_simul_polydisc_rejects_large_dim():
                               _weak_base())
 
 
-def test_block_params_validation():
-    with pytest.raises(ValueError):
-        BlockParams(eps1=0.0, eps2=0.2, eta=0.5)
-    with pytest.raises(ValueError):
-        BlockParams(eps1=0.3, eps2=0.2, eta=1.5)
-    with pytest.raises(ValueError):
-        BlockParams(eps1=0.3, eps2=0.2, eta=0.5, trunc_radius=1.0)
+def test_simul_eps_validation():
+    phi = lambda z: np.ones_like(np.asarray(z, dtype=complex))
+    for eps in (0.0, 1.5):
+        with pytest.raises(ValueError):
+            simul_approx_disc(phi, eps, _weak_base())
+        with pytest.raises(ValueError):
+            simul_approx_polydisc(phi, eps, 2, _weak_base())
