@@ -6,10 +6,16 @@ Norm conventions:
 * ball(N):   |f(0)| + sup (1 - |z|^2) |Rf(z)|  with Rf = sum z_k df/dz_k
 * polydisc:  |f(0)| + sup sum_k (1 - |z_k|^2) |df/dz_k|
 
-Grid suprema are lower estimates.  For polynomials a Bernstein-type
-oversampling correction turns the angular sup into a certified upper
-bound: multiply by (1 - pi d / M)^(-1) when M > 4 d angular samples are
-used for degree d.
+Grid suprema are lower estimates.  For polynomials on the disc a
+Bernstein-type oversampling correction turns the angular sup into a
+certified upper bound: multiply by (1 - pi d / M)^(-1) when M > 4 d
+angular samples are used for degree d.
+
+The polydisc norm takes two-variable polynomials only.  Both partials
+are evaluated exactly on a tensor grid: every pair of radii from
+``dyadic_radii(12, linear=16)`` times M x M angles, M chosen from the
+largest per-axis degree by the disc rule.  No certified bound is given
+there; ``certified`` is None.
 """
 
 from __future__ import annotations
@@ -97,13 +103,9 @@ def _as_expr(f) -> FunctionExpr:
 
 
 def _poly_degree(f: FunctionExpr):
-    """Degree when f is recognizably polynomial, else None."""
+    """Degree when f is recognizably a one-variable polynomial, else None."""
     p = f.as_poly1d() if f.dim == 1 else None
-    if p is not None:
-        return p.degree
-    if f.kind == "polynd":
-        return f.poly.total_degree
-    return None
+    return None if p is None else p.degree
 
 
 def _angular_count(degree, grid: SampleGrid) -> int:
@@ -141,30 +143,70 @@ def _disc_shell_sup(f: FunctionExpr, r: float, m: int, poly: Polynomial1D = None
     return w * float(mag[k]), r * np.exp(2j * np.pi * k / mag.size)
 
 
+def _polydisc_sup(f: FunctionExpr, grid: SampleGrid, weight):
+    """Tensor-grid sup of weight(|z_1|)|d_1 f| + weight(|z_2|)|d_2 f|.
+
+    f must be a two-variable polynomial with coefficient matrix C.  On
+    the circles of radii (r_1, r_2) a partial with coefficient matrix D
+    takes the values V(r_1) D V(r_2)^T, V(r) the Vandermonde matrix of m
+    equispaced points of |z| = r.  Returns (|f(0)|, sup, argmax, note).
+    """
+    if f.kind != "polynd" or f.dim != 2:
+        raise ValueError("polydisc norm needs a two-variable polynomial")
+    c = f.poly.coefficient_array()
+    n1, n2 = c.shape
+    d1 = c[1:] * np.arange(1, n1)[:, None]
+    d2 = c[:, 1:] * np.arange(1, n2)
+    radii = grid.radii if grid is not None and grid.radii else dyadic_radii(12, linear=16)
+    m = _angular_count(max(n1, n2) - 1, grid)
+    unit = np.exp(2j * np.pi * np.outer(np.arange(m), np.arange(max(n1, n2))) / m)
+
+    def vander(r, n):
+        return unit[:, :n] * r ** np.arange(n)
+
+    weights = [float(weight(r)) for r in radii]
+    right = [(vander(r, n2).T, vander(r, n2 - 1).T) for r in radii]
+    best, arg = 0.0, (0.0, 0.0)
+    for r1, w1 in zip(radii, weights):
+        left1, left2 = vander(r1, n1 - 1) @ d1, vander(r1, n1) @ d2
+        for r2, w2, (v1, v2) in zip(radii, weights, right):
+            vals = w1 * np.abs(left1 @ v1) + w2 * np.abs(left2 @ v2)
+            k = int(np.argmax(vals))
+            if vals.flat[k] > best:
+                best = float(vals.flat[k])
+                arg = (r1 * np.exp(2j * np.pi * (k // m) / m), r2 * np.exp(2j * np.pi * (k % m) / m))
+    note = f"polydisc grid: {len(radii)}^2 radius pairs x {m}^2 angles"
+    return float(abs(c[0, 0])), best, arg, note
+
+
 def bloch_norm(f, domain: str = "disc", grid: SampleGrid = None) -> BlochReport:
     """Estimate the Bloch norm of ``f`` on the disc, ball or polydisc.
 
     Returns |f(0)| plus the grid supremum of the defining seminorm;
-    polynomial inputs additionally carry a certified upper bound for the
-    seminorm.
+    polynomial inputs on the disc additionally carry a certified upper
+    bound for the seminorm.  The polydisc takes two-variable polynomials
+    only (``ValueError`` otherwise) and carries no certified bound.
     """
     f = _as_expr(f)
     if domain not in ("disc", "ball", "polydisc"):
         raise ValueError(f"unknown domain {domain!r}")
     if domain == "disc" and f.dim != 1:
         raise ValueError("disc norm needs a one-variable function")
+    if domain == "polydisc":
+        f0, best, arg, note = _polydisc_sup(f, grid, lambda r: 1.0 - r * r)
+        return BlochReport(domain, f0, best, None, arg, note)
     if grid is None:
         grid = SampleGrid(domain="disc" if f.dim == 1 else "polydisc", dim=f.dim)
     radii = grid.radii if grid.radii else dyadic_radii()
     if any(r >= 1.0 for r in radii):
         raise ValueError("grid radii must be < 1")
-    degree = _poly_degree(f)
-    m = _angular_count(degree, grid)
 
     origin = 0.0 if f.dim == 1 else np.zeros(f.dim)
     f0 = abs(complex(f.eval(origin)))
 
     if f.dim == 1:
+        degree = _poly_degree(f)
+        m = _angular_count(degree, grid)
         poly = f.as_poly1d()
         best, arg = 0.0, (0.0,)
         for r in radii:
@@ -178,34 +220,17 @@ def bloch_norm(f, domain: str = "disc", grid: SampleGrid = None) -> BlochReport:
     count = grid.angular_count
     rng = np.random.default_rng(grid.seed)
     best, arg = 0.0, (0.0,) * f.dim
-    if domain == "ball":
-        vecs = rng.normal(size=(count, 2 * f.dim)).view(complex)
-        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        for r in radii:
-            z = float(r) * vecs
-            rd = np.abs(f.radial_derivative(z))
-            vals = (1.0 - float(r) ** 2) * rd
-            k = int(np.argmax(vals))
-            if vals[k] > best:
-                best, arg = float(vals[k]), tuple(z[k])
-    else:
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=(count, f.dim))
-        vecs = np.exp(1j * theta)
-        for r in radii:
-            z = float(r) * vecs
-            _, grads = f.eval_with_grad(z)
-            vals = np.sum((1.0 - np.abs(z) ** 2) * np.abs(grads), axis=1)
-            if not np.all(np.isfinite(vals)):
-                k = int(np.flatnonzero(~np.isfinite(vals))[0])
-                raise NonFiniteSampleError(tuple(z[k]), complex("nan"))
-            k = int(np.argmax(vals))
-            if vals[k] > best:
-                best, arg = float(vals[k]), tuple(z[k])
-    cert = None
-    if domain == "polydisc" and f.kind == "polynd":
-        cert = _certify(best, degree, count)
+    vecs = rng.normal(size=(count, 2 * f.dim)).view(complex)
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    for r in radii:
+        z = float(r) * vecs
+        rd = np.abs(f.radial_derivative(z))
+        vals = (1.0 - float(r) ** 2) * rd
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best, arg = float(vals[k]), tuple(z[k])
     note = f"{domain} grid: {len(radii)} shells x {count} directions, seed {grid.seed}"
-    return BlochReport(domain, f0, best, cert, arg, note)
+    return BlochReport(domain, f0, best, None, arg, note)
 
 
 def little_bloch_profile(f, radii) -> np.ndarray:
@@ -293,46 +318,37 @@ def weighted_bloch_norm(f, w: WeightSpec, grid: SampleGrid = None) -> BlochRepor
 
     The disc seminorm weights by omega(1 - |z|); the polydisc seminorm
     weights coordinate k by omega(1 - |z_k|^2).  The two conventions are
-    intentionally different and are both used verbatim.
+    intentionally different and are both used verbatim.  The polydisc
+    uses the tensor grid of ``bloch_norm`` and takes two-variable
+    polynomials only.
     """
     f = _as_expr(f)
+    if f.dim != 1:
+        def weight(r):
+            wv = float(w.omega(1.0 - r * r))
+            if not (math.isfinite(wv) and wv > 0.0):
+                raise WeightError(f"weight not usable at 1 - r^2 = {1.0 - r * r!r}")
+            return (1.0 - r * r) / wv
+
+        f0, best, arg, note = _polydisc_sup(f, grid, weight)
+        return BlochReport("polydisc", f0, best, None, arg, "weighted " + note)
     if grid is None:
-        grid = SampleGrid(domain="disc" if f.dim == 1 else "polydisc", dim=f.dim)
+        grid = SampleGrid(domain="disc")
     radii = grid.radii if grid.radii else dyadic_radii()
     degree = _poly_degree(f)
-
-    origin = 0.0 if f.dim == 1 else np.zeros(f.dim)
-    f0 = abs(complex(f.eval(origin)))
-
-    if f.dim == 1:
-        m = _angular_count(degree, grid)
-        poly = f.as_poly1d()
-        best, arg = 0.0, (0.0,)
-        for r in radii:
-            wv = float(w.omega(1.0 - float(r)))
-            if not (math.isfinite(wv) and wv > 0.0):
-                raise WeightError(f"weight not usable at 1 - r = {1.0 - float(r)!r}")
-            s, pt = _disc_shell_sup(f, float(r), m, poly)
-            if s / wv > best:
-                best, arg = s / wv, (pt,)
-        note = f"weighted disc grid: {len(radii)} shells x {m} angles"
-        return BlochReport("disc", f0, best, None, arg, note)
-
-    rng = np.random.default_rng(grid.seed)
-    vecs = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(grid.angular_count, f.dim)))
-    best, arg = 0.0, (0.0,) * f.dim
+    f0 = abs(complex(f.eval(0.0)))
+    m = _angular_count(degree, grid)
+    poly = f.as_poly1d()
+    best, arg = 0.0, (0.0,)
     for r in radii:
-        z = float(r) * vecs
-        wv = w.omega(1.0 - np.abs(z) ** 2)
-        if not (np.all(np.isfinite(wv)) and np.all(wv > 0.0)):
-            raise WeightError("weight not usable at a needed argument")
-        _, grads = f.eval_with_grad(z)
-        vals = np.sum((1.0 - np.abs(z) ** 2) / wv * np.abs(grads), axis=1)
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            best, arg = float(vals[k]), tuple(z[k])
-    note = f"weighted polydisc grid: {len(radii)} shells x {grid.angular_count} directions"
-    return BlochReport("polydisc", f0, best, None, arg, note)
+        wv = float(w.omega(1.0 - float(r)))
+        if not (math.isfinite(wv) and wv > 0.0):
+            raise WeightError(f"weight not usable at 1 - r = {1.0 - float(r)!r}")
+        s, pt = _disc_shell_sup(f, float(r), m, poly)
+        if s / wv > best:
+            best, arg = s / wv, (pt,)
+    note = f"weighted disc grid: {len(radii)} shells x {m} angles"
+    return BlochReport("disc", f0, best, None, arg, note)
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,15 @@ class PolynomialND:
             out += mono
         return out.reshape(z.shape[:-1])
 
+    def coefficient_array(self) -> np.ndarray:
+        """Dense coefficients: entry alpha holds the coefficient of z^alpha."""
+        shape = tuple(max((alpha[k] for alpha in self.terms), default=0) + 1
+                      for k in range(self.dim))
+        out = np.zeros(shape, dtype=complex)
+        for alpha, c in self.terms.items():
+            out[alpha] = c
+        return out
+
     def partial(self, k: int) -> "PolynomialND":
         terms = {}
         for alpha, c in self.terms.items():

@@ -14,6 +14,7 @@ drive it below a prescribed target.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,22 +149,23 @@ class InnerSpec:
 # Cantor measure support and certified quadrature
 
 
-_cantor_cache: dict = {}
+@functools.lru_cache(maxsize=8)
+def _cantor_midpoints(center: complex, arc_length: float, ratio: float, depth: int):
+    """Sorted midpoint angles and the common width of the depth-level intervals."""
+    offs = np.zeros(1)
+    width = arc_length
+    for _ in range(depth):
+        offs = np.concatenate([offs, offs + width * (1.0 - ratio)])
+        width *= ratio
+    start = np.angle(center) - arc_length / 2.0
+    mids = np.sort(start + offs + width / 2.0)
+    mids.flags.writeable = False  # shared by every caller through the cache
+    return mids, width
 
 
 def cantor_nodes(spec: SingularMeasureSpec, depth: int):
     """Midpoint angles, interval width and per-node mass at the given depth."""
-    key = (complex(spec.center), spec.arc_length, spec.ratio, depth)
-    if key not in _cantor_cache:
-        offs = np.zeros(1)
-        width = spec.arc_length
-        for _ in range(depth):
-            offs = np.concatenate([offs, offs + width * (1.0 - spec.ratio)])
-            width *= spec.ratio
-        start = np.angle(spec.center) - spec.arc_length / 2.0
-        mids = start + offs + width / 2.0
-        _cantor_cache[key] = (np.sort(mids), width)
-    mids, width = _cantor_cache[key]
+    mids, width = _cantor_midpoints(complex(spec.center), spec.arc_length, spec.ratio, depth)
     return mids, width, spec.mass / mids.size
 
 

@@ -45,6 +45,7 @@ __all__ = [
     "plateau_polynomial",
     "simul_approx_disc",
     "simul_approx_polydisc",
+    "sup_error",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -79,10 +80,7 @@ class SimulApproxResult:
         """One-variable view of f (dim 1 results only)."""
         if self.f.dim != 1:
             raise ValueError("result is not one-dimensional")
-        coeffs = np.zeros(self.f.total_degree + 1, dtype=complex)
-        for alpha, c in self.f.terms.items():
-            coeffs[alpha[0]] = c
-        return Polynomial1D(coeffs)
+        return Polynomial1D(self.f.coefficient_array())
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +261,32 @@ def _disc_residual(f_poly: Polynomial1D, phi):
     return lambda z: np.abs(f_poly(z) - np.asarray(phi(z), dtype=complex))
 
 
-def _sup_error(E: ArcSet, residual) -> float:
-    """Sup of the residual over 4096 samples of E (inf when E is empty)."""
-    if not E.arcs:
+def sup_error(f, E, phi) -> float:
+    """Sup of |f - phi| over a fixed sampling of E (inf when E is empty).
+
+    On the disc f is a Polynomial1D, E an ArcSet and the samples are
+    4096 points of E.  On the bidisc f is a two-variable PolynomialND, E
+    one arc set per axis and the samples are the product of 512 points of
+    each; f there is V_1 C V_2^T, C its coefficient matrix and V_k the
+    Vandermonde matrix of axis k, taken 64 second-axis points at a time.
+    """
+    if isinstance(E, ArcSet):
+        if not E.arcs:
+            return float("inf")
+        return float(np.max(_disc_residual(f, phi)(np.exp(1j * E.sample(4096)))))
+    if not all(axis_set.arcs for axis_set in E):
         return float("inf")
-    return float(np.max(residual(np.exp(1j * E.sample(4096)))))
+    c = f.coefficient_array()
+    z1, z2 = (np.exp(1j * axis_set.sample(512)) for axis_set in E)
+    rows = np.power.outer(z1, np.arange(c.shape[0])) @ c
+    best = 0.0
+    for lo in range(0, z2.size, 64):
+        w = z2[lo:lo + 64]
+        values = rows @ np.power.outer(w, np.arange(c.shape[1])).T
+        pts = np.stack(np.broadcast_arrays(z1[:, None], w[None, :]), axis=-1).reshape(-1, 2)
+        target = np.asarray(phi(pts), dtype=complex).reshape(values.shape)
+        best = max(best, float(np.max(np.abs(values - target))))
+    return best
 
 
 def _contract(norm_rep, sup_err: float, E: ArcSet, eps: float) -> dict:
@@ -323,9 +342,8 @@ def _norm_fit_stage(F: ArcSet, phi, eps: float, degree_cap: int):
         if degree > degree_cap:
             break
         fit = norm_fit(F, phi, _BUDGET_SHARE * eps, degree)
-        residual = _disc_residual(fit.poly, phi)
-        E = _verified_subarcs(F, residual, eps)
-        contract = _contract(bloch_norm(fit.poly), _sup_error(E, residual), E, eps)
+        E = _verified_subarcs(F, _disc_residual(fit.poly, phi), eps)
+        contract = _contract(bloch_norm(fit.poly), sup_error(fit.poly, E, phi), E, eps)
         trail.append({"degree": degree, "value": fit.value, "excess": fit.excess,
                       "converged": fit.converged, "norm": contract["norm"],
                       "certified_norm": contract["certified_norm"],
@@ -401,10 +419,9 @@ def simul_approx_disc(phi, eps: float, inner_base: InnerSpec,
             best = (key, f_poly, norm_rep, p_poly, p_diag, trunc, center)
 
     _, f_poly, norm_rep, p_poly, p_diag, trunc, center = best
-    residual = _disc_residual(f_poly, phi)
-    E = _verified_subarcs(F, residual, eps)
+    E = _verified_subarcs(F, _disc_residual(f_poly, phi), eps)
     report = {
-        **_contract(norm_rep, _sup_error(E, residual), E, eps),
+        **_contract(norm_rep, sup_error(f_poly, E, phi), E, eps),
         "construction": "ladder",
         "norm_fit": fit_trail,
         "eta_used": eta,
@@ -427,48 +444,6 @@ def simul_approx_disc(phi, eps: float, inner_base: InnerSpec,
 
 # ---------------------------------------------------------------------------
 # Polydisc assembly
-
-
-def _shell_arrays(p: Polynomial1D, radii, m: int):
-    """Per-shell circle samples of |p| and (1 - r^2)|p'|."""
-    dp = p.derivative()
-    mod = np.empty((len(radii), m))
-    sem = np.empty((len(radii), m))
-    for i, r in enumerate(radii):
-        mod[i] = np.abs(p.circle_values(r, m))
-        sem[i] = (1.0 - r * r) * np.abs(dp.circle_values(r, m))
-    return mod, sem
-
-
-def _tensor_bloch_norm(terms):
-    """Measured polydisc Bloch norm of sum_l prod_j p_{j,l} (N = 2 factors).
-
-    Exact on the sampled grid: for each radius pair the angular maximum
-    of sum_l (sem_1 mod_2 + mod_1 sem_2) is taken over the outer product
-    of the two circles.
-    """
-    radii = dyadic_radii(12, linear=16)
-    data = []
-    deg = 0
-    for p1, p2 in terms:
-        deg = max(deg, p1.degree + 1, p2.degree + 1)
-    m = int(2 ** math.ceil(math.log2(max(256, 2 * deg))))
-    for p1, p2 in terms:
-        data.append((_shell_arrays(p1, radii, m), _shell_arrays(p2, radii, m)))
-    best = 0.0
-    # m x m buffers reused across radius pairs: fresh temporaries of this
-    # size are page-faulted in again on every pair
-    acc, contrib, prod = (np.empty((m, m)) for _ in range(3))
-    for i in range(len(radii)):
-        for k in range(len(radii)):
-            acc.fill(0.0)
-            for (mod1, sem1), (mod2, sem2) in data:
-                np.multiply.outer(sem1[i], mod2[k], out=contrib)
-                contrib += np.multiply.outer(mod1[i], sem2[k], out=prod)
-                acc += contrib
-            best = max(best, float(np.max(acc)))
-    f0 = abs(sum(complex(p1.coeffs[0]) * complex(p2.coeffs[0]) for p1, p2 in terms))
-    return f0 + best, f0
 
 
 def _product_polynd(terms) -> PolynomialND:
@@ -504,8 +479,8 @@ def _cross_weights(p: Polynomial1D) -> tuple:
     return tuple((float(sem[i]), float(mod[i])) for i in picks)
 
 
-def simul_approx_polydisc(phi, eps: float, n_dim: int, inner_base: InnerSpec,
-                          seed: int = 17) -> SimulApproxResult:
+def simul_approx_polydisc(phi, eps: float, n_dim: int,
+                          inner_base: InnerSpec) -> SimulApproxResult:
     """Tensor assembly f = sum_l f_{1,l}(z_1) f_{2,l}(z_2) on the bidisc.
 
     N = 1 delegates to the disc pipeline (the two statements coincide);
@@ -525,7 +500,8 @@ def simul_approx_polydisc(phi, eps: float, n_dim: int, inner_base: InnerSpec,
     partner leaves them, at degrees 8 then 16.  E is the product of the
     whole circle and the part of that set where the estimate verifies
     below eps, so ``result.E`` holds one arc set per axis and the measure
-    is exact.  ``seed`` drives the sup-error sample.
+    is exact.  The norm is ``bloch_norm(f, domain="polydisc")`` and the
+    error ``sup_error``; both are deterministic grid values.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -582,8 +558,6 @@ def simul_approx_polydisc(phi, eps: float, n_dim: int, inner_base: InnerSpec,
             out += sup1 * np.abs(f2(z) - v2) + err1 * np.abs(v2)
         return out
 
-    rng = np.random.default_rng(seed + 1)
-    ang = rng.uniform(0.0, TWO_PI, size=(20_000, n_dim))
     for degree in _FIT_DEGREES:
         fits = [norm_fit(F2, t[2], b, degree, weights=_cross_weights(t[0]),
                          origin_weight=abs(complex(t[0].coeffs[0])))
@@ -592,16 +566,10 @@ def simul_approx_polydisc(phi, eps: float, n_dim: int, inner_base: InnerSpec,
         factor_polys = [(t[0], f2) for t, f2 in zip(terms, second)]
         axis_sets = (whole, _verified_subarcs(F2, residual, eps))
         measure = float(np.prod([s.measure for s in axis_sets]))
-        norm, f0 = _tensor_bloch_norm(factor_polys)
-        mask = np.ones(ang.shape[0], dtype=bool)
-        for j, axis_set in enumerate(axis_sets):
-            mask &= axis_set.contains(ang[:, j])
-        if np.any(mask):
-            sel = np.exp(1j * ang[mask])
-            approx = sum(f1(sel[:, 0]) * f2(sel[:, 1]) for f1, f2 in factor_polys)
-            sup_err = float(np.max(np.abs(approx - np.asarray(phi(sel), dtype=complex))))
-        else:
-            sup_err = float("inf")
+        f_nd = _product_polynd(factor_polys)
+        norm_rep = bloch_norm(f_nd, domain="polydisc")
+        norm = norm_rep.norm
+        sup_err = sup_error(f_nd, axis_sets, phi)
         if norm < eps and sup_err < eps and measure >= 1.0 - eps:
             break
 
@@ -612,15 +580,14 @@ def simul_approx_polydisc(phi, eps: float, n_dim: int, inner_base: InnerSpec,
                         "fit_converged": converged1})
         factors.append({"term": l, "axis": 1, "degree": fit.degree,
                         "norm": bloch_norm(fit.poly).norm,
-                        "sup_error": _sup_error(axis_sets[1], _disc_residual(fit.poly, phi2)),
+                        "sup_error": sup_error(fit.poly, axis_sets[1], phi2),
                         "measure": axis_sets[1].measure, "fit_value": fit.value,
                         "fit_excess": fit.excess, "fit_converged": fit.converged})
     theta = F2.sample(2048)
     slack = np.min([b(theta) for b in budgets], axis=0)
-    f_nd = _product_polynd(factor_polys)
     report = {
         "norm": norm,
-        "value_at_zero": f0,
+        "value_at_zero": norm_rep.value_at_zero,
         "sup_error": sup_err,
         "measure": measure,
         "terms": n_terms,

@@ -187,13 +187,13 @@ def test_criterion_07_polydisc_tensor_assembly():
         pts = np.asarray(pts, dtype=complex)
         return (pts[..., 0].real * pts[..., 1].real).astype(complex)
 
-    res2 = simul_approx_polydisc(phi2, 0.5, 2, _weak_base(), seed=17)
+    res2 = simul_approx_polydisc(phi2, 0.5, 2, _weak_base())
     rep = res2.report
     inequalities_ok = rep["norm_ok"] and rep["error_ok"] and rep["measure_ok"]
 
     phi1 = lambda z: np.asarray(z, dtype=complex).real.astype(complex)
     a = simul_approx_disc(phi1, 0.5, _weak_base())
-    b = simul_approx_polydisc(phi1, 0.5, 1, _weak_base(), seed=17)
+    b = simul_approx_polydisc(phi1, 0.5, 1, _weak_base())
     agree = max(abs(a.report["norm"] - b.report["norm"]),
                 abs(a.report["sup_error"] - b.report["sup_error"]),
                 abs(a.report["measure"] - b.report["measure"]))

@@ -68,6 +68,34 @@ def test_polydisc_norm_sum_of_slices():
     assert rep.seminorm_sup == pytest.approx(2.0, abs=1e-2)
 
 
+def test_polydisc_norm_off_the_diagonal():
+    # f = z1 z2^8: the seminorm (1-|z1|^2)|z2|^8 + 8|z1|(1-|z2|^2)|z2|^7 tends
+    # to 1 at z1 = 0, |z2| -> 1, away from the diagonal |z1| = |z2|
+    rep = bloch_norm(PolynomialND({(1, 8): 1.0}, 2), domain="polydisc")
+    assert rep.seminorm_sup == pytest.approx(1.0, abs=0.01)
+    assert rep.certified is None
+
+
+def test_weighted_polydisc_norm_applies_the_weight():
+    # omega(t) = t cancels the factor 1 - |z_k|^2: for f = z1 z2 the
+    # weighted seminorm is sup |z2| + |z1| = 2, the plain one 0.77
+    rep = weighted_bloch_norm(PolynomialND({(1, 1): 1.0}, 2),
+                              WeightSpec(kind="power", parameter=1.0))
+    assert rep.seminorm_sup == pytest.approx(2.0, abs=1e-3)
+
+
+def test_polydisc_norms_need_two_variable_polynomials():
+    w = WeightSpec(kind="power", parameter=1.0)
+    for f in (_monomial(2), PolynomialND({(1, 1, 1): 1.0}, 3),
+              FunctionExpr.product(FunctionExpr.polynd(PolynomialND({(1, 0): 1.0}, 2)),
+                                   FunctionExpr.polynd(PolynomialND({(0, 1): 1.0}, 2)))):
+        with pytest.raises(ValueError):
+            bloch_norm(f, domain="polydisc")
+        if not isinstance(f, Polynomial1D):
+            with pytest.raises(ValueError):
+                weighted_bloch_norm(f, w)
+
+
 def test_ball_radial_derivative_norm():
     # f(z) = z1: sup (1-|z|^2) |z1| over the ball is at |z| = 1/sqrt(3)...
     # the integrand r(1-r^2) peaks at 1/sqrt(3) with value 2/(3 sqrt 3)

@@ -128,12 +128,26 @@ def test_verify_polydisc_simul_detects_tampered_measure(tmp_path):
     assert len(doc["E"]) == 2
     status2, vdoc, _ = _run(tmp_path, "verify", {"artifact": report}, name="v1")
     assert status2 == 0 and vdoc["passed"]
-    # the stored measure must equal the product of the stored axis measures
-    doc["report"]["measure"] -= 0.01
-    serialize.save(report, doc)
-    status3, vdoc3, _ = _run(tmp_path, "verify", {"artifact": report}, name="v2")
-    assert status3 == 1
-    assert not vdoc3["passed"]
+    # the stored measure must equal the product of the stored axis measures,
+    # and norm and sup_error are recomputed from the stored f, E and target
+    for key in ("measure", "norm", "sup_error"):
+        tampered = json.loads(json.dumps(doc))
+        tampered["report"][key] -= 0.01
+        serialize.save(report, tampered)
+        status3, vdoc3, _ = _run(tmp_path, "verify", {"artifact": report}, name=f"v-{key}")
+        assert status3 == 1, key
+        assert [c["check"] for c in vdoc3["checks"] if not c["passed"]] == [key]
+
+
+def test_verify_polydisc_bloch_norm_artifact(tmp_path):
+    poly = {"kind": "polynd", "dim": 2, "terms": [[[1, 8], [1.0, 0.0]]]}
+    cfg = {"function": {"kind": "expr", "node": "polynd", "dim": 2, "poly": poly},
+           "domain": "polydisc"}
+    status, doc, report = _run(tmp_path, "bloch-norm", cfg)
+    assert status == 0
+    assert doc["report"]["seminorm_sup"] == pytest.approx(1.0, abs=0.01)
+    status2, vdoc, _ = _run(tmp_path, "verify", {"artifact": report}, name="v")
+    assert status2 == 0 and vdoc["passed"]
 
 
 def test_determinism_same_seed_byte_identical(tmp_path):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from blochlab.inner import (InnerSpec, ShrinkFailure, SingularMeasureSpec,
-                            boundary_map, compose_shrink, hyperbolic_quotient,
-                            inner_eval, loewner_transport_check)
+                            _cantor_midpoints, boundary_map, cantor_nodes,
+                            compose_shrink, hyperbolic_quotient, inner_eval,
+                            loewner_transport_check)
 from blochlab.arcs import ArcSet
 
 
@@ -59,6 +60,22 @@ def test_cantor_spec_constructs():
     z = _disc_samples(200, seed=4, rmax=0.9)
     vals, _ = inner_eval(inner, z)
     assert np.all(np.abs(vals) < 1.0)
+
+
+def test_cantor_nodes_cache_is_bounded():
+    spec = SingularMeasureSpec(kind="cantor", depth=6)
+    mids, width, mass = cantor_nodes(spec, 6)
+    # the two end pieces of every level: the first midpoint sits half the
+    # final width from the arc's start, and the nodes share the mass
+    assert mids.size == 64 and mass == pytest.approx(1.0 / 64)
+    assert mids[0] == pytest.approx(-np.pi / 4 + width / 2.0, abs=1e-15)
+    assert width == pytest.approx(np.pi / 2 * 3.0 ** -6, rel=1e-15)
+    for k in range(2 * _cantor_midpoints.cache_info().maxsize):
+        cantor_nodes(SingularMeasureSpec(kind="cantor", arc_length=0.1 + 0.01 * k), 4)
+    info = _cantor_midpoints.cache_info()
+    assert info.currsize <= info.maxsize
+    again, _, _ = cantor_nodes(spec, 6)
+    assert np.array_equal(again, mids) and not again.flags.writeable
 
 
 def test_compose_shrink_reduces_quotient():

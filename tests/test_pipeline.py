@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from blochlab.arcs import ArcSet
+from blochlab.expressions import PolynomialND
 from blochlab.inner import InnerSpec
 from blochlab.pipeline import (plateau_polynomial, simul_approx_disc,
-                               simul_approx_polydisc)
+                               simul_approx_polydisc, sup_error)
 
 TWO_PI = 2.0 * np.pi
 
@@ -77,10 +78,21 @@ def test_simul_disc_result_is_polynomial():
 def test_simul_polydisc_n1_delegates_to_disc():
     phi = lambda z: np.asarray(z, dtype=complex).real.astype(complex)
     a = simul_approx_disc(phi, 0.5, _weak_base())
-    b = simul_approx_polydisc(phi, 0.5, 1, _weak_base(), seed=17)
+    b = simul_approx_polydisc(phi, 0.5, 1, _weak_base())
     assert abs(a.report["norm"] - b.report["norm"]) < 0.05
     assert abs(a.report["sup_error"] - b.report["sup_error"]) < 0.05
     assert abs(a.report["measure"] - b.report["measure"]) < 0.05
+
+
+def test_sup_error_polydisc_matches_pointwise_evaluation():
+    f = PolynomialND({(0, 0): 0.3, (1, 0): 1.0, (2, 3): -0.5j, (0, 5): 0.25}, 2)
+    phi = lambda pts: np.asarray(pts, dtype=complex)[..., 0].real.astype(complex)
+    E = (ArcSet.full_circle(), _two_arcs(0.6))
+    grid = np.stack(np.meshgrid(np.exp(1j * E[0].sample(512)),
+                                np.exp(1j * E[1].sample(512)), indexing="ij"), axis=-1)
+    direct = float(np.max(np.abs(f(grid) - phi(grid))))
+    assert sup_error(f, E, phi) == pytest.approx(direct, abs=1e-13)
+    assert sup_error(f, (E[0], ArcSet.empty()), phi) == float("inf")
 
 
 def test_simul_polydisc_rejects_large_dim():
