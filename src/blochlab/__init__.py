@@ -6,7 +6,7 @@ candidate universal series, and certifies every claim it can check
 numerically.
 """
 
-from blochlab.numerics import SampleGrid, MeasureEstimate, sample_torus, measure_metric, indicator_measure
+from blochlab.numerics import MeasureEstimate, sample_torus, measure_metric, indicator_measure
 from blochlab.expressions import Polynomial1D, PolynomialND, FunctionExpr, PathSpec
 from blochlab.inner import SingularMeasureSpec, InnerSpec
 from blochlab.arcs import ArcSet
@@ -18,7 +18,6 @@ from blochlab.universality import TargetEnumeration, Certificate, UniversalCandi
 __version__ = "0.1.0"
 
 __all__ = [
-    "SampleGrid",
     "MeasureEstimate",
     "sample_torus",
     "measure_metric",

@@ -88,7 +88,8 @@ class ArcSet:
         pieces = []
         for s, e in self.arcs:
             n = max(2, int(round(count * (e - s) / total)))
-            pieces.append(np.linspace(s, e, n))
+            # the whole circle's end point is its start point
+            pieces.append(np.linspace(s, e, n, endpoint=e - s < TWO_PI))
         return _wrap(np.concatenate(pieces))
 
     def shrink(self, margin: float) -> "ArcSet":

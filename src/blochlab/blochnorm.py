@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import FunctionExpr, Polynomial1D, PolynomialND
-from .numerics import NonFiniteSampleError, SampleGrid, dyadic_radii
+from .numerics import NonFiniteSampleError, dyadic_radii
 
 __all__ = [
     "BlochReport",
@@ -108,9 +108,13 @@ def _poly_degree(f: FunctionExpr):
     return None if p is None else p.degree
 
 
-def _angular_count(degree, grid: SampleGrid) -> int:
+#: angles per shell (directions per sphere on the ball) for non-polynomial input
+_ANGULAR_COUNT = 512
+
+
+def _angular_count(degree) -> int:
     if degree is None:
-        return grid.angular_count
+        return _ANGULAR_COUNT
     # power of two at least 8 (1 + degree): keeps the FFT path fast and
     # satisfies the M > 4 d requirement of the certification factor
     return int(2 ** math.ceil(math.log2(max(8 * (1 + degree), 64))))
@@ -143,7 +147,7 @@ def _disc_shell_sup(f: FunctionExpr, r: float, m: int, poly: Polynomial1D = None
     return w * float(mag[k]), r * np.exp(2j * np.pi * k / mag.size)
 
 
-def _polydisc_sup(f: FunctionExpr, grid: SampleGrid, weight):
+def _polydisc_sup(f: FunctionExpr, weight):
     """Tensor-grid sup of weight(|z_1|)|d_1 f| + weight(|z_2|)|d_2 f|.
 
     f must be a two-variable polynomial with coefficient matrix C.  On
@@ -157,8 +161,8 @@ def _polydisc_sup(f: FunctionExpr, grid: SampleGrid, weight):
     n1, n2 = c.shape
     d1 = c[1:] * np.arange(1, n1)[:, None]
     d2 = c[:, 1:] * np.arange(1, n2)
-    radii = grid.radii if grid is not None and grid.radii else dyadic_radii(12, linear=16)
-    m = _angular_count(max(n1, n2) - 1, grid)
+    radii = dyadic_radii(12, linear=16)
+    m = _angular_count(max(n1, n2) - 1)
     unit = np.exp(2j * np.pi * np.outer(np.arange(m), np.arange(max(n1, n2))) / m)
 
     def vander(r, n):
@@ -179,7 +183,7 @@ def _polydisc_sup(f: FunctionExpr, grid: SampleGrid, weight):
     return float(abs(c[0, 0])), best, arg, note
 
 
-def bloch_norm(f, domain: str = "disc", grid: SampleGrid = None) -> BlochReport:
+def bloch_norm(f, domain: str = "disc") -> BlochReport:
     """Estimate the Bloch norm of ``f`` on the disc, ball or polydisc.
 
     Returns |f(0)| plus the grid supremum of the defining seminorm;
@@ -193,20 +197,16 @@ def bloch_norm(f, domain: str = "disc", grid: SampleGrid = None) -> BlochReport:
     if domain == "disc" and f.dim != 1:
         raise ValueError("disc norm needs a one-variable function")
     if domain == "polydisc":
-        f0, best, arg, note = _polydisc_sup(f, grid, lambda r: 1.0 - r * r)
+        f0, best, arg, note = _polydisc_sup(f, lambda r: 1.0 - r * r)
         return BlochReport(domain, f0, best, None, arg, note)
-    if grid is None:
-        grid = SampleGrid(domain="disc" if f.dim == 1 else "polydisc", dim=f.dim)
-    radii = grid.radii if grid.radii else dyadic_radii()
-    if any(r >= 1.0 for r in radii):
-        raise ValueError("grid radii must be < 1")
+    radii = dyadic_radii()
 
     origin = 0.0 if f.dim == 1 else np.zeros(f.dim)
     f0 = abs(complex(f.eval(origin)))
 
     if f.dim == 1:
         degree = _poly_degree(f)
-        m = _angular_count(degree, grid)
+        m = _angular_count(degree)
         poly = f.as_poly1d()
         best, arg = 0.0, (0.0,)
         for r in radii:
@@ -217,10 +217,9 @@ def bloch_norm(f, domain: str = "disc", grid: SampleGrid = None) -> BlochReport:
         return BlochReport(domain, f0, best, _certify(best, degree, m),
                            arg, note)
 
-    count = grid.angular_count
-    rng = np.random.default_rng(grid.seed)
+    rng = np.random.default_rng(0)
     best, arg = 0.0, (0.0,) * f.dim
-    vecs = rng.normal(size=(count, 2 * f.dim)).view(complex)
+    vecs = rng.normal(size=(_ANGULAR_COUNT, 2 * f.dim)).view(complex)
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     for r in radii:
         z = float(r) * vecs
@@ -229,7 +228,7 @@ def bloch_norm(f, domain: str = "disc", grid: SampleGrid = None) -> BlochReport:
         k = int(np.argmax(vals))
         if vals[k] > best:
             best, arg = float(vals[k]), tuple(z[k])
-    note = f"{domain} grid: {len(radii)} shells x {count} directions, seed {grid.seed}"
+    note = f"{domain} grid: {len(radii)} shells x {_ANGULAR_COUNT} directions, seed 0"
     return BlochReport(domain, f0, best, None, arg, note)
 
 
@@ -244,7 +243,7 @@ def little_bloch_profile(f, radii) -> np.ndarray:
     if radii.size and (np.any(np.diff(radii) <= 0) or np.any(radii <= 0) or np.any(radii >= 1)):
         raise ValueError("radii must be strictly increasing inside (0, 1)")
     degree = _poly_degree(f)
-    m = _angular_count(degree, SampleGrid(domain="disc"))
+    m = _angular_count(degree)
     poly = f.as_poly1d()
     out = np.empty(radii.size)
     for i, r in enumerate(radii):
@@ -313,7 +312,7 @@ class WeightSpec:
         return np.interp(t, ts, ws)
 
 
-def weighted_bloch_norm(f, w: WeightSpec, grid: SampleGrid = None) -> BlochReport:
+def weighted_bloch_norm(f, w: WeightSpec) -> BlochReport:
     """Weighted Bloch norm estimate.
 
     The disc seminorm weights by omega(1 - |z|); the polydisc seminorm
@@ -330,14 +329,12 @@ def weighted_bloch_norm(f, w: WeightSpec, grid: SampleGrid = None) -> BlochRepor
                 raise WeightError(f"weight not usable at 1 - r^2 = {1.0 - r * r!r}")
             return (1.0 - r * r) / wv
 
-        f0, best, arg, note = _polydisc_sup(f, grid, weight)
+        f0, best, arg, note = _polydisc_sup(f, weight)
         return BlochReport("polydisc", f0, best, None, arg, "weighted " + note)
-    if grid is None:
-        grid = SampleGrid(domain="disc")
-    radii = grid.radii if grid.radii else dyadic_radii()
+    radii = dyadic_radii()
     degree = _poly_degree(f)
     f0 = abs(complex(f.eval(0.0)))
-    m = _angular_count(degree, grid)
+    m = _angular_count(degree)
     poly = f.as_poly1d()
     best, arg = 0.0, (0.0,)
     for r in radii:

@@ -1,7 +1,8 @@
 """Grids, quadrature, torus sampling and the convergence-in-measure metric.
 
-All randomness flows from explicit 64-bit seeds; there is no global RNG
-state anywhere in the package, so certificates are reproducible.
+The metric is a deterministic quadrature on equispaced circle points.
+The Monte Carlo helpers draw from explicit 64-bit seeds; there is no
+global RNG state anywhere in the package.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ EPS_MACH = float(np.finfo(np.float64).eps)
 #: z-score of the two-sided 95% normal confidence interval.
 Z95 = 1.959963984540054
 
-# Monte-Carlo sample count used by measure_metric beyond tensor dimensions.
-_MC_METRIC_COUNT = 200_000
-
 
 class GridError(ValueError):
     """Invalid sampling-grid parameters."""
@@ -30,39 +28,6 @@ class NonFiniteSampleError(ValueError):
         self.point = point
         self.value = value
         super().__init__(f"non-finite sample value {value!r} at point {point!r}")
-
-
-@dataclass(frozen=True)
-class SampleGrid:
-    """Sampling layout shared by norm estimates and boundary quadrature.
-
-    domain is one of ``disc``, ``polydisc``, ``circle``, ``torus``;
-    ``dim`` is the complex dimension (1 for disc/circle).  ``radii``
-    are ignored for boundary domains.
-    """
-
-    domain: str
-    dim: int = 1
-    radii: tuple = ()
-    angular_count: int = 512
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.domain not in ("disc", "polydisc", "circle", "torus"):
-            raise GridError(f"unknown domain tag {self.domain!r}")
-        if self.dim < 1:
-            raise GridError("dimension must be >= 1")
-        if self.angular_count < 4:
-            raise GridError("angular count must be >= 4")
-        radii = np.asarray(self.radii, dtype=float)
-        if radii.size:
-            if np.any(radii >= 1.0) or np.any(radii < 0.0):
-                raise GridError("radii must lie in [0, 1)")
-            if np.any(np.diff(radii) <= 0.0):
-                raise GridError("radii must be strictly increasing")
-
-    def angles(self) -> np.ndarray:
-        return circle_angles(self.angular_count)
 
 
 def circle_angles(count: int) -> np.ndarray:
@@ -143,37 +108,22 @@ def indicator_measure(predicate, count: int, seed: int, n_dim: int = 1) -> Measu
     return MeasureEstimate(p, hw, count)
 
 
-def _as_samples(f, pts) -> np.ndarray:
-    vals = f(pts) if callable(f) else np.asarray(f)
-    vals = np.asarray(vals, dtype=complex)
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-        point = pts[bad] if pts is not None else bad
-        raise NonFiniteSampleError(point, vals[bad])
-    return vals
+def metric_points(count: int) -> np.ndarray:
+    """Quadrature nodes of measure_metric: ``count`` equispaced circle points."""
+    return np.exp(1j * circle_angles(count))
 
 
-def metric_points(grid: SampleGrid) -> np.ndarray:
-    """Quadrature nodes used by measure_metric for the given grid."""
-    n = grid.dim
-    if n <= 3:
-        ang = grid.angles()
-        axes = np.meshgrid(*([np.exp(1j * ang)] * n), indexing="ij")
-        pts = np.stack([a.ravel() for a in axes], axis=-1)
-        return pts[:, 0] if n == 1 else pts
-    return sample_torus(n, _MC_METRIC_COUNT, grid.seed)
-
-
-def measure_metric(g, h, grid: SampleGrid) -> float:
+def measure_metric(g, h) -> float:
     """Translation-invariant metric d(g, h) = integral of min(1, |g - h|).
 
-    Tensor trapezoid quadrature up to dimension 3, Monte Carlo beyond.
-    ``g`` and ``h`` may be callables on torus points or precomputed sample
-    arrays matching metric_points(grid).
+    ``g`` and ``h`` are samples on metric_points, where the mean is the
+    periodic trapezoid rule.
     """
-    pts = metric_points(grid)
-    gv = _as_samples(g, pts)
-    hv = _as_samples(h, pts)
+    gv, hv = (np.asarray(v, dtype=complex) for v in (g, h))
+    for vals in (gv, hv):
+        if not np.all(np.isfinite(vals)):
+            bad = int(np.flatnonzero(~np.isfinite(vals))[0])
+            raise NonFiniteSampleError(bad, vals[bad])
     if gv.shape != hv.shape:
         raise ValueError("sample shapes disagree")
     return float(np.mean(np.minimum(1.0, np.abs(gv - hv))))

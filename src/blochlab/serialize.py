@@ -158,7 +158,7 @@ def from_document(doc):
     if kind == "certificate":
         return Certificate(doc["target_id"], doc["n"], doc["radius"],
                            tuple(_uncpx(a) for a in doc["anchors"]),
-                           doc["d_sup"], doc["good_measure"], doc["good_measure_ci"],
+                           doc["d_sup"], doc["good_measure"],
                            doc["block_norm"], doc["partial_index"], doc["verified"])
     if kind == "candidate":
         return UniversalCandidate(

@@ -91,3 +91,7 @@ def test_arc_around_wraps():
     assert F.contains(np.array([2 * np.pi - 0.3]))[0]
     assert F.contains(np.array([0.3]))[0]
     assert F.measure == pytest.approx(1.0 / (2 * np.pi))
+
+
+def test_full_circle_sample_has_distinct_angles():
+    assert np.unique(ArcSet.full_circle().sample(512)).size == 512

@@ -97,12 +97,33 @@ def test_certify_and_verify_tamper_detection(tmp_path):
     assert status == 0
     status2, vdoc, _ = _run(tmp_path, "verify", {"artifact": report}, name="v1")
     assert status2 == 0 and vdoc["passed"]
-    # tamper with the stored metric by +0.1 and expect a failure
-    doc["d_sup"] = doc["d_sup"] + 0.1
+    # verify recomputes d_sup and good_measure on the same points: a stored
+    # value raised by 0.1 fails exactly its own check
+    for key in ("d_sup", "good_measure"):
+        tampered = json.loads(json.dumps(doc))
+        tampered[key] += 0.1
+        serialize.save(report, tampered)
+        status3, vdoc3, _ = _run(tmp_path, "verify", {"artifact": report}, name=f"v-{key}")
+        assert status3 == 1, key
+        assert [c["check"] for c in vdoc3["checks"] if not c["passed"]] == [key]
+    # an artifact without its tol cannot be recomputed
+    del doc["tol"]
     serialize.save(report, doc)
-    status3, vdoc3, _ = _run(tmp_path, "verify", {"artifact": report}, name="v2")
-    assert status3 == 1
-    assert not vdoc3["passed"]
+    status4, vdoc4, _ = _run(tmp_path, "verify", {"artifact": report}, name="v-tol")
+    assert status4 == 1
+    assert [c["check"] for c in vdoc4["checks"]] == ["payload"]
+
+
+def test_verify_certify_uses_the_stored_tol(tmp_path):
+    # |f - target| = 0.3 everywhere: inside tol 0.5, outside the default 0.25
+    cfg = {"function": {"kind": "coeffs", "coeffs": [0.7]},
+           "target": {"kind": "constant", "value": 1.0},
+           "n": 2, "anchors": [[0.0, 0.0]], "tol": 0.5}
+    status, doc, report = _run(tmp_path, "certify", cfg)
+    assert status == 0
+    assert doc["tol"] == 0.5 and doc["good_measure"] == 1.0
+    status2, vdoc, _ = _run(tmp_path, "verify", {"artifact": report}, name="v")
+    assert status2 == 0 and vdoc["passed"]
 
 
 def test_verify_simul_detects_tampered_measure(tmp_path):
@@ -148,6 +169,36 @@ def test_verify_polydisc_bloch_norm_artifact(tmp_path):
     assert doc["report"]["seminorm_sup"] == pytest.approx(1.0, abs=0.01)
     status2, vdoc, _ = _run(tmp_path, "verify", {"artifact": report}, name="v")
     assert status2 == 0 and vdoc["passed"]
+
+
+def test_bloch_norm_config_takes_a_bare_polynd(tmp_path):
+    poly = {"kind": "polynd", "dim": 2, "terms": [[[1, 8], [1.0, 0.0]]]}
+    status, doc, report = _run(tmp_path, "bloch-norm",
+                               {"function": poly, "domain": "polydisc"})
+    assert status == 0
+    status2, vdoc, _ = _run(tmp_path, "verify", {"artifact": report}, name="v")
+    assert status2 == 0 and vdoc["passed"]
+    wrapped = {"kind": "expr", "node": "polynd", "dim": 2, "poly": poly}
+    _, doc2, _ = _run(tmp_path, "bloch-norm", {"function": wrapped, "domain": "polydisc"},
+                      name="wrapped")
+    assert doc2["report"] == doc["report"]
+
+
+def test_verify_bloch_norm_detects_tampered_seminorm(tmp_path):
+    config = os.path.join(os.path.dirname(__file__), "..", "configs", "bloch_norm_z2.json")
+    with open(config) as fh:
+        cfg = json.load(fh)
+    status, doc, report = _run(tmp_path, "bloch-norm", cfg)
+    assert status == 0
+    status2, vdoc, _ = _run(tmp_path, "verify", {"artifact": report}, name="v1")
+    assert status2 == 0 and vdoc["passed"]
+    assert vdoc["checks"][0]["drift"] == 0.0
+    # the recomputed norm must match to 1e-12
+    doc["report"]["seminorm_sup"] += 0.01
+    serialize.save(report, doc)
+    status3, vdoc3, _ = _run(tmp_path, "verify", {"artifact": report}, name="v2")
+    assert status3 == 1
+    assert not vdoc3["passed"]
 
 
 def test_determinism_same_seed_byte_identical(tmp_path):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from blochlab.numerics import (SampleGrid, dyadic_radii, indicator_measure,
-                               measure_metric, metric_points, sample_torus)
+from blochlab.numerics import (dyadic_radii, indicator_measure, measure_metric,
+                               metric_points, sample_torus)
 
 
 def test_dyadic_radii_schedule():
@@ -26,27 +26,23 @@ def test_sample_torus_deterministic():
 
 
 def test_metric_points_on_circle():
-    grid = SampleGrid(domain="circle", angular_count=256)
-    z = metric_points(grid)
+    z = metric_points(256)
     assert z.size == 256
     assert np.allclose(np.abs(z), 1.0)
 
 
 def test_measure_metric_bounds_and_identity():
-    grid = SampleGrid(domain="circle", angular_count=512)
-    z = metric_points(grid)
+    z = metric_points(512)
     f = z ** 2
-    assert measure_metric(f, f, grid) == 0.0
+    assert measure_metric(f, f) == 0.0
     # |g - h| = 2 everywhere clips at 1
-    assert measure_metric(np.ones_like(z), -np.ones_like(z), grid) == pytest.approx(1.0)
+    assert measure_metric(np.ones_like(z), -np.ones_like(z)) == pytest.approx(1.0)
 
 
 def test_measure_metric_triangle_inequality():
-    grid = SampleGrid(domain="circle", angular_count=512)
-    z = metric_points(grid)
+    z = metric_points(512)
     f, g, h = z, z ** 2, 0.3 * z ** 3
-    assert measure_metric(f, h, grid) <= measure_metric(f, g, grid) \
-        + measure_metric(g, h, grid) + 1e-12
+    assert measure_metric(f, h) <= measure_metric(f, g) + measure_metric(g, h) + 1e-12
 
 
 def test_indicator_measure_half_circle():

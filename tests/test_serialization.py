@@ -60,7 +60,7 @@ def test_arcset_round_trip():
 
 def test_certificate_round_trip():
     cert = Certificate("trig[k=1,c=1]", 3, 0.875, (0.0 + 0j, 0.3 + 0j),
-                       0.05, 0.97, 0.001, 1.5, 0, True)
+                       0.05, 0.97, 1.5, 0, True)
     a, b = _round_trip(cert)
     assert a == b
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blochlab.expressions import FunctionExpr, PathSpec, Polynomial1D
-from blochlab.numerics import SampleGrid, measure_metric, metric_points
+from blochlab.numerics import measure_metric, metric_points
 from blochlab.universality import (Certificate, TargetEnumeration, apply_Tnw,
                                    certificates_csv, certify, cluster_probe,
                                    default_radii, lacunary_baseline,
@@ -26,19 +26,18 @@ def test_enumeration_deterministic_and_deduped():
 
 
 def test_apply_Tnw_linear_in_f():
-    grid = SampleGrid(domain="circle", angular_count=256)
+    zeta = metric_points(256)
     f = _poly([0.2, 1.0])
     g = _poly([0.0, 0.0, 0.5])
     fg = _poly([0.2, 1.0, 0.5])
-    a = apply_Tnw(f, 3, 0.1 + 0j, grid) + apply_Tnw(g, 3, 0.1 + 0j, grid)
-    b = apply_Tnw(fg, 3, 0.1 + 0j, grid)
+    a = apply_Tnw(f, 3, 0.1 + 0j, zeta) + apply_Tnw(g, 3, 0.1 + 0j, zeta)
+    b = apply_Tnw(fg, 3, 0.1 + 0j, zeta)
     assert np.allclose(a, b)
 
 
 def test_apply_Tnw_rejects_bad_anchor():
-    grid = SampleGrid(domain="circle", angular_count=64)
     with pytest.raises(ValueError):
-        apply_Tnw(_poly([1.0]), 2, 1.0 + 0j, grid)
+        apply_Tnw(_poly([1.0]), 2, 1.0 + 0j, metric_points(64))
 
 
 def test_certify_zero_against_one():
@@ -54,6 +53,15 @@ def test_certify_exact_match():
     assert cert.good_measure == pytest.approx(1.0)
 
 
+def test_certify_good_measure_is_grid_fraction():
+    # f = 0 meets the target on the lower half circle only, which holds
+    # exactly half of the equispaced points
+    target = lambda z: (np.asarray(z).imag > 0).astype(complex)
+    cert = certify(_poly([0.0]), target, 3, [0.0 + 0j])
+    assert cert.good_measure == 0.5
+    assert cert.d_sup == 0.5
+
+
 def test_certify_sup_dominates_single_anchors():
     f = _poly([0.0, 1.0, 0.3])
     target = lambda z: np.asarray(z, dtype=complex)
@@ -66,11 +74,10 @@ def test_certify_sup_dominates_single_anchors():
 
 def test_polynomial_dilation_converges_to_boundary():
     # d(T_n^w P, P boundary values) decreases along the radius schedule
-    grid = SampleGrid(domain="circle", angular_count=512)
-    zeta = metric_points(grid)
+    zeta = metric_points(512)
     p = _poly([0.1, 0.5, 0.0, 0.4])
     bv = p.eval(0.999999 * zeta)
-    ds = [measure_metric(apply_Tnw(p, n, 0.0 + 0j, grid), bv, grid)
+    ds = [measure_metric(apply_Tnw(p, n, 0.0 + 0j, zeta), bv)
           for n in range(10, 16)]
     assert all(a >= b - 1e-3 for a, b in zip(ds, ds[1:]))
     assert ds[-1] < 1e-3
@@ -112,7 +119,7 @@ def test_universal_build_empty_targets():
 
 
 def test_certificates_csv_header():
-    cert = Certificate("t", 1, 0.5, (0.0 + 0j,), 0.1, 0.9, 0.01, 1.0, 0, True)
+    cert = Certificate("t", 1, 0.5, (0.0 + 0j,), 0.1, 0.9, 1.0, 0, True)
     cand_csv = certificates_csv(type("C", (), {"certificates": (cert,)})())
     lines = cand_csv.strip().splitlines()
     assert lines[0] == "target_id,n,r_n,d_sup,good_measure,block_norm"
