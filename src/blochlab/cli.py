@@ -3,8 +3,9 @@
 Every run reads a JSON config, executes one scenario, and writes a
 report document (plus CSV side files where a table is the natural
 output) into the output directory.  Reports carry schema_version, the
-seed actually used, and a timestamp; the timestamp is the only field
-excluded from byte-level determinism.
+config and seed actually used, and a timestamp; the timestamp is the
+only field excluded from byte-level determinism, which is what lets
+``verify`` re-run a report and compare.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pathlib
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -20,17 +23,17 @@ import numpy as np
 from . import serialize
 from .approximation import ApproxError, runge_pair, product_decompose, decomposition_csv
 from .arcs import ArcSet
-from .blochnorm import (BlochReport, WeightSpec, WeightError, bloch_norm,
+from .blochnorm import (WeightSpec, WeightError, bloch_norm,
                         little_bloch_profile, profile_to_csv,
                         weight_integral_test, weighted_bloch_norm)
 from .expressions import FunctionExpr, PathSpec, Polynomial1D, PolynomialND
-from .inner import (InnerSpec, ShrinkFailure, compose_shrink, hyperbolic_quotient,
-                    loewner_transport_check)
-from .numerics import dyadic_radii, measure_metric
-from .pipeline import PipelineError, simul_approx_disc, simul_approx_polydisc, sup_error
-from .universality import (CIRCLE_POINTS, TargetEnumeration, apply_Tnw,
-                           certificates_csv, certify, cluster_probe,
-                           default_radii, lacunary_baseline, universal_build)
+from .inner import (InnerSpec, QuadratureError, ShrinkFailure, compose_shrink,
+                    hyperbolic_quotient, loewner_transport_check)
+from .numerics import dyadic_radii
+from .pipeline import PipelineError, simul_approx_disc, simul_approx_polydisc
+from .universality import (TargetEnumeration, certificates_csv, certify,
+                           cluster_probe, default_radii, lacunary_baseline,
+                           universal_build)
 
 TWO_PI = 2.0 * np.pi
 
@@ -150,7 +153,8 @@ def _target_from_config(spec):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: config -> (document, extra files, exit status)
+# subcommand handlers: (config, seed, out) -> (document, exit status), side
+# files in out.  A handler exits 1 when its run breaks its report's contract.
 
 
 def _cmd_bloch_norm(cfg, seed, out):
@@ -184,7 +188,10 @@ def _cmd_weight_test(cfg, seed, out):
     w = _weight_from_config(cfg["weight"])
     res = weight_integral_test(w, float(cfg.get("x", 0.5)),
                                tolerance=float(cfg.get("tolerance", 2e-3)))
-    return {"report": res.to_dict()}, 0
+    partials = np.asarray(res.partials, dtype=float)
+    monotone = bool(np.all(np.diff(partials) >= -1e-15))
+    consistent = res.verdict != "diverges" or partials[-1] > partials[0]
+    return {"report": res.to_dict()}, 0 if monotone and consistent else 1
 
 
 def _cmd_inner_quotient(cfg, seed, out):
@@ -195,9 +202,10 @@ def _cmd_inner_quotient(cfg, seed, out):
         * np.exp(1j * rng.uniform(0.0, TWO_PI, count))
     q = hyperbolic_quotient(spec, z)
     q = q[np.isfinite(q)]
+    ok = bool(np.max(q) <= 1.0 + 1e-9)
     return {"samples": int(q.size), "max_quotient": float(np.max(q)),
             "mean_quotient": float(np.mean(q)),
-            "schwarz_pick_ok": bool(np.max(q) <= 1.0 + 1e-9)}, 0
+            "schwarz_pick_ok": ok}, 0 if ok else 1
 
 
 def _cmd_shrink(cfg, seed, out):
@@ -216,12 +224,13 @@ def _cmd_transport(cfg, seed, out):
     spec = _inner_from_config(cfg["inner"])
     F = _arcs_from_config(cfg["arcs"])
     rep = loewner_transport_check(spec, F, int(cfg.get("samples", 1_000_000)), seed)
+    ok = rep.deviation < 0.02 and not rep.inconclusive
     return {"arc_measure": rep.arc_measure,
             "preimage": rep.preimage.value,
             "preimage_ci": rep.preimage.half_width,
             "deviation": rep.deviation,
             "stabilized_fraction": rep.stabilized_fraction,
-            "inconclusive": rep.inconclusive}, 0
+            "inconclusive": rep.inconclusive}, 0 if ok else 1
 
 
 def _cmd_runge(cfg, seed, out):
@@ -274,7 +283,6 @@ def _cmd_simul(cfg, seed, out):
         res = simul_approx_polydisc(phi, eps, dim, base)
     doc = _simul_document(res)
     doc["target"] = tid
-    doc["target_spec"] = cfg["target"]
     return doc, 0
 
 
@@ -314,12 +322,10 @@ def _cmd_certify(cfg, seed, out):
     phi, tid = _target_from_config(cfg["target"])
     anchors = [complex(w[0], w[1]) if isinstance(w, list) else complex(w)
                for w in cfg.get("anchors", [0.0])]
-    tol = float(cfg.get("tol", 0.25))
-    cert = certify(f, phi, int(cfg["n"]), anchors, tol=tol, target_id=tid)
+    cert = certify(f, phi, int(cfg["n"]), anchors, tol=float(cfg.get("tol", 0.25)),
+                   target_id=tid)
     doc = serialize.to_document(cert)
     doc["function"] = serialize.to_document(_function_payload(f))
-    doc["target_spec"] = cfg["target"]
-    doc["tol"] = tol
     return doc, 0
 
 
@@ -352,129 +358,53 @@ def _cmd_lacunary(cfg, seed, out):
 
 
 # ---------------------------------------------------------------------------
-# verify: re-run the measured checks of a stored artifact
+# verify: re-run the stored config and compare
 
 
-def _verify_norm_doc(doc):
-    stored = doc["report"]
-    if "function" not in doc:
-        return [{"check": "norm", "passed": False,
-                 "note": "missing function payload"}]
-    rep = bloch_norm(serialize.from_document(doc["function"]), domain=stored["domain"])
-    drift = abs(rep.norm - (stored["value_at_zero"] + stored["seminorm_sup"]))
-    return [{"check": "norm", "passed": bool(drift <= 1e-12), "drift": drift}]
+def _differences(stored, fresh, key=""):
+    """(dotted key, stored, recomputed) for each leaf where two JSON trees differ.
 
-
-def _verify_certify_doc(doc):
-    if any(key not in doc for key in ("function", "target_spec", "tol")):
-        return [{"check": "payload", "passed": False,
-                 "note": "missing function, target or tol payload"}]
-    f = serialize.from_document(doc["function"])
-    if isinstance(f, Polynomial1D):
-        f = FunctionExpr.poly1d(f)
-    phi, _ = _target_from_config(doc["target_spec"])
-    anchors = [complex(w[0], w[1]) for w in doc["anchors"]]
-    # the same quadrature on the same points: the values agree up to
-    # rounding of the stored numbers
-    fresh = certify(f, phi, doc["n"], anchors, tol=doc["tol"])
-    checks = [{"check": key, "passed": bool(abs(value - doc[key]) <= 1e-12),
-               "stored": doc[key], "recomputed": value}
-              for key, value in (("d_sup", fresh.d_sup),
-                                 ("good_measure", fresh.good_measure))]
-    checks.append({"check": "verified", "passed": fresh.verified == doc["verified"],
-                   "stored": doc["verified"], "recomputed": fresh.verified})
-    return checks
-
-
-def _verify_universal_doc(doc):
-    cand = serialize.from_document({k: v for k, v in doc.items()
-                                    if k in ("kind", "blocks", "budgets",
-                                             "indices", "certificates",
-                                             "partial_norms", "failed")})
-    checks = []
-    for cert in cand.certificates:
-        if not cert.verified:
-            continue
-        partial = cand.partial_sum(cert.partial_index)
-        # the stored d_sup is against the target; re-measure the operator
-        # side only: T_n^w(partial) against the partial's boundary values,
-        # whose stability on the build's points was the selection rule
-        bv = partial(CIRCLE_POINTS)
-        d = max(measure_metric(apply_Tnw(partial, cert.n, w, CIRCLE_POINTS), bv)
-                for w in cert.anchors)
-        budget = cand.budgets[cert.partial_index]
-        checks.append({"check": f"stability[{cert.target_id}]",
-                       "passed": bool(d < budget / 4.0),
-                       "recomputed": d, "budget": budget})
-        checks.append({"check": f"d_sup_range[{cert.target_id}]",
-                       "passed": bool(0.0 <= cert.d_sup < budget),
-                       "stored": cert.d_sup})
-    return checks
+    Leaves are equal when their canonical text is, so infinities and NaN
+    compare equal to themselves.
+    """
+    if isinstance(stored, dict) and isinstance(fresh, dict):
+        for k in sorted(stored.keys() | fresh.keys()):
+            sub = f"{key}.{k}" if key else k
+            if k in stored and k in fresh:
+                yield from _differences(stored[k], fresh[k], sub)
+            else:
+                yield sub, stored.get(k), fresh.get(k)
+    elif isinstance(stored, list) and isinstance(fresh, list) and len(stored) == len(fresh):
+        for i, (a, b) in enumerate(zip(stored, fresh)):
+            yield from _differences(a, b, f"{key}[{i}]")
+    elif serialize.dumps({"value": stored}) != serialize.dumps({"value": fresh}):
+        yield key, stored, fresh
 
 
 def _cmd_verify(cfg, seed, out):
     path = cfg["artifact"]
-    doc = serialize.load(path)
-    command = doc.get("command")
-    if command in ("bloch-norm", "lacunary"):
-        checks = _verify_norm_doc(doc)
-    elif command == "certify":
-        checks = _verify_certify_doc(doc)
-    elif command == "universal":
-        checks = _verify_universal_doc(doc)
-    elif command == "simul":
-        checks = _verify_simul_doc(doc)
-    elif command == "weight-test":
-        rep = doc["report"]
-        partials = np.asarray(rep["partials"], dtype=float)
-        monotone = bool(np.all(np.diff(partials) >= -1e-15))
-        consistent = (rep["verdict"] != "diverges"
-                      or partials[-1] > partials[0])
-        checks = [{"check": "partials", "passed": monotone and consistent,
-                   "stored": rep["verdict"]}]
-    elif command == "transport":
-        checks = [{"check": "deviation",
-                   "passed": bool(doc["deviation"] < 0.02
-                                  and not doc["inconclusive"]),
-                   "stored": doc["deviation"]}]
-    elif command in ("inner-quotient",):
-        checks = [{"check": "schwarz_pick", "passed": bool(doc["schwarz_pick_ok"]),
-                   "stored": doc["max_quotient"]}]
-    else:
-        return {"error": f"no verifier for command {command!r}",
-                "stage": "verify"}, 1
+    stored = serialize.load(path)
+    stored.pop("timestamp", None)
+    command = stored.get("command")
+    result = {"artifact": os.path.basename(path), "verified_command": command}
+    if command not in _HANDLERS or "config" not in stored:
+        check = {"check": "config", "passed": False,
+                 "note": "the artifact stores no config of a known command"}
+        return {**result, "checks": [check], "passed": False}, 1
+    # a fresh directory: the artifact's own may hold the side files it names
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh, status = _HANDLERS[command](stored["config"], stored["seed"], tmp)
+        fresh = serialize.loads(serialize.dumps(
+            _finish(fresh, command, stored["config"], stored["seed"])))
+        checks = [{"check": "status", "passed": status == 0, "recomputed": status}]
+        checks += [{"check": key, "passed": False, "stored": a, "recomputed": b}
+                   for key, a, b in _differences(stored, fresh)]
+        for name in sorted(os.listdir(tmp)):
+            side = pathlib.Path(path).parent / name
+            if not side.is_file() or side.read_bytes() != pathlib.Path(tmp, name).read_bytes():
+                checks.append({"check": name, "passed": False})
     passed = all(c["passed"] for c in checks)
-    return {"artifact": os.path.basename(path), "verified_command": command,
-            "checks": checks, "passed": passed}, 0 if passed else 1
-
-
-def _verify_simul_doc(doc):
-    if "target_spec" not in doc:
-        return [{"check": "payload", "passed": False, "note": "missing target payload"}]
-    phi, _ = _target_from_config(doc["target_spec"])
-    f = serialize.from_document(doc["f"])
-    rep = doc["report"]
-    if f.dim == 1:
-        E = serialize.from_document(doc["E"])
-        f = Polynomial1D(f.coefficient_array())
-        norm = bloch_norm(f).norm
-        measure = E.measure
-    else:
-        # E is the product of the per-axis arc sets
-        E = tuple(serialize.from_document(d) for d in doc["E"])
-        norm = bloch_norm(f, domain="polydisc").norm
-        measure = float(np.prod([s.measure for s in E]))
-    # the norm and the error are recomputed by the routines that produced
-    # them, and E is a finite union of arcs: all three agree up to rounding
-    # of the stored numbers
-    checks = []
-    for key, value in (("norm", norm), ("measure", measure),
-                       ("sup_error", sup_error(f, E, phi))):
-        # equal infinities (an empty E) agree too
-        passed = value == rep[key] or abs(value - rep[key]) <= 1e-12
-        checks.append({"check": key, "passed": bool(passed),
-                       "stored": rep[key], "recomputed": value})
-    return checks
+    return {**result, "checks": checks, "passed": passed}, 0 if passed else 1
 
 
 _HANDLERS = {
@@ -510,12 +440,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def run_scenario(command: str, cfg: dict, out: str, seed: int) -> int:
-    """Execute one subcommand; write the report document; return exit status."""
-    handler = _HANDLERS[command]
-    doc, status = handler(cfg, seed, out)
+def _finish(doc: dict, command: str, cfg: dict, seed: int) -> dict:
+    """Stamp a handler's document with what re-runs it: command, seed, config."""
     doc["command"] = command
     doc["seed"] = seed
+    doc["config"] = {k: v for k, v in cfg.items() if k != "out"}
+    return doc
+
+
+def run_scenario(command: str, cfg: dict, out: str, seed: int) -> int:
+    """Execute one subcommand; write the report document; return exit status."""
+    doc, status = _HANDLERS[command](cfg, seed, out)
+    doc = _finish(doc, command, cfg, seed)
     doc["timestamp"] = time.time()
     path = os.path.join(out, f"{command.replace('-', '_')}_report.json")
     serialize.save(path, doc)
@@ -541,7 +477,8 @@ def main(argv=None) -> int:
     except (ConfigError, KeyError, WeightError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (PipelineError, ApproxError, serialize.SerializationError) as exc:
+    except (PipelineError, ApproxError, QuadratureError,
+            serialize.SerializationError) as exc:
         print(f"stage failure [{args.command}]: {exc}", file=sys.stderr)
         return 1
 

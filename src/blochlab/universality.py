@@ -200,7 +200,7 @@ def _correction_block(diff, budget: float, degree_cap: int = 256) -> Polynomial1
 
 
 def universal_build(targets: TargetEnumeration, radii, L, eps_schedule,
-                    inner_base=None, total_budget: float = 16.0) -> UniversalCandidate:
+                    total_budget: float = 16.0) -> UniversalCandidate:
     """Greedy assembly: per target, a correction block plus a certificate.
 
     For each target y_l the loop finds the smallest radius index past
@@ -209,7 +209,6 @@ def universal_build(targets: TargetEnumeration, radii, L, eps_schedule,
     within the radius list are recorded in ``failed``; the build
     continues (failed certificates are data, not errors).
     """
-    del inner_base  # blocks are boundary fits; kept in the signature for parity
     eps_schedule = tuple(float(e) for e in eps_schedule)
     if any(e <= 0 for e in eps_schedule):
         raise ValueError("eps schedule must be positive")

@@ -260,7 +260,8 @@ def test_criterion_10_determinism(tmp_path):
                                "--out", out, "--seed", "7"])
             assert status == 0, f"{name} exited {status}"
             report = os.path.join(out, f"{command.replace('-', '_')}_report.json")
-            outputs.append(strip(open(report).read()))
+            with open(report) as fh:
+                outputs.append(strip(fh.read()))
         if outputs[0] != outputs[1]:
             mismatched.append(name)
     ok = not mismatched

@@ -116,7 +116,8 @@ def test_profile_csv(tmp_path):
     prof = little_bloch_profile(_monomial(2), radii)
     path = os.path.join(tmp_path, "prof.csv")
     profile_to_csv(radii, prof, path)
-    lines = open(path).read().strip().splitlines()
+    with open(path) as fh:
+        lines = fh.read().strip().splitlines()
     assert lines[0] == "r,shell_sup"
     assert len(lines) == 4
 

@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 
 from blochlab import serialize
+from blochlab.blochnorm import IntegralTestResult
 from blochlab.cli import main
+from blochlab.inner import QuadratureError, TransportReport
+from blochlab.numerics import MeasureEstimate
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+def _shipped(name):
+    with open(os.path.join(CONFIG_DIR, name)) as fh:
+        return json.load(fh)
 
 
 def _run(tmp_path, command, cfg, seed=5, name="cfg"):
@@ -18,6 +28,20 @@ def _run(tmp_path, command, cfg, seed=5, name="cfg"):
     report = os.path.join(tmp_path, f"{command.replace('-', '_')}_report.json")
     doc = serialize.load(report) if os.path.exists(report) else None
     return status, doc, report
+
+
+def _verify(tmp_path, report, name="v"):
+    """Exit status of ``verify`` on ``report`` and the names of its failed checks."""
+    status, vdoc, _ = _run(tmp_path, "verify", {"artifact": report}, name=name)
+    return status, [c["check"] for c in vdoc["checks"] if not c["passed"]]
+
+
+def _set(doc, dotted, value):
+    """Set the value at a dotted key such as ``certificates[0].d_sup``."""
+    *path, last = re.findall(r"[^.\[\]]+", dotted)
+    for part in path:
+        doc = doc[int(part)] if isinstance(doc, list) else doc[part]
+    doc[int(last) if isinstance(doc, list) else last] = value
 
 
 def _strip_timestamp(text):
@@ -97,21 +121,19 @@ def test_certify_and_verify_tamper_detection(tmp_path):
     assert status == 0
     status2, vdoc, _ = _run(tmp_path, "verify", {"artifact": report}, name="v1")
     assert status2 == 0 and vdoc["passed"]
-    # verify recomputes d_sup and good_measure on the same points: a stored
-    # value raised by 0.1 fails exactly its own check
+    # verify re-runs the stored config: a stored value raised by 0.1 fails
+    # exactly its own key
     for key in ("d_sup", "good_measure"):
         tampered = json.loads(json.dumps(doc))
         tampered[key] += 0.1
         serialize.save(report, tampered)
-        status3, vdoc3, _ = _run(tmp_path, "verify", {"artifact": report}, name=f"v-{key}")
-        assert status3 == 1, key
-        assert [c["check"] for c in vdoc3["checks"] if not c["passed"]] == [key]
-    # an artifact without its tol cannot be recomputed
-    del doc["tol"]
+        assert _verify(tmp_path, report, name=f"v-{key}") == (1, [key])
+    # an artifact without its config cannot be re-run
+    del doc["config"]
     serialize.save(report, doc)
-    status4, vdoc4, _ = _run(tmp_path, "verify", {"artifact": report}, name="v-tol")
+    status4, vdoc4, _ = _run(tmp_path, "verify", {"artifact": report}, name="v-config")
     assert status4 == 1
-    assert [c["check"] for c in vdoc4["checks"]] == ["payload"]
+    assert [c["check"] for c in vdoc4["checks"]] == ["config"]
 
 
 def test_verify_certify_uses_the_stored_tol(tmp_path):
@@ -121,7 +143,7 @@ def test_verify_certify_uses_the_stored_tol(tmp_path):
            "n": 2, "anchors": [[0.0, 0.0]], "tol": 0.5}
     status, doc, report = _run(tmp_path, "certify", cfg)
     assert status == 0
-    assert doc["tol"] == 0.5 and doc["good_measure"] == 1.0
+    assert doc["config"]["tol"] == 0.5 and doc["good_measure"] == 1.0
     status2, vdoc, _ = _run(tmp_path, "verify", {"artifact": report}, name="v")
     assert status2 == 0 and vdoc["passed"]
 
@@ -134,12 +156,12 @@ def test_verify_simul_detects_tampered_measure(tmp_path):
     assert status == 0
     status2, vdoc, _ = _run(tmp_path, "verify", {"artifact": report}, name="v1")
     assert status2 == 0 and vdoc["passed"]
-    # the stored measure must equal the exact measure of the stored E
     doc["report"]["measure"] -= 0.01
     serialize.save(report, doc)
     status3, vdoc3, _ = _run(tmp_path, "verify", {"artifact": report}, name="v2")
     assert status3 == 1
     assert not vdoc3["passed"]
+    assert [c["check"] for c in vdoc3["checks"] if not c["passed"]] == ["report.measure"]
 
 
 def test_verify_polydisc_simul_detects_tampered_measure(tmp_path):
@@ -149,15 +171,13 @@ def test_verify_polydisc_simul_detects_tampered_measure(tmp_path):
     assert len(doc["E"]) == 2
     status2, vdoc, _ = _run(tmp_path, "verify", {"artifact": report}, name="v1")
     assert status2 == 0 and vdoc["passed"]
-    # the stored measure must equal the product of the stored axis measures,
-    # and norm and sup_error are recomputed from the stored f, E and target
     for key in ("measure", "norm", "sup_error"):
         tampered = json.loads(json.dumps(doc))
         tampered["report"][key] -= 0.01
         serialize.save(report, tampered)
         status3, vdoc3, _ = _run(tmp_path, "verify", {"artifact": report}, name=f"v-{key}")
         assert status3 == 1, key
-        assert [c["check"] for c in vdoc3["checks"] if not c["passed"]] == [key]
+        assert [c["check"] for c in vdoc3["checks"] if not c["passed"]] == [f"report.{key}"]
 
 
 def test_verify_polydisc_bloch_norm_artifact(tmp_path):
@@ -192,21 +212,24 @@ def test_verify_bloch_norm_detects_tampered_seminorm(tmp_path):
     assert status == 0
     status2, vdoc, _ = _run(tmp_path, "verify", {"artifact": report}, name="v1")
     assert status2 == 0 and vdoc["passed"]
-    assert vdoc["checks"][0]["drift"] == 0.0
-    # the recomputed norm must match to 1e-12
+    # the re-run reproduces every key: the only check is its exit status
+    assert vdoc["checks"] == [{"check": "status", "passed": True, "recomputed": 0}]
     doc["report"]["seminorm_sup"] += 0.01
     serialize.save(report, doc)
     status3, vdoc3, _ = _run(tmp_path, "verify", {"artifact": report}, name="v2")
     assert status3 == 1
     assert not vdoc3["passed"]
+    assert [c["check"] for c in vdoc3["checks"] if not c["passed"]] == ["report.seminorm_sup"]
 
 
 def test_determinism_same_seed_byte_identical(tmp_path):
     cfg = {"function": {"kind": "monomial", "n": 3}}
     _, _, report = _run(tmp_path, "bloch-norm", cfg, seed=11)
-    first = _strip_timestamp(open(report).read())
+    with open(report) as fh:
+        first = _strip_timestamp(fh.read())
     _, _, report = _run(tmp_path, "bloch-norm", cfg, seed=11)
-    second = _strip_timestamp(open(report).read())
+    with open(report) as fh:
+        second = _strip_timestamp(fh.read())
     assert first == second
 
 
@@ -252,3 +275,113 @@ def test_little_bloch_writes_profile(tmp_path):
                           {"function": {"kind": "monomial", "n": 4}})
     assert status == 0
     assert os.path.exists(os.path.join(tmp_path, "little_bloch_profile.csv"))
+
+
+# One small run per verifiable kind, and the stored values to forge in its
+# report.  The transport and universal forgeries passed the per-kind
+# verifiers that re-run replaced.
+FORGERIES = [
+    ("bloch-norm", {"function": {"kind": "monomial", "n": 2}},
+     {"report.seminorm_sup": 0.5}),
+    ("little-bloch", {"function": {"kind": "monomial", "n": 4}},
+     {"outer_shell_sups[4]": 0.0}),
+    ("weighted", {"function": {"kind": "monomial", "n": 2},
+                  "weight": {"kind": "log-power", "parameter": 0.5}},
+     {"report.seminorm_sup": 0.5}),
+    ("weight-test", {"weight": {"kind": "log-power", "parameter": 0.5}, "x": 0.5},
+     {"report.verdict": "converges"}),
+    ("inner-quotient", {"inner": {"kind": "atomic", "atoms": [[0.0, 0.5]]},
+                        "samples": 2000},
+     {"max_quotient": 0.5}),
+    ("shrink", {"inner": {"kind": "atomic", "atoms": [[1.57, 0.3], [-1.57, 0.4]]},
+                "eta": 0.5},
+     {"chain_length": 1}),
+    ("transport", _shipped("transport_atomic.json"),
+     {"preimage": 0.9, "deviation": 0.0}),
+    ("runge", {"arcs": [[0.5, 2.0]], "delta": 0.3},
+     {"degree": 4}),
+    ("decompose", {"target": {"kind": "product_re"}, "eps": 0.5},
+     {"error": 0.25}),
+    ("simul", {"target": {"kind": "constant", "value": 0.0}, "eps": 0.5},
+     {"report.measure": 0.5}),
+    ("universal", _shipped("universal_two_constants.json"),
+     {"certificates[0].d_sup": 0.25, "certificates[0].good_measure": 0.1}),
+    ("certify", {"function": {"kind": "coeffs", "coeffs": [1.0]},
+                 "target": {"kind": "constant", "value": 1.0},
+                 "n": 2, "anchors": [[0.0, 0.0]]},
+     {"d_sup": 0.1}),
+    ("cluster", {"function": {"kind": "monomial", "n": 1}, "zeta": [1.0, 0.0],
+                 "values": [[0.5, 0.0]], "tol": 0.1},
+     {"hits[0].hit": False}),
+    ("lacunary", {"K": 4},
+     {"report.seminorm_sup": 0.1}),
+]
+
+
+@pytest.mark.parametrize("command, cfg, forged", FORGERIES,
+                         ids=[f[0] for f in FORGERIES])
+def test_verify_names_each_forged_key(tmp_path, command, cfg, forged):
+    status, doc, report = _run(tmp_path, command, cfg)
+    assert status == 0
+    assert _verify(tmp_path, report) == (0, [])
+    for key, value in forged.items():
+        _set(doc, key, value)
+    serialize.save(report, doc)
+    assert _verify(tmp_path, report, name="v2") == (1, sorted(forged))
+
+
+def test_verify_compares_side_files_and_leaves_them_alone(tmp_path):
+    status, _, report = _run(tmp_path, "little-bloch",
+                             {"function": {"kind": "monomial", "n": 4}})
+    assert status == 0
+    csv = os.path.join(tmp_path, "little_bloch_profile.csv")
+    with open(csv, "a") as fh:
+        fh.write("1.0,0.0\n")
+    with open(csv) as fh:
+        forged = fh.read()
+    assert _verify(tmp_path, report) == (1, ["little_bloch_profile.csv"])
+    # the re-run wrote its own copy elsewhere
+    with open(csv) as fh:
+        assert fh.read() == forged
+
+
+def _fake_quotient(spec, z):
+    return np.full(np.shape(z), 1.5)
+
+
+def _fake_transport(spec, F, samples, seed):
+    return TransportReport(F.measure, MeasureEstimate(0.5, 0.01, samples),
+                           abs(0.5 - F.measure), 1.0, False)
+
+
+def _fake_weight_test(w, x, tolerance):
+    # partial sums that fall cannot diverge
+    return IntegralTestResult("diverges", (2.0, 1.0), (0.5, 0.25))
+
+
+@pytest.mark.parametrize("command, cfg, name, fake", [
+    ("inner-quotient", {"inner": {"kind": "atomic", "atoms": [[0.0, 0.5]]}, "samples": 64},
+     "hyperbolic_quotient", _fake_quotient),
+    ("transport", _shipped("transport_atomic.json"),
+     "loewner_transport_check", _fake_transport),
+    ("weight-test", {"weight": {"kind": "log-power", "parameter": 0.5}},
+     "weight_integral_test", _fake_weight_test),
+], ids=["inner-quotient", "transport", "weight-test"])
+def test_broken_contract_exits_1_and_fails_verify(tmp_path, monkeypatch,
+                                                  command, cfg, name, fake):
+    monkeypatch.setattr(f"blochlab.cli.{name}", fake)
+    status, _, report = _run(tmp_path, command, cfg)
+    assert status == 1
+    assert _verify(tmp_path, report) == (1, ["status"])
+
+
+def test_quadrature_error_is_a_stage_failure(tmp_path, monkeypatch, capsys):
+    def fail(spec, z):
+        raise QuadratureError("Cantor quadrature did not converge")
+
+    monkeypatch.setattr("blochlab.cli.hyperbolic_quotient", fail)
+    status, _, _ = _run(tmp_path, "inner-quotient",
+                        {"inner": {"kind": "atomic", "atoms": [[0.0, 0.5]]}, "samples": 64})
+    assert status == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["stage failure [inner-quotient]: Cantor quadrature did not converge"]

@@ -1,8 +1,14 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
+from blochlab import serialize
 from blochlab.arcs import ArcSet
-from blochlab.expressions import PolynomialND
+from blochlab.blochnorm import bloch_norm
+from blochlab.cli import _target_from_config, main
+from blochlab.expressions import Polynomial1D, PolynomialND
 from blochlab.inner import InnerSpec
 from blochlab.pipeline import (plateau_polynomial, simul_approx_disc,
                                simul_approx_polydisc, sup_error)
@@ -108,3 +114,27 @@ def test_simul_eps_validation():
             simul_approx_disc(phi, eps, _weak_base())
         with pytest.raises(ValueError):
             simul_approx_polydisc(phi, eps, 2, _weak_base())
+
+
+@pytest.mark.parametrize("name", ["simul_re.json", "simul_zero.json",
+                                  "simul_product_re.json"])
+def test_shipped_simul_report_matches_its_own_f_and_E(tmp_path, name):
+    """A simul report's norm, measure and sup error are those of its stored f and E."""
+    config = os.path.join(os.path.dirname(__file__), "..", "configs", name)
+    assert main(["simul", "--config", config, "--out", str(tmp_path)]) == 0
+    doc = serialize.load(os.path.join(tmp_path, "simul_report.json"))
+    with open(config) as fh:
+        phi, _ = _target_from_config(json.load(fh)["target"])
+    f = serialize.from_document(doc["f"])
+    if f.dim == 1:
+        E = serialize.from_document(doc["E"])
+        f = Polynomial1D(f.coefficient_array())
+        norm, measure = bloch_norm(f).norm, E.measure
+    else:
+        E = tuple(serialize.from_document(d) for d in doc["E"])
+        norm = bloch_norm(f, domain="polydisc").norm
+        measure = float(np.prod([s.measure for s in E]))
+    rep = doc["report"]
+    assert rep["norm"] == pytest.approx(norm, abs=1e-12)
+    assert rep["measure"] == pytest.approx(measure, abs=1e-12)
+    assert rep["sup_error"] == pytest.approx(sup_error(f, E, phi), abs=1e-12)
