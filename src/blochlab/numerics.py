@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-EPS_MACH = float(np.finfo(np.float64).eps)
-
 #: z-score of the two-sided 95% normal confidence interval.
 Z95 = 1.959963984540054
 
@@ -66,29 +64,43 @@ def sample_torus(n_dim: int, count: int, seed: int) -> np.ndarray:
     return pts[:, 0] if n_dim == 1 else pts
 
 
+def wilson_interval(p: float, count: int) -> tuple:
+    """95% Wilson score interval of a binomial proportion p out of ``count``.
+
+    Unlike the normal-approximation interval it keeps a positive width at
+    p = 0 and p = 1.  The upper end is 1 - (lower end at 1 - p), so both
+    ends are exact there: 0 at p = 0 and 1 at p = 1.
+    """
+    z2n = Z95 * Z95 / count
+
+    def lower(q):
+        return (q + z2n / 2.0 - np.sqrt(z2n * (q * (1.0 - q) + z2n / 4.0))) / (1.0 + z2n)
+
+    return max(0.0, float(lower(p))), min(1.0, float(1.0 - lower(1.0 - p)))
+
+
 @dataclass(frozen=True)
 class MeasureEstimate:
-    """Monte-Carlo measure with a 95% binomial confidence half-width."""
+    """Monte-Carlo measure ``value`` out of ``count`` draws, with its Wilson interval."""
 
     value: float
-    half_width: float
     count: int
 
     def __post_init__(self):
-        if self.half_width < 0.0:
-            raise ValueError("half-width must be >= 0")
-        if self.value - self.half_width < -EPS_MACH * self.count:
-            raise ValueError("estimate extends below 0")
-        if self.value + self.half_width > 1.0 + EPS_MACH * self.count:
-            raise ValueError("estimate extends above 1")
+        if not 0.0 <= self.value <= 1.0:
+            raise ValueError("estimate must lie in [0, 1]")
 
     @property
     def lower(self) -> float:
-        return max(0.0, self.value - self.half_width)
+        return wilson_interval(self.value, self.count)[0]
 
     @property
     def upper(self) -> float:
-        return min(1.0, self.value + self.half_width)
+        return wilson_interval(self.value, self.count)[1]
+
+    @property
+    def half_width(self) -> float:
+        return (self.upper - self.lower) / 2.0
 
 
 def indicator_measure(predicate, count: int, seed: int, n_dim: int = 1) -> MeasureEstimate:
@@ -101,11 +113,7 @@ def indicator_measure(predicate, count: int, seed: int, n_dim: int = 1) -> Measu
     hits = np.asarray(predicate(pts), dtype=bool)
     if hits.shape[0] != count:
         raise ValueError("predicate returned wrong number of values")
-    p = float(np.mean(hits))
-    # Clip the normal-approximation half-width so the interval stays in [0, 1].
-    hw = Z95 * np.sqrt(max(p * (1.0 - p), 0.0) / count)
-    hw = min(hw, p, 1.0 - p) if 0.0 < p < 1.0 else 0.0
-    return MeasureEstimate(p, hw, count)
+    return MeasureEstimate(float(np.mean(hits)), count)
 
 
 def metric_points(count: int) -> np.ndarray:

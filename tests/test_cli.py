@@ -350,7 +350,7 @@ def _fake_quotient(spec, z):
 
 
 def _fake_transport(spec, F, samples, seed):
-    return TransportReport(F.measure, MeasureEstimate(0.5, 0.01, samples),
+    return TransportReport(F.measure, MeasureEstimate(0.5, samples),
                            abs(0.5 - F.measure), 1.0, False)
 
 

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from blochlab.inner import (InnerSpec, ShrinkFailure, SingularMeasureSpec,
-                            _cantor_midpoints, boundary_map, cantor_nodes,
-                            compose_shrink, hyperbolic_quotient, inner_eval,
+from blochlab import inner
+from blochlab.inner import (InnerSpec, QuadratureError, ShrinkFailure,
+                            SingularMeasureSpec, _cantor_integrals, _cantor_tree,
+                            boundary_map, cantor_gauss_rule, compose_shrink,
+                            hyperbolic_quotient, inner_eval,
                             loewner_transport_check)
 from blochlab.arcs import ArcSet
 
@@ -62,20 +66,80 @@ def test_cantor_spec_constructs():
     assert np.all(np.abs(vals) < 1.0)
 
 
-def test_cantor_nodes_cache_is_bounded():
-    spec = SingularMeasureSpec(kind="cantor", depth=6)
-    mids, width, mass = cantor_nodes(spec, 6)
-    # the two end pieces of every level: the first midpoint sits half the
-    # final width from the arc's start, and the nodes share the mass
-    assert mids.size == 64 and mass == pytest.approx(1.0 / 64)
-    assert mids[0] == pytest.approx(-np.pi / 4 + width / 2.0, abs=1e-15)
-    assert width == pytest.approx(np.pi / 2 * 3.0 ** -6, rel=1e-15)
-    for k in range(2 * _cantor_midpoints.cache_info().maxsize):
-        cantor_nodes(SingularMeasureSpec(kind="cantor", arc_length=0.1 + 0.01 * k), 4)
-    info = _cantor_midpoints.cache_info()
+def _cantor_moments(ratio, count, sweeps=200):
+    # fixed point of nu -> (S_left nu + S_right nu) / 2 on the moments,
+    # S the two similarities x -> ratio x -+ (1 - ratio) / 2, from a point mass
+    c = (1.0 - ratio) / 2.0
+    binom = [[math.comb(n, j) for j in range(count)] for n in range(count)]
+    mom = np.eye(count)[0]
+    for _ in range(sweeps):
+        mom = np.array([sum(binom[n][j] * ratio ** j * mom[j]
+                            * (c ** (n - j) + (-c) ** (n - j)) / 2.0 for j in range(n + 1))
+                        for n in range(count)])
+    return mom
+
+
+@pytest.mark.parametrize("ratio", [1e-6, 0.01, 1.0 / 3.0, 0.499])
+def test_cantor_gauss_rule_matches_moments(ratio):
+    x, omega = cantor_gauss_rule(ratio)
+    assert x.size == omega.size == inner.GAUSS_POINTS
+    assert np.all(omega > 0.0) and np.all(np.abs(x) <= 0.5)
+    exact = _cantor_moments(ratio, 2 * inner.GAUSS_POINTS)
+    rule = np.array([omega @ x ** n for n in range(exact.size)])
+    assert np.max(np.abs(rule - exact)) <= 1e-14
+
+
+def test_cantor_gauss_rule_cache_is_bounded():
+    x, _ = cantor_gauss_rule(1.0 / 3.0)
+    for k in range(2 * cantor_gauss_rule.cache_info().maxsize):
+        cantor_gauss_rule(0.1 + 0.01 * k)
+    info = cantor_gauss_rule.cache_info()
     assert info.currsize <= info.maxsize
-    again, _, _ = cantor_nodes(spec, 6)
-    assert np.array_equal(again, mids) and not again.flags.writeable
+    again, weights = cantor_gauss_rule(1.0 / 3.0)
+    assert np.array_equal(again, x)
+    assert not again.flags.writeable and not weights.flags.writeable
+
+
+def test_cantor_certificate_covers_a_finer_rule(monkeypatch):
+    # uniform draws plus points 3e-5..0.1 inside the circle over the arc;
+    # the reference is an independent 8-point rule run to 1e-13
+    spec = SingularMeasureSpec(kind="cantor")
+    rng = np.random.default_rng(11)
+    gap = np.exp(rng.uniform(np.log(3e-5), np.log(0.1), 3000))
+    near = (1.0 - gap) * np.exp(1j * rng.uniform(-np.pi / 4 - 0.05, np.pi / 4 + 0.05, 3000))
+    z = np.concatenate([_disc_samples(3000, seed=12, rmax=0.99995), near])
+    A, Ap, cert = _cantor_tree(spec, z)
+    monkeypatch.setattr(inner, "GAUSS_POINTS", 8)
+    monkeypatch.setattr(inner, "QUAD_TOL", 1e-13)
+    cantor_gauss_rule.cache_clear()
+    try:
+        A_ref, Ap_ref, cert_ref = _cantor_tree(spec, z)
+    finally:
+        cantor_gauss_rule.cache_clear()
+    assert cert.max() <= 1e-8 and cert_ref.max() <= 1e-13
+    # the relative term is floating-point rounding, which no certificate covers
+    for value, ref in ((A, A_ref), (Ap, Ap_ref)):
+        assert np.all(np.abs(value - ref) <= cert + cert_ref + 1e-11 * np.abs(ref))
+
+
+def test_cantor_quadrature_error_at_the_depth_cap():
+    # depth 0 caps the tree at depth 4, too shallow next to the arc's center
+    spec = SingularMeasureSpec(kind="cantor", depth=0)
+    with pytest.raises(QuadratureError):
+        _cantor_integrals(spec, np.array([(1.0 - 1e-6) * spec.center]))
+
+
+def test_cantor_points_beside_the_support_converge():
+    # two benchmark draws that exhausted the old depth cap, and points
+    # 5e-5 inside the circle around the support's end at angle pi/4
+    spec = SingularMeasureSpec(kind="cantor")
+    z = np.concatenate([
+        [0.70856071493262 + 0.7055365807885077j, 0.7113062674260708 + 0.7024435627941479j],
+        (1.0 - 5e-5) * np.exp(1j * (np.pi / 4 + np.array([-1e-3, -1e-4, 0.0, 1e-5, 1e-4]))),
+    ])
+    A, Ap, cert = _cantor_tree(spec, z)
+    assert np.all(np.isfinite(A)) and np.all(np.isfinite(Ap))
+    assert cert.max() <= 1e-8
 
 
 def test_compose_shrink_reduces_quotient():

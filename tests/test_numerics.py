@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from blochlab.numerics import (dyadic_radii, indicator_measure, measure_metric,
-                               metric_points, sample_torus)
+from blochlab.numerics import (Z95, MeasureEstimate, dyadic_radii, indicator_measure,
+                               measure_metric, metric_points, sample_torus, wilson_interval)
 
 
 def test_dyadic_radii_schedule():
@@ -55,3 +55,20 @@ def test_indicator_measure_deterministic():
     a = indicator_measure(lambda z: z.imag > 0.2, 50_000, seed=7)
     b = indicator_measure(lambda z: z.imag > 0.2, 50_000, seed=7)
     assert a.value == b.value
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_wilson_interval_keeps_width_at_the_ends(p):
+    count = 1000
+    lower, upper = wilson_interval(p, count)
+    assert 0.0 <= lower < upper <= 1.0
+    # the one-sided bound at the empty (full) end is z^2 / (n + z^2)
+    assert upper - lower == pytest.approx(Z95 ** 2 / (count + Z95 ** 2), rel=1e-12)
+    assert (lower == 0.0) if p == 0.0 else (upper == 1.0)
+    est = MeasureEstimate(p, count)
+    assert est.half_width > 0.0 and (est.lower, est.upper) == (lower, upper)
+
+
+def test_indicator_measure_empty_set_has_an_interval():
+    est = indicator_measure(lambda z: np.zeros(z.shape, dtype=bool), 5000, seed=3)
+    assert est.value == 0.0 and est.lower == 0.0 and est.upper > 0.0
