@@ -1,8 +1,9 @@
 """Constructive polynomial approximation on arc sets and product tori.
 
 Four builders: a polynomial pinned to 0 at the origin and to 1 on an arc
-set (least squares with the origin constraint imposed exactly), a uniform
-polynomial fit of a boundary function on an arc set, a norm-aware fit
+set, a uniform polynomial fit of a boundary function on an arc set (both
+one least-squares loop that doubles the degree and returns its best fit,
+with ``achieved`` saying whether it met the tolerance), a norm-aware fit
 that minimises a Bloch-norm bound within a pointwise error budget on an
 arc set (a linear program), and a decomposition of a continuous function
 on the N-torus into a short sum of products of one-variable
@@ -27,11 +28,7 @@ VERIFY_FLOOR = 10_000
 
 
 class ApproxError(RuntimeError):
-    """Target margin unreachable within the degree cap."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """The arc set leaves no complementary gap a boundary fit can use."""
 
 
 def _verify_count(degree: int) -> int:
@@ -40,9 +37,13 @@ def _verify_count(degree: int) -> int:
 
 #: weight of complement-of-F anchor samples relative to F samples.
 _GAP_WEIGHT = 0.3
+#: Lawson reweighting passes of one bounded fit.
+_LAWSON_PASSES = 12
+#: first degree of the doubling loop.
+_FIRST_DEGREE = 8
 
 
-def _bounded_fit(A_main, b_main, A_gap, t_gap, bound, iters: int = 12):
+def _bounded_fit(A_main, b_main, A_gap, t_gap, bound):
     """Least squares on the main rows with a modulus cap off the set.
 
     Main-row weights follow Lawson reweighting (trading mean-square error
@@ -54,7 +55,7 @@ def _bounded_fit(A_main, b_main, A_gap, t_gap, bound, iters: int = 12):
     w = np.ones(n_main)
     t_gap = np.asarray(t_gap, dtype=complex).copy()
     coef = None
-    for _ in range(iters):
+    for _ in range(_LAWSON_PASSES):
         sw = np.sqrt(w)[:, None]
         A = np.vstack([A_main * sw, A_gap * np.sqrt(_GAP_WEIGHT)])
         b = np.concatenate([b_main * sw[:, 0], t_gap * np.sqrt(_GAP_WEIGHT)])
@@ -69,140 +70,88 @@ def _bounded_fit(A_main, b_main, A_gap, t_gap, bound, iters: int = 12):
     return coef
 
 
-def _gap_angles(F: ArcSet, count: int) -> np.ndarray:
-    comp = F.complement()
-    if not comp.arcs:
-        return np.array([])
-    return comp.sample(count)
-
-
-def natural_gap_bound(F: ArcSet, slack: float = 1.3) -> float:
-    """Smallest workable modulus cap off F for a polynomial vanishing at 0.
-
-    The mean of P over the circle is P(0) = 0 while P is pinned to 1 on F,
-    so |P| must average about m(F)/m(gap) over the complement; capping
-    below that starves the fit.
-    """
-    g = max(1.0 - F.measure, 1e-3)
-    return slack * max(1.0, F.measure / g)
-
-
-def _check_proper(F: ArcSet):
-    comp = F.complement()
-    if not comp.arcs or max(e - s for s, e in comp.arcs) < GAP_MIN:
-        raise ApproxError(
-            "arc set must leave a complementary gap of length >= 2*pi/1000")
-
-
 @dataclass(frozen=True)
-class RungeReport:
+class FitReport:
     poly: Polynomial1D
-    margin_at_zero: float
-    margin_on_set: float
+    margin: float    # sup |poly - target| on a dense fresh sampling of F
     degree: int
-    achieved: bool
+    sup_norm: float  # sup |poly| on the closed disc, from a grid of the circle
+    achieved: bool   # margin < delta
 
 
-def runge_pair(F: ArcSet, delta: float, degree_cap: int = 4096,
-               bound: float = None) -> RungeReport:
+def _doubling_fit(F: ArcSet, phi, delta: float, degree_cap: int, lowest: int,
+                  bound) -> FitReport:
+    """Best fit of ``phi`` on F by z^lowest .. z^degree, degree doubling from 8.
+
+    Each degree solves ``_bounded_fit`` on samples of F, with anchors on
+    the complement that start from phi's own values there and are capped
+    in modulus at ``bound(target samples)``; its margin is measured on a
+    dense fresh sampling of F.  The loop stops at the first margin below
+    ``delta`` or at ``degree_cap``, and returns the fit of least margin
+    (``achieved`` False when even that misses ``delta``).  ``lowest = 1``
+    drops the constant term, so the fit vanishes at 0 exactly.
+    """
+    if degree_cap < _FIRST_DEGREE:
+        raise ValueError(f"degree cap must be >= {_FIRST_DEGREE}")
+    if not F.arcs:
+        return FitReport(Polynomial1D.zero(), 0.0, 0, 0.0, True)
+    gaps = F.complement()
+    if not gaps.arcs or max(e - s for s, e in gaps.arcs) < GAP_MIN:
+        raise ApproxError("arc set must leave a complementary gap of length >= 2*pi/1000")
+    best = None
+    degree = _FIRST_DEGREE
+    while degree <= degree_cap:
+        z_main = np.exp(1j * F.sample(max(4 * degree + 16, 256)))
+        z_gap = np.exp(1j * gaps.sample(max(degree // 2, 64)))
+        target = np.asarray(phi(z_main), dtype=complex)
+        powers = np.arange(lowest, degree + 1)
+        coef = _bounded_fit(z_main[:, None] ** powers, target, z_gap[:, None] ** powers,
+                            phi(z_gap), bound(target))
+        p = Polynomial1D(np.concatenate([np.zeros(lowest), coef]))
+        zv = np.exp(1j * F.sample(_verify_count(degree)))
+        margin = float(np.max(np.abs(p(zv) - np.asarray(phi(zv), dtype=complex))))
+        if best is None or margin < best[1]:
+            best = (p, margin, degree)
+        if margin < delta:
+            break
+        degree *= 2
+    p, margin, degree = best
+    return FitReport(p, margin, degree, p.sup_on_circle(), margin < delta)
+
+
+def runge_pair(F: ArcSet, delta: float, degree_cap: int = 4096) -> FitReport:
     """Polynomial P with P(0) = 0 exactly, |P - 1| < delta on F, |P| capped off F.
 
     Least squares of |P - 1|^2 over F samples with the constant term
     dropped (so the origin constraint is exact, not fitted), doubling the
     degree from 8 until the margin verifies on a dense fresh sampling.
-    Off F the modulus is softly capped at ``bound`` (default from the
-    mean-value lower limit m(F)/m(gap)), which keeps the downstream
-    product Q*(P o J) from exploding on the exceptional set.
+    Off F the modulus is softly capped at 1.3 max(1, m(F)/m(gap)): the
+    mean of P over the circle is P(0) = 0 while P is pinned to 1 on F,
+    so |P| must average about m(F)/m(gap) on the gaps, and a lower cap
+    starves the fit.  The cap keeps the downstream product Q*(P o J)
+    from exploding on the exceptional set.  A miss at ``degree_cap``
+    returns the best fit with ``achieved`` False; ``ApproxError`` means
+    F leaves no usable gap.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if not F.arcs:
-        return RungeReport(Polynomial1D.zero(), 0.0, 0.0, 0, True)
-    _check_proper(F)
-    if bound is None:
-        bound = natural_gap_bound(F)
-    best = None
-    degree = 8
-    while degree <= degree_cap:
-        th_main = F.sample(max(4 * degree + 16, 256))
-        th_gap = _gap_angles(F, max(degree // 2, 64))
-        powers = np.arange(1, degree + 1)
-        # basis z^1 .. z^degree: the missing constant pins P(0) = 0
-        A_main = np.exp(1j * th_main)[:, None] ** powers
-        A_gap = np.exp(1j * th_gap)[:, None] ** powers
-        coef = _bounded_fit(A_main, np.ones(th_main.size, dtype=complex),
-                            A_gap, np.ones(th_gap.size, dtype=complex), bound)
-        p = Polynomial1D(np.concatenate([[0.0], coef]))
-        zv = np.exp(1j * F.sample(_verify_count(degree)))
-        margin = float(np.max(np.abs(p(zv) - 1.0)))
-        report = RungeReport(p, 0.0, margin, degree, margin < delta)
-        if best is None or margin < best.margin_on_set:
-            best = report
-        if margin < delta:
-            return report
-        degree *= 2
-    raise ApproxError(
-        f"runge margin {best.margin_on_set:.3e} above {delta:.3e} at degree cap", best)
+    cap = 1.3 * max(1.0, F.measure / max(1.0 - F.measure, 1e-3))
+    return _doubling_fit(F, np.ones_like, delta, degree_cap, 1, lambda target: cap)
 
 
-@dataclass(frozen=True)
-class UniformFitReport:
-    poly: Polynomial1D
-    margin: float
-    degree: int
-    sup_norm: float
-    achieved: bool
-
-
-def _sup_disc(p: Polynomial1D) -> float:
-    """Sup of |p| over the closed disc = sup over the circle (max principle)."""
-    return p.sup_on_circle(1.0)
-
-
-def uniform_fit(F: ArcSet, phi, delta: float, degree_cap: int = 4096,
-                bound: float = None) -> UniformFitReport:
+def uniform_fit(F: ArcSet, phi, delta: float, degree_cap: int = 4096) -> FitReport:
     """Polynomial Q with |Q - phi| < delta on F; also reports sup |Q| on the disc.
 
-    ``phi`` is a callable on unimodular points, or a Polynomial1D (returned
-    unchanged with margin 0).  Off F the modulus is softly capped at
-    ``bound`` (default: 1.5 * sup |phi| + 0.5) via clamped anchors.
+    ``phi`` is a callable on unimodular points.  Off F the modulus is
+    softly capped at 1.5 sup |phi| + 0.5 (phi sampled on F at each
+    degree) via clamped anchors.  A miss at ``degree_cap`` returns the
+    best fit with ``achieved`` False; ``ApproxError`` means F leaves no
+    usable gap.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    if isinstance(phi, Polynomial1D):
-        if phi.degree > degree_cap:
-            raise ApproxError("polynomial target exceeds the degree cap")
-        return UniformFitReport(phi, 0.0, phi.degree, _sup_disc(phi), True)
-    if not F.arcs:
-        return UniformFitReport(Polynomial1D.zero(), 0.0, 0, 0.0, True)
-    _check_proper(F)
-    best = None
-    degree = 8
-    while degree <= degree_cap:
-        th_main = F.sample(max(4 * degree + 16, 256))
-        th_gap = _gap_angles(F, max(degree // 2, 64))
-        target = np.asarray(phi(np.exp(1j * th_main)), dtype=complex)
-        # anchors start from phi's own values off F, then get re-clamped
-        gap_start = np.asarray(phi(np.exp(1j * th_gap)), dtype=complex)
-        if bound is None:
-            cap = 1.5 * float(np.max(np.abs(target))) + 0.5
-        else:
-            cap = bound
-        powers = np.arange(0, degree + 1)
-        A_main = np.exp(1j * th_main)[:, None] ** powers
-        A_gap = np.exp(1j * th_gap)[:, None] ** powers
-        coef = _bounded_fit(A_main, target, A_gap, gap_start, cap)
-        q = Polynomial1D(coef)
-        zv = np.exp(1j * F.sample(_verify_count(degree)))
-        margin = float(np.max(np.abs(q(zv) - np.asarray(phi(zv), dtype=complex))))
-        report = UniformFitReport(q, margin, degree, _sup_disc(q), margin < delta)
-        if best is None or margin < best.margin:
-            best = report
-        if margin < delta:
-            return report
-        degree *= 2
-    raise ApproxError(
-        f"uniform fit margin {best.margin:.3e} above {delta:.3e} at degree cap", best)
+    return _doubling_fit(F, phi, delta, degree_cap, 0,
+                         lambda target: 1.5 * float(np.max(np.abs(target))) + 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +357,11 @@ class TrigPoly:
         return out
 
     @classmethod
-    def exponential(cls, k: int, c: complex = 1.0) -> "TrigPoly":
+    def exponential(cls, k: int) -> "TrigPoly":
+        """The single frequency e^{i k theta}."""
         K = abs(k)
         coeffs = np.zeros(2 * K + 1, dtype=complex)
-        coeffs[k + K] = c
+        coeffs[k + K] = 1.0
         return cls(coeffs)
 
 
@@ -435,103 +385,86 @@ class ProductTerm:
 @dataclass(frozen=True)
 class DecompositionResult:
     terms: tuple
-    error: float
-    grid_size: int
+    error: float    # sup |sum of terms - phi| on the torus grid
 
     def __call__(self, pts):
         return np.sum([t(pts) for t in self.terms], axis=0)
 
 
-def _torus_grid(n_dim: int, size: int) -> np.ndarray:
-    ang = 2.0 * np.pi * np.arange(size) / size
+#: points per axis of the uniform torus grid the decomposition is measured on
+_TORUS_GRID = 256
+
+
+def _torus_grid(n_dim: int) -> np.ndarray:
+    ang = 2.0 * np.pi * np.arange(_TORUS_GRID) / _TORUS_GRID
     axes = np.meshgrid(*([np.exp(1j * ang)] * n_dim), indexing="ij")
     return np.stack(axes, axis=-1)
 
 
-def product_decompose(phi, n_dim: int, eps: float, m_cap: int = 64,
-                      grid_size: int = 256) -> DecompositionResult:
+def product_decompose(phi, n_dim: int, eps: float, m_cap: int = 64) -> DecompositionResult:
     """Approximate phi on the N-torus by <= m_cap products of TrigPolys.
 
     Fourier coefficients are measured on a uniform grid; for N = 2 the
     coefficient matrix is cut by singular values, so rank-one structure
     (e.g. Re zeta_1 * Re zeta_2) collapses to a single term.  For other N
-    each retained frequency is its own rank-one exponential term.
+    each retained frequency is its own rank-one exponential term.  Terms
+    are added until the grid error drops below eps; when the cap comes
+    first, the terms kept so far are returned and ``error`` (>= eps)
+    shows the miss.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     if n_dim < 1:
         raise ValueError("dimension must be >= 1")
-    pts = _torus_grid(n_dim, grid_size)
+    pts = _torus_grid(n_dim)
     if n_dim == 1:
         pts = pts[..., 0]
     vals = np.asarray(phi(pts), dtype=complex)
     coeffs = np.fft.fftn(vals) / vals.size
-    freqs = np.fft.fftfreq(grid_size, d=1.0 / grid_size).astype(int)
+    freqs = np.fft.fftfreq(_TORUS_GRID, d=1.0 / _TORUS_GRID).astype(int)
+    K = _TORUS_GRID // 2 - 1
 
-    def check(terms):
-        approx = np.sum([t(pts) for t in terms], axis=0) if terms else np.zeros_like(vals)
-        return float(np.max(np.abs(approx - vals)))
+    def candidates():
+        if n_dim == 1:
+            tc = np.zeros(2 * K + 1, dtype=complex)
+            for i, k in enumerate(freqs):
+                if abs(k) <= K:
+                    tc[k + K] = coeffs[i]
+            yield ProductTerm((TrigPoly(tc),))
+        elif n_dim == 2:
+            C = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
+            for i1, k1 in enumerate(freqs):
+                for i2, k2 in enumerate(freqs):
+                    if abs(k1) <= K and abs(k2) <= K and coeffs[i1, i2] != 0:
+                        C[k1 + K, k2 + K] = coeffs[i1, i2]
+            # trim to the occupied frequency window to keep the SVD small
+            occ = np.flatnonzero(np.any(np.abs(C) > 1e-15, axis=1))
+            occ2 = np.flatnonzero(np.any(np.abs(C) > 1e-15, axis=0))
+            if occ.size == 0:
+                return
+            W = max(K - occ.min(), occ.max() - K, K - occ2.min(), occ2.max() - K)
+            U, s, Vh = np.linalg.svd(C[K - W: K + W + 1, K - W: K + W + 1])
+            for l in range(min(m_cap, s.size)):
+                if s[l] < 1e-15:
+                    return
+                yield ProductTerm((TrigPoly(U[:, l] * s[l]), TrigPoly(Vh[l, :].copy())))
+        else:
+            # one exponential product term per retained frequency
+            order = np.argsort(np.abs(coeffs).ravel())[::-1]
+            for row in np.array(np.unravel_index(order, coeffs.shape)).T[:m_cap]:
+                c = coeffs[tuple(row)]
+                if abs(c) < 1e-15:
+                    return
+                yield ProductTerm(tuple(TrigPoly.exponential(freqs[i]) for i in row), c)
 
-    if n_dim == 1:
-        K = grid_size // 2 - 1
-        tc = np.zeros(2 * K + 1, dtype=complex)
-        for i, k in enumerate(freqs):
-            if abs(k) <= K:
-                tc[k + K] = coeffs[i]
-        terms = (ProductTerm((TrigPoly(tc),)),)
-        err = check(terms)
-        if err >= eps:
-            raise ApproxError(f"one-variable synthesis error {err:.3e} >= {eps:.3e}",
-                              DecompositionResult(terms, err, grid_size))
-        return DecompositionResult(terms, err, grid_size)
-
-    if n_dim == 2:
-        K = grid_size // 2 - 1
-        C = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
-        for i1, k1 in enumerate(freqs):
-            for i2, k2 in enumerate(freqs):
-                if abs(k1) <= K and abs(k2) <= K and coeffs[i1, i2] != 0:
-                    C[k1 + K, k2 + K] = coeffs[i1, i2]
-        # trim to the occupied frequency window to keep the SVD small
-        occ = np.flatnonzero(np.any(np.abs(C) > 1e-15, axis=1))
-        occ2 = np.flatnonzero(np.any(np.abs(C) > 1e-15, axis=0))
-        if occ.size == 0:
-            return DecompositionResult((), check(()), grid_size)
-        W = max(K - occ.min(), occ.max() - K, K - occ2.min(), occ2.max() - K)
-        C = C[K - W: K + W + 1, K - W: K + W + 1]
-        U, s, Vh = np.linalg.svd(C)
-        terms = []
-        for rank in range(1, min(m_cap, s.size) + 1):
-            l = rank - 1
-            if s[l] < 1e-15:
-                break
-            terms.append(ProductTerm(
-                (TrigPoly(U[:, l] * s[l]), TrigPoly(Vh[l, :].copy()))))
-            err = check(tuple(terms))
-            if err < eps:
-                return DecompositionResult(tuple(terms), err, grid_size)
-        err = check(tuple(terms))
-        raise ApproxError(f"decomposition error {err:.3e} >= {eps:.3e} at rank cap",
-                          DecompositionResult(tuple(terms), err, grid_size))
-
-    # N >= 3: one exponential product term per retained frequency
-    flat = np.abs(coeffs).ravel()
-    order = np.argsort(flat)[::-1]
-    idx = np.array(np.unravel_index(order, coeffs.shape)).T
     terms = []
-    for row in idx[:m_cap]:
-        c = coeffs[tuple(row)]
-        if abs(c) < 1e-15:
-            break
-        ks = [freqs[i] for i in row]
-        factors = [TrigPoly.exponential(k) for k in ks]
-        terms.append(ProductTerm(tuple(factors), c))
-        err = check(tuple(terms))
+    err = float(np.max(np.abs(vals)))
+    for term in candidates():
+        terms.append(term)
+        err = float(np.max(np.abs(np.sum([t(pts) for t in terms], axis=0) - vals)))
         if err < eps:
-            return DecompositionResult(tuple(terms), err, grid_size)
-    err = check(tuple(terms))
-    raise ApproxError(f"decomposition error {err:.3e} >= {eps:.3e} at term cap",
-                      DecompositionResult(tuple(terms), err, grid_size))
+            break
+    return DecompositionResult(tuple(terms), err)
 
 
 def decomposition_csv(result: DecompositionResult) -> str:

@@ -102,12 +102,6 @@ def _as_expr(f) -> FunctionExpr:
     raise TypeError(f"cannot interpret {type(f).__name__} as a function expression")
 
 
-def _poly_degree(f: FunctionExpr):
-    """Degree when f is recognizably a one-variable polynomial, else None."""
-    p = f.as_poly1d() if f.dim == 1 else None
-    return None if p is None else p.degree
-
-
 #: angles per shell (directions per sphere on the ball) for non-polynomial input
 _ANGULAR_COUNT = 512
 
@@ -128,23 +122,41 @@ def _certify(sup: float, degree, m: int):
     return None
 
 
-def _disc_shell_sup(f: FunctionExpr, r: float, m: int, poly: Polynomial1D = None):
-    """(sup over |z| = r of (1 - r^2)|f'|, argmax angle index)."""
-    w = 1.0 - r * r
-    if poly is not None:
-        dv = poly.derivative().circle_values(r, max(m, poly.degree + 1))
-        mag = np.abs(dv)
-    else:
-        theta = 2.0 * np.pi * np.arange(m) / m
-        z = r * np.exp(1j * theta)
-        _, grad = f.eval_with_grad(z)
-        mag = np.abs(np.asarray(grad))
-    if not np.all(np.isfinite(mag)):
-        k = int(np.flatnonzero(~np.isfinite(mag))[0])
-        bad = r * np.exp(2j * np.pi * k / mag.size)
-        raise NonFiniteSampleError(bad, complex("nan"))
-    k = int(np.argmax(mag))
-    return w * float(mag[k]), r * np.exp(2j * np.pi * k / mag.size)
+def _disc_shells(f: FunctionExpr, radii):
+    """Per-shell sup of (1 - r^2)|f'| over |z| = r on the disc, for each r in radii.
+
+    Returns (sups, argmax points, degree, m): ``degree`` is f's degree
+    when f is recognizably a one-variable polynomial (else None) and m the
+    angles per shell.  A polynomial's derivative is taken once and
+    evaluated on each shell by FFT; other input is differentiated
+    pointwise.  The first shell with a non-finite sample raises.
+    """
+    poly = f.as_poly1d() if f.dim == 1 else None
+    degree = None if poly is None else poly.degree
+    m = _angular_count(degree)
+    dpoly = None if poly is None else poly.derivative()
+    theta = 2.0 * np.pi * np.arange(m) / m
+    sups, points = [], []
+    for r in radii:
+        r = float(r)
+        if dpoly is not None:
+            mag = np.abs(dpoly.circle_values(r, m))
+        else:
+            _, grad = f.eval_with_grad(r * np.exp(1j * theta))
+            mag = np.abs(np.asarray(grad))
+        if not np.all(np.isfinite(mag)):
+            k = int(np.flatnonzero(~np.isfinite(mag))[0])
+            raise NonFiniteSampleError(r * np.exp(2j * np.pi * k / m), complex("nan"))
+        k = int(np.argmax(mag))
+        sups.append((1.0 - r * r) * float(mag[k]))
+        points.append(r * np.exp(2j * np.pi * k / m))
+    return sups, points, degree, m
+
+
+def _first_max(values, points):
+    """(largest value, (its first argmax point,)), or (0.0, (0.0,)) when none is positive."""
+    k = int(np.argmax(values))
+    return (values[k], (points[k],)) if values[k] > 0.0 else (0.0, (0.0,))
 
 
 def _polydisc_sup(f: FunctionExpr, weight):
@@ -205,14 +217,8 @@ def bloch_norm(f, domain: str = "disc") -> BlochReport:
     f0 = abs(complex(f.eval(origin)))
 
     if f.dim == 1:
-        degree = _poly_degree(f)
-        m = _angular_count(degree)
-        poly = f.as_poly1d()
-        best, arg = 0.0, (0.0,)
-        for r in radii:
-            s, pt = _disc_shell_sup(f, float(r), m, poly)
-            if s > best:
-                best, arg = s, (pt,)
+        sups, points, degree, m = _disc_shells(f, radii)
+        best, arg = _first_max(sups, points)
         note = f"disc grid: {len(radii)} dyadic shells x {m} angles"
         return BlochReport(domain, f0, best, _certify(best, degree, m),
                            arg, note)
@@ -242,13 +248,7 @@ def little_bloch_profile(f, radii) -> np.ndarray:
     radii = np.asarray(radii, dtype=float)
     if radii.size and (np.any(np.diff(radii) <= 0) or np.any(radii <= 0) or np.any(radii >= 1)):
         raise ValueError("radii must be strictly increasing inside (0, 1)")
-    degree = _poly_degree(f)
-    m = _angular_count(degree)
-    poly = f.as_poly1d()
-    out = np.empty(radii.size)
-    for i, r in enumerate(radii):
-        out[i] = _disc_shell_sup(f, float(r), m, poly)[0]
-    return out
+    return np.array(_disc_shells(f, radii)[0], dtype=float)
 
 
 def profile_to_csv(radii, values, path) -> None:
@@ -332,18 +332,15 @@ def weighted_bloch_norm(f, w: WeightSpec) -> BlochReport:
         f0, best, arg, note = _polydisc_sup(f, weight)
         return BlochReport("polydisc", f0, best, None, arg, "weighted " + note)
     radii = dyadic_radii()
-    degree = _poly_degree(f)
     f0 = abs(complex(f.eval(0.0)))
-    m = _angular_count(degree)
-    poly = f.as_poly1d()
-    best, arg = 0.0, (0.0,)
+    weights = []
     for r in radii:
         wv = float(w.omega(1.0 - float(r)))
         if not (math.isfinite(wv) and wv > 0.0):
             raise WeightError(f"weight not usable at 1 - r = {1.0 - float(r)!r}")
-        s, pt = _disc_shell_sup(f, float(r), m, poly)
-        if s / wv > best:
-            best, arg = s / wv, (pt,)
+        weights.append(wv)
+    sups, points, _, m = _disc_shells(f, radii)
+    best, arg = _first_max([s / wv for s, wv in zip(sups, weights)], points)
     note = f"weighted disc grid: {len(radii)} shells x {m} angles"
     return BlochReport("disc", f0, best, None, arg, note)
 

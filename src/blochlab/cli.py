@@ -46,13 +46,17 @@ class ConfigError(ValueError):
 # config -> objects
 
 
+def _complex(v) -> complex:
+    """A complex number from a config value: [re, im] or a real number."""
+    return complex(v[0], v[1]) if isinstance(v, list) else complex(v)
+
+
 def _function_from_config(spec) -> FunctionExpr:
     if not isinstance(spec, dict):
         raise ConfigError("function spec must be an object")
     kind = spec.get("kind")
     if kind == "coeffs":
-        coeffs = [complex(c[0], c[1]) if isinstance(c, list) else complex(c)
-                  for c in spec["coeffs"]]
+        coeffs = [_complex(c) for c in spec["coeffs"]]
         return FunctionExpr.poly1d(Polynomial1D(np.array(coeffs, dtype=complex)))
     if kind == "monomial":
         n = int(spec["n"])
@@ -112,8 +116,7 @@ def _target_from_config(spec):
         raise ConfigError("target spec must be an object")
     kind = spec.get("kind")
     if kind == "constant":
-        c = spec.get("value", 0.0)
-        c = complex(c[0], c[1]) if isinstance(c, list) else complex(c)
+        c = _complex(spec.get("value", 0.0))
 
         def fn(z, c=c):
             return np.full(np.shape(z), c, dtype=complex)
@@ -132,8 +135,7 @@ def _target_from_config(spec):
         return fn, f"monomial[{k}]"
     if kind == "step":
         jumps = [float(t) for t in spec["jumps"]]
-        values = [complex(v[0], v[1]) if isinstance(v, list) else complex(v)
-                  for v in spec["values"]]
+        values = [_complex(v) for v in spec["values"]]
         if len(values) != len(jumps):
             raise ConfigError("step target needs one value per jump")
 
@@ -238,21 +240,15 @@ def _cmd_runge(cfg, seed, out):
     rep = runge_pair(F, float(cfg["delta"]),
                      degree_cap=int(cfg.get("degree_cap", 4096)))
     return {"poly": serialize.to_document(rep.poly),
-            "margin_at_zero": rep.margin_at_zero,
-            "margin_on_set": rep.margin_on_set,
-            "degree": rep.degree, "achieved": rep.achieved}, 0
+            "margin_at_zero": float(abs(rep.poly(0.0))),
+            "margin_on_set": rep.margin,
+            "degree": rep.degree, "achieved": rep.achieved}, 0 if rep.achieved else 1
 
 
 def _cmd_decompose(cfg, seed, out):
     phi, tid = _target_from_config(cfg["target"])
     dim = int(cfg.get("dim", 2))
-    try:
-        dec = product_decompose(phi, dim, float(cfg["eps"]),
-                                m_cap=int(cfg.get("m_cap", 64)))
-    except ApproxError as exc:
-        if exc.best is None:
-            return {"error": str(exc), "stage": "decompose"}, 1
-        dec = exc.best
+    dec = product_decompose(phi, dim, float(cfg["eps"]), m_cap=int(cfg.get("m_cap", 64)))
     path = os.path.join(out, "decomposition.csv")
     with open(path, "w") as fh:
         fh.write(decomposition_csv(dec))
@@ -300,8 +296,7 @@ def _targets_from_config(cfg) -> TargetEnumeration:
 def _cmd_universal(cfg, seed, out):
     targets = _targets_from_config(cfg)
     radii = default_radii(int(cfg.get("n_max", 20)))
-    anchors = [complex(w[0], w[1]) if isinstance(w, list) else complex(w)
-               for w in cfg.get("anchors", [0.0])]
+    anchors = [_complex(w) for w in cfg.get("anchors", [0.0])]
     eps = [float(e) for e in cfg.get("eps_schedule", [0.3])]
     cand = universal_build(targets, radii, anchors, eps,
                            total_budget=float(cfg.get("total_budget", 16.0)))
@@ -320,8 +315,7 @@ def _cmd_universal(cfg, seed, out):
 def _cmd_certify(cfg, seed, out):
     f = _function_from_config(cfg["function"])
     phi, tid = _target_from_config(cfg["target"])
-    anchors = [complex(w[0], w[1]) if isinstance(w, list) else complex(w)
-               for w in cfg.get("anchors", [0.0])]
+    anchors = [_complex(w) for w in cfg.get("anchors", [0.0])]
     cert = certify(f, phi, int(cfg["n"]), anchors, tol=float(cfg.get("tol", 0.25)),
                    target_id=tid)
     doc = serialize.to_document(cert)
@@ -336,12 +330,10 @@ def _function_payload(f: FunctionExpr):
 
 def _cmd_cluster(cfg, seed, out):
     f = _function_from_config(cfg["function"])
-    zeta = cfg.get("zeta", [1.0, 0.0])
-    zeta = complex(zeta[0], zeta[1]) if isinstance(zeta, list) else complex(zeta)
+    zeta = _complex(cfg.get("zeta", [1.0, 0.0]))
     schedule = default_radii(int(cfg.get("n_max", 16)))
     path = PathSpec(zeta=zeta, anchor=0.0, schedule=schedule)
-    values = [complex(v[0], v[1]) if isinstance(v, list) else complex(v)
-              for v in cfg["values"]]
+    values = [_complex(v) for v in cfg["values"]]
     hits = cluster_probe(f, path, values, float(cfg.get("tol", 0.25)))
     return {"hits": [{"value": [h.value.real, h.value.imag], "hit": h.hit,
                       "distance": h.distance, "parameter": h.parameter}

@@ -42,10 +42,6 @@ _Z_CHUNK = 4096
 class QuadratureError(ArithmeticError):
     """Certified quadrature error bound exceeded the tolerance."""
 
-    def __init__(self, message, min_distance=None):
-        self.min_distance = min_distance
-        super().__init__(message)
-
 
 class ShrinkFailure(RuntimeError):
     """Composition iteration cannot reduce the quotient supremum."""
@@ -302,9 +298,7 @@ def _cantor_tree(spec, flat):
         raise QuadratureError(
             f"cantor quadrature error bound {err[worst]:.3e} exceeds {QUAD_TOL}"
             f" at z={complex(flat[worst])} (distance to support {min_dist:.3e});"
-            " raise the depth cap",
-            min_distance=min_dist,
-        )
+            " raise the depth cap")
     return A, Ap, err
 
 
@@ -410,12 +404,6 @@ def hyperbolic_quotient(spec: InnerSpec, z):
     return q
 
 
-def disc_grid_points(radii, angular_count: int) -> np.ndarray:
-    ang = circle_angles(angular_count)
-    r = np.asarray(radii, dtype=float)
-    return (r[:, None] * np.exp(1j * ang)[None, :]).ravel()
-
-
 @dataclass(frozen=True)
 class ShrinkResult:
     spec: InnerSpec
@@ -424,8 +412,7 @@ class ShrinkResult:
     chain_length: int
 
 
-def compose_shrink(spec: InnerSpec, eta: float, max_chain: int = 64,
-                   radii=None, angular_count: int = 128) -> ShrinkResult:
+def compose_shrink(spec: InnerSpec, eta: float, max_chain: int = 64) -> ShrinkResult:
     """Self-compose until the measured grid supremum of q drops below eta.
 
     The quotient of a composition is the product of the factor quotients,
@@ -435,12 +422,11 @@ def compose_shrink(spec: InnerSpec, eta: float, max_chain: int = 64,
     """
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
-    if radii is None:
-        # Reference grid stops at 1 - 2^-8: closer to the boundary every
-        # singular quotient creeps back to 1 away from its support mass,
-        # which would flag every base as non-contracting.
-        radii = dyadic_radii(j_max=7, linear=16)
-    pts = disc_grid_points(radii, angular_count)
+    # Reference grid: 128 angles on radii up to 1 - 2^-7.  Closer to the
+    # boundary every singular quotient creeps back to 1 away from its
+    # support mass, which would flag every base as non-contracting.
+    radii = np.asarray(dyadic_radii(j_max=7, linear=16))
+    pts = (radii[:, None] * np.exp(1j * circle_angles(128))[None, :]).ravel()
     one_minus = (1.0 - np.abs(pts)) * (1.0 + np.abs(pts))
     w, _, oms_w, q, sat = _chain_eval(spec, pts, one_minus)
     clean = ~sat & np.isfinite(q)
@@ -478,9 +464,9 @@ class TransportReport:
     inconclusive: bool
 
 
-def boundary_map(spec: InnerSpec, zeta, radius: float = BOUNDARY_PROBE_RADIUS):
+def boundary_map(spec: InnerSpec, zeta):
     """Approximate boundary values of J(z) = z I(z) via a radial probe."""
-    z = radius * np.asarray(zeta, dtype=complex)
+    z = BOUNDARY_PROBE_RADIUS * np.asarray(zeta, dtype=complex)
     val, _, _, _, _ = _chain_eval(spec, z)
     return z * val
 

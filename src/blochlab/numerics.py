@@ -103,13 +103,13 @@ class MeasureEstimate:
         return (self.upper - self.lower) / 2.0
 
 
-def indicator_measure(predicate, count: int, seed: int, n_dim: int = 1) -> MeasureEstimate:
-    """Estimate the normalized measure of {zeta : predicate(zeta)} on the torus.
+def indicator_measure(predicate, count: int, seed: int) -> MeasureEstimate:
+    """Estimate the normalized measure of {zeta : predicate(zeta)} on the circle.
 
-    ``predicate`` must accept the array returned by sample_torus and return
-    a boolean array of length ``count``.
+    ``predicate`` must accept ``count`` points drawn by sample_torus and
+    return a boolean array of length ``count``.
     """
-    pts = sample_torus(n_dim, count, seed)
+    pts = sample_torus(1, count, seed)
     hits = np.asarray(predicate(pts), dtype=bool)
     if hits.shape[0] != count:
         raise ValueError("predicate returned wrong number of values")

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .approximation import ApproxError, uniform_fit
+from .approximation import uniform_fit
 from .arcs import ArcSet
 from .blochnorm import bloch_norm
 from .expressions import FunctionExpr, PathSpec, Polynomial1D, path_points
@@ -141,9 +141,9 @@ class UniversalCandidate:
     partial_norms: tuple
     failed: tuple            # target ids that never certified
 
-    def partial_sum(self, upto: int = None) -> Polynomial1D:
+    def partial_sum(self) -> Polynomial1D:
         out = Polynomial1D.zero()
-        for p in self.blocks[: None if upto is None else upto + 1]:
+        for p in self.blocks:
             out = out + p
         return out
 
@@ -186,17 +186,14 @@ def certify(f, target, n: int, L, radii=None, tol: float = 0.25,
                        float(np.mean(good)), block_norm, partial_index, d_sup < tol)
 
 
-def _correction_block(diff, budget: float, degree_cap: int = 256) -> Polynomial1D:
-    """Polynomial whose boundary values track ``diff`` outside small gaps."""
+def _correction_block(diff, budget: float) -> Polynomial1D:
+    """Polynomial whose boundary values track ``diff`` outside small gaps.
+
+    The best fit of degree <= 256 is used even when it misses budget / 2.
+    """
     gap = min(0.2, budget / 8.0)
     F = ArcSet.from_arcs([(gap, np.pi - gap), (np.pi + gap, TWO_PI - gap)])
-    try:
-        fit = uniform_fit(F, diff, budget / 2.0, degree_cap=degree_cap)
-        return fit.poly
-    except ApproxError as exc:
-        if exc.best is None:
-            raise
-        return exc.best.poly
+    return uniform_fit(F, diff, budget / 2.0, degree_cap=256).poly
 
 
 def universal_build(targets: TargetEnumeration, radii, L, eps_schedule,
@@ -277,12 +274,12 @@ class ClusterHit:
     point: complex
 
 
-def cluster_probe(f, path: PathSpec, values, tol: float, radii=None) -> tuple:
+def cluster_probe(f, path: PathSpec, values, tol: float) -> tuple:
     """For each value, whether f approaches it along the path within tol."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    pts = path_points(path, radii)
-    rs = np.asarray(path.schedule if radii is None else radii, dtype=float)
+    pts = path_points(path)
+    rs = np.asarray(path.schedule, dtype=float)
     fv = f.eval(pts) if isinstance(f, FunctionExpr) else np.asarray(f(pts), dtype=complex)
     out = []
     for v in values:

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from blochlab.approximation import (ApproxError, norm_fit, product_decompose,
-                                    runge_pair, uniform_fit)
+from blochlab.approximation import norm_fit, product_decompose, runge_pair, uniform_fit
 from blochlab.arcs import ArcSet
 from blochlab.blochnorm import bloch_norm
 
@@ -15,7 +14,7 @@ def _two_arcs(gap=0.8):
 
 def test_runge_pair_zero_at_origin():
     rep = runge_pair(_two_arcs(), 0.5, degree_cap=512)
-    assert rep.margin_at_zero == 0.0
+    assert rep.poly.coeffs[0] == 0
     assert abs(rep.poly(0.0)) < 1e-12
 
 
@@ -46,17 +45,19 @@ def test_uniform_fit_real_part_target():
     assert float(np.max(np.abs(fit.poly(z) - z.real))) < 0.25 + 1e-9
 
 
-def test_uniform_fit_error_carries_best():
+def test_uniform_fit_miss_returns_best():
     # a unimodular winding target cannot be approximated on arcs whose
     # union is nearly everything with a tiny budget at a tiny degree cap
     F = ArcSet.from_arcs([(0.05, TWO_PI - 0.05)])
-    try:
-        uniform_fit(F, lambda z: np.conj(z), 1e-4, degree_cap=8)
-    except ApproxError as exc:
-        assert exc.best is not None
-        assert exc.best.margin > 1e-4
-    else:
-        pytest.fail("expected the fit to miss the budget")
+    fit = uniform_fit(F, lambda z: np.conj(z), 1e-4, degree_cap=8)
+    assert not fit.achieved
+    assert fit.margin > 1e-4
+    assert fit.degree == 8
+
+
+def test_fit_degree_cap_below_first_degree_is_rejected():
+    with pytest.raises(ValueError):
+        uniform_fit(_two_arcs(), lambda z: np.ones_like(z), 0.1, degree_cap=4)
 
 
 def test_product_decompose_separable_target():
@@ -66,6 +67,19 @@ def test_product_decompose_separable_target():
     dec = product_decompose(phi, 2, 0.2)
     assert dec.error < 0.2
     assert len(dec.terms) >= 1
+
+
+def test_product_decompose_past_rank_cap_returns_best():
+    # Re z1 Re z2 + Im z1 Im z2 = Re(z1 conj z2) has rank 2; one term misses
+    def phi(pts):
+        return (pts[..., 0].real * pts[..., 1].real
+                + pts[..., 0].imag * pts[..., 1].imag).astype(complex)
+
+    dec = product_decompose(phi, 2, 0.1, m_cap=1)
+    assert len(dec.terms) == 1
+    assert dec.error >= 0.1
+    pts = np.exp(1j * np.array([[0.3, 1.1], [2.0, 4.0], [5.0, 0.2]]))
+    assert np.max(np.abs(dec(pts) - phi(pts))) == pytest.approx(0.5, abs=1e-6)
 
 
 def test_product_decompose_evaluation_matches_target():

@@ -253,6 +253,32 @@ def test_bad_config_exits_2(tmp_path):
     assert status == 2
 
 
+@pytest.mark.parametrize("command, cfg", [
+    ("simul", {"target": {"kind": "re"}, "eps": 0.5, "degree_cap": 4}),
+    ("runge", {"arcs": [[0.5, 2.0]], "delta": 0.3, "degree_cap": 4}),
+], ids=["simul", "runge"])
+def test_degree_cap_below_the_first_fit_degree_exits_2(tmp_path, command, cfg):
+    status, doc, _ = _run(tmp_path, command, cfg)
+    assert status == 2
+    assert doc is None
+
+
+def test_runge_miss_writes_its_best_fit_and_exits_1(tmp_path):
+    status, doc, report = _run(tmp_path, "runge",
+                               {"arcs": [[0.1, 6.0]], "delta": 0.01, "degree_cap": 16})
+    assert status == 1
+    assert doc["achieved"] is False
+    assert doc["margin_on_set"] >= 0.01
+    assert _verify(tmp_path, report) == (1, ["status"])
+
+
+def test_runge_on_a_gapless_arc_set_is_a_stage_failure(tmp_path, capsys):
+    status, doc, _ = _run(tmp_path, "runge", {"arcs": [[0.0, 6.2831]], "delta": 0.3})
+    assert status == 1
+    assert doc is None
+    assert "complementary gap" in capsys.readouterr().err
+
+
 def test_every_shipped_config_verifies(tmp_path):
     config_dir = os.path.join(os.path.dirname(__file__), "..", "configs")
     names = sorted(f for f in os.listdir(config_dir) if f.endswith(".json"))

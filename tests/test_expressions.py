@@ -90,6 +90,6 @@ def test_taylor_truncate_geometric_series():
 
 def test_path_points_inside_disc():
     path = PathSpec(zeta=1.0 + 0j, anchor=0.0, schedule=(0.5, 0.75, 0.875))
-    pts = path_points(path, None)
+    pts = path_points(path)
     assert np.all(np.abs(pts) < 1.0)
     assert np.allclose(pts, [0.5, 0.75, 0.875])
