@@ -356,27 +356,18 @@ class TrigPoly:
                 out += c * (zeta ** k if k >= 0 else np.conj(zeta) ** (-k))
         return out
 
-    @classmethod
-    def exponential(cls, k: int) -> "TrigPoly":
-        """The single frequency e^{i k theta}."""
-        K = abs(k)
-        coeffs = np.zeros(2 * K + 1, dtype=complex)
-        coeffs[k + K] = 1.0
-        return cls(coeffs)
-
 
 @dataclass(frozen=True, eq=False)
 class ProductTerm:
-    """coefficient * f_1(zeta_1) * ... * f_N(zeta_N) with TrigPoly factors."""
+    """f_1(zeta_1) * ... * f_N(zeta_N) with TrigPoly factors."""
 
     factors: tuple
-    coefficient: complex = 1.0
 
     def __call__(self, pts):
         pts = np.asarray(pts, dtype=complex)
         if len(self.factors) == 1:
-            return self.coefficient * self.factors[0](pts)
-        out = np.full(pts.shape[:-1], self.coefficient, dtype=complex)
+            return self.factors[0](pts)
+        out = np.ones(pts.shape[:-1], dtype=complex)
         for j, f in enumerate(self.factors):
             out = out * f(pts[..., j])
         return out
@@ -402,20 +393,24 @@ def _torus_grid(n_dim: int) -> np.ndarray:
 
 
 def product_decompose(phi, n_dim: int, eps: float, m_cap: int = 64) -> DecompositionResult:
-    """Approximate phi on the N-torus by <= m_cap products of TrigPolys.
+    """Approximate phi on the N-torus, N = 1 or 2, by <= m_cap products of TrigPolys.
 
-    Fourier coefficients are measured on a uniform grid; for N = 2 the
-    coefficient matrix is cut by singular values, so rank-one structure
-    (e.g. Re zeta_1 * Re zeta_2) collapses to a single term.  For other N
-    each retained frequency is its own rank-one exponential term.  Terms
-    are added until the grid error drops below eps; when the cap comes
-    first, the terms kept so far are returned and ``error`` (>= eps)
-    shows the miss.
+    Fourier coefficients are measured on a uniform 256^N grid (N = 3
+    would take 800 MB).  For N = 2 the coefficient matrix is cut by
+    singular values, so rank-one structure (e.g. Re zeta_1 * Re zeta_2)
+    collapses to a single term.  Terms are added until the grid error
+    drops below eps; when the cap comes first, the terms kept so far are
+    returned and ``error`` (>= eps) shows the miss.  phi must return one
+    value per point of the N-torus, which a few probe points check before
+    the grid is built.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    if n_dim < 1:
-        raise ValueError("dimension must be >= 1")
+    if n_dim not in (1, 2):
+        raise ValueError(f"product decomposition takes dimension 1 or 2, not {n_dim}")
+    probe = np.exp(1j * np.outer(np.arange(1, 4), np.arange(1, n_dim + 1)))
+    if np.shape(phi(probe[:, 0] if n_dim == 1 else probe)) != (3,):
+        raise ValueError(f"target must return one value per point of the {n_dim}-torus")
     pts = _torus_grid(n_dim)
     if n_dim == 1:
         pts = pts[..., 0]
@@ -431,7 +426,7 @@ def product_decompose(phi, n_dim: int, eps: float, m_cap: int = 64) -> Decomposi
                 if abs(k) <= K:
                     tc[k + K] = coeffs[i]
             yield ProductTerm((TrigPoly(tc),))
-        elif n_dim == 2:
+        else:
             C = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
             for i1, k1 in enumerate(freqs):
                 for i2, k2 in enumerate(freqs):
@@ -448,14 +443,6 @@ def product_decompose(phi, n_dim: int, eps: float, m_cap: int = 64) -> Decomposi
                 if s[l] < 1e-15:
                     return
                 yield ProductTerm((TrigPoly(U[:, l] * s[l]), TrigPoly(Vh[l, :].copy())))
-        else:
-            # one exponential product term per retained frequency
-            order = np.argsort(np.abs(coeffs).ravel())[::-1]
-            for row in np.array(np.unravel_index(order, coeffs.shape)).T[:m_cap]:
-                c = coeffs[tuple(row)]
-                if abs(c) < 1e-15:
-                    return
-                yield ProductTerm(tuple(TrigPoly.exponential(freqs[i]) for i in row), c)
 
     terms = []
     err = float(np.max(np.abs(vals)))
@@ -472,7 +459,7 @@ def decomposition_csv(result: DecompositionResult) -> str:
     lines = ["term,frequencies,coefficient_modulus,residual"]
     for i, t in enumerate(result.terms):
         doms = []
-        mod = abs(t.coefficient)
+        mod = 1.0
         for f in t.factors:
             K = f.max_freq
             k = int(np.argmax(np.abs(f.coeffs))) - K

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import FunctionExpr, Polynomial1D, PolynomialND
-from .numerics import NonFiniteSampleError, dyadic_radii
+from .numerics import NonFiniteSampleError, angular_count, dyadic_radii
 
 __all__ = [
     "BlochReport",
@@ -107,11 +107,7 @@ _ANGULAR_COUNT = 512
 
 
 def _angular_count(degree) -> int:
-    if degree is None:
-        return _ANGULAR_COUNT
-    # power of two at least 8 (1 + degree): keeps the FFT path fast and
-    # satisfies the M > 4 d requirement of the certification factor
-    return int(2 ** math.ceil(math.log2(max(8 * (1 + degree), 64))))
+    return _ANGULAR_COUNT if degree is None else angular_count(degree)
 
 
 def _certify(sup: float, degree, m: int):
@@ -122,7 +118,11 @@ def _certify(sup: float, degree, m: int):
     return None
 
 
-def _disc_shells(f: FunctionExpr, radii):
+#: relative slack on a shell bound, far above its rounding and the FFT's
+_BOUND_GUARD = 1.0 + 1e-9
+
+
+def _disc_shells(f: FunctionExpr, radii, stop_early: bool = False):
     """Per-shell sup of (1 - r^2)|f'| over |z| = r on the disc, for each r in radii.
 
     Returns (sups, argmax points, degree, m): ``degree`` is f's degree
@@ -130,15 +130,33 @@ def _disc_shells(f: FunctionExpr, radii):
     angles per shell.  A polynomial's derivative is taken once and
     evaluated on each shell by FFT; other input is differentiated
     pointwise.  The first shell with a non-finite sample raises.
+
+    With ``stop_early`` a polynomial's shells are visited in decreasing
+    order of b(r) = (1 - r^2) sum k |a_k| r^(k-1), which bounds every
+    sample of the shell, and the scan stops once b is 0 or below the
+    largest sample so far: no skipped shell can reach or tie it.  Only
+    the visited shells are returned, in radius order, so their first
+    maximum is the full scan's.
     """
     poly = f.as_poly1d() if f.dim == 1 else None
     degree = None if poly is None else poly.degree
     m = _angular_count(degree)
     dpoly = None if poly is None else poly.derivative()
     theta = 2.0 * np.pi * np.arange(m) / m
-    sups, points = [], []
-    for r in radii:
-        r = float(r)
+    radii = np.asarray(radii, dtype=float)
+    order, bound = range(radii.size), None
+    if stop_early and dpoly is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = (1.0 - radii * radii) * Polynomial1D(np.abs(dpoly.coeffs))(radii).real * _BOUND_GUARD
+        if np.all(np.isfinite(bound)):
+            order = np.argsort(-bound, kind="stable")
+        else:  # non-finite coefficients: scan in radius order, raise at the first bad shell
+            bound = None
+    shells, best = {}, 0.0
+    for i in order:
+        if bound is not None and (bound[i] < best or bound[i] == 0.0):
+            break
+        r = float(radii[i])
         if dpoly is not None:
             mag = np.abs(dpoly.circle_values(r, m))
         else:
@@ -148,15 +166,16 @@ def _disc_shells(f: FunctionExpr, radii):
             k = int(np.flatnonzero(~np.isfinite(mag))[0])
             raise NonFiniteSampleError(r * np.exp(2j * np.pi * k / m), complex("nan"))
         k = int(np.argmax(mag))
-        sups.append((1.0 - r * r) * float(mag[k]))
-        points.append(r * np.exp(2j * np.pi * k / m))
-    return sups, points, degree, m
+        shells[i] = ((1.0 - r * r) * float(mag[k]), r * np.exp(2j * np.pi * k / m))
+        best = max(best, shells[i][0])
+    visited = sorted(shells)
+    return [shells[i][0] for i in visited], [shells[i][1] for i in visited], degree, m
 
 
 def _first_max(values, points):
     """(largest value, (its first argmax point,)), or (0.0, (0.0,)) when none is positive."""
-    k = int(np.argmax(values))
-    return (values[k], (points[k],)) if values[k] > 0.0 else (0.0, (0.0,))
+    best = max(values, default=0.0)
+    return (best, (points[values.index(best)],)) if best > 0.0 else (0.0, (0.0,))
 
 
 def _polydisc_sup(f: FunctionExpr, weight):
@@ -217,7 +236,7 @@ def bloch_norm(f, domain: str = "disc") -> BlochReport:
     f0 = abs(complex(f.eval(origin)))
 
     if f.dim == 1:
-        sups, points, degree, m = _disc_shells(f, radii)
+        sups, points, degree, m = _disc_shells(f, radii, stop_early=True)
         best, arg = _first_max(sups, points)
         note = f"disc grid: {len(radii)} dyadic shells x {m} angles"
         return BlochReport(domain, f0, best, _certify(best, degree, m),

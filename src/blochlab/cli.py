@@ -248,12 +248,14 @@ def _cmd_runge(cfg, seed, out):
 def _cmd_decompose(cfg, seed, out):
     phi, tid = _target_from_config(cfg["target"])
     dim = int(cfg.get("dim", 2))
-    dec = product_decompose(phi, dim, float(cfg["eps"]), m_cap=int(cfg.get("m_cap", 64)))
+    eps = float(cfg["eps"])
+    dec = product_decompose(phi, dim, eps, m_cap=int(cfg.get("m_cap", 64)))
     path = os.path.join(out, "decomposition.csv")
     with open(path, "w") as fh:
         fh.write(decomposition_csv(dec))
-    return {"target": tid, "terms": len(dec.terms), "error": dec.error,
-            "csv": os.path.basename(path)}, 0
+    achieved = dec.error < eps
+    return {"target": tid, "terms": len(dec.terms), "error": dec.error, "achieved": achieved,
+            "csv": os.path.basename(path)}, 0 if achieved else 1
 
 
 def _simul_document(res) -> dict:

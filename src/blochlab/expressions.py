@@ -8,11 +8,16 @@ inner atoms supply value and derivative jointly from their closed forms).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from blochlab.inner import InnerSpec, _chain_eval
+from blochlab.numerics import angular_count
+
+#: points per block of Polynomial1D evaluation; bounds its temporaries
+_EVAL_CHUNK = 1024
 
 
 class DomainError(ValueError):
@@ -40,7 +45,35 @@ class Polynomial1D:
         return self.coeffs.size - 1
 
     def __call__(self, z):
-        return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), self.coeffs)
+        """p(z) by blocked (Paterson-Stockmeyer) evaluation; scalar in, scalar out.
+
+        With L = ceil(sqrt(d + 1)) row j of the coefficient matrix holds
+        a_{jL}, ..., a_{jL+L-1}.  For each chunk of points one matrix
+        product with the powers z^0, ..., z^(L-1) gives every row's value,
+        and Horner in z^L over the rows finishes.
+        """
+        z = np.asarray(z, dtype=complex)
+        n = self.coeffs.size
+        width = math.isqrt(n - 1) + 1
+        rows = -(-n // width)
+        blocks = np.zeros(rows * width, dtype=complex)
+        blocks[:n] = self.coeffs
+        blocks = blocks.reshape(rows, width)
+        flat = z.reshape(-1)
+        out = np.empty(flat.size, dtype=complex)
+        for start in range(0, flat.size, _EVAL_CHUNK):
+            zc = flat[start: start + _EVAL_CHUNK]
+            powers = np.empty((width + 1, zc.size), dtype=complex)
+            powers[0] = 1.0
+            powers[1:] = zc
+            np.cumprod(powers, axis=0, out=powers)
+            vals = blocks @ powers[:width]
+            acc = vals[-1]
+            for row in vals[-2::-1]:
+                acc *= powers[width]
+                acc += row
+            out[start: start + zc.size] = acc
+        return out.reshape(z.shape)[()]
 
     def derivative(self) -> "Polynomial1D":
         if self.degree == 0:
@@ -73,8 +106,7 @@ class Polynomial1D:
 
         The unit circle is where |p| takes its sup over the closed disc.
         """
-        m = int(2 ** np.ceil(np.log2(max(8 * (self.degree + 1), 64))))
-        return float(np.max(np.abs(self.circle_values(1.0, m))))
+        return float(np.max(np.abs(self.circle_values(1.0, angular_count(self.degree)))))
 
 
 @dataclass(frozen=True, eq=False)

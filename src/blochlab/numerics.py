@@ -7,6 +7,7 @@ global RNG state anywhere in the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,15 @@ def circle_angles(count: int) -> np.ndarray:
     if count < 1:
         raise GridError("angle count must be positive")
     return 2.0 * np.pi * np.arange(count) / count
+
+
+def angular_count(degree: int) -> int:
+    """Equispaced samples per circle for a degree-d polynomial.
+
+    The power of two at least max(8 (d + 1), 64): FFT-friendly, and more
+    than the 4 d that the Bernstein oversampling correction needs.
+    """
+    return int(2 ** math.ceil(math.log2(max(8 * (degree + 1), 64))))
 
 
 def dyadic_radii(j_max: int = 24, linear: int = 64) -> tuple:

@@ -520,12 +520,7 @@ def simul_approx_polydisc(phi, eps: float, n_dim: int,
     # e and sup M of f_1 on the circle
     terms = []
     for term in dec.terms:
-        def phi1(z, fac=term.factors[0], c=term.coefficient):
-            return c * np.asarray(fac(z), dtype=complex)
-
-        def phi2(z, fac=term.factors[1]):
-            return np.asarray(fac(z), dtype=complex)
-
+        phi1, phi2 = term.factors
         fit1 = norm_fit(whole, phi1, 0.0, _FIT_DEGREES[0])
         f1 = fit1.poly
         terms.append((f1, phi1, phi2, float(np.max(np.abs(f1(circle) - phi1(circle)))),

@@ -82,6 +82,21 @@ def test_product_decompose_past_rank_cap_returns_best():
     assert np.max(np.abs(dec(pts) - phi(pts))) == pytest.approx(0.5, abs=1e-6)
 
 
+def test_product_decompose_rejects_a_bad_dimension_before_sampling():
+    calls = []
+
+    def constant(z):
+        calls.append(np.shape(z))
+        return np.full(np.shape(z), 1.0, dtype=complex)
+
+    with pytest.raises(ValueError, match="one value per point"):
+        product_decompose(constant, 2, 0.1)
+    assert calls == [(3, 2)]
+    with pytest.raises(ValueError, match="dimension 1 or 2"):
+        product_decompose(constant, 3, 0.1)
+    assert calls == [(3, 2)]
+
+
 def test_product_decompose_evaluation_matches_target():
     def phi(pts):
         return (pts[..., 0].real * pts[..., 1].real).astype(complex)

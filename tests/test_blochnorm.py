@@ -4,11 +4,14 @@ import os
 import numpy as np
 import pytest
 
-from blochlab.blochnorm import (WeightSpec, WeightError, bloch_norm,
-                                little_bloch_profile, profile_to_csv,
-                                weight_integral_test, weighted_bloch_norm)
+from blochlab.arcs import ArcSet
+from blochlab.blochnorm import (WeightSpec, WeightError, _certify, _disc_shells,
+                                _first_max, bloch_norm, little_bloch_profile,
+                                profile_to_csv, weight_integral_test,
+                                weighted_bloch_norm)
 from blochlab.expressions import FunctionExpr, Polynomial1D, PolynomialND
-from blochlab.numerics import dyadic_radii
+from blochlab.numerics import NonFiniteSampleError, dyadic_radii
+from blochlab.pipeline import plateau_polynomial
 
 
 def _monomial(n):
@@ -154,3 +157,66 @@ def test_weight_test_partials_monotone():
 def test_bloch_norm_of_expression():
     f = FunctionExpr.poly1d(_monomial(2))
     assert bloch_norm(f).norm == pytest.approx(4.0 / (3.0 * np.sqrt(3.0)), abs=1e-3)
+
+
+def _assert_matches_full_scan(p):
+    """bloch_norm's early-stopped scan gives the full scan's sup, argmax and bound bit for bit."""
+    sups, points, degree, m = _disc_shells(FunctionExpr.poly1d(p), dyadic_radii())
+    best, arg = _first_max(sups, points)
+    rep = bloch_norm(p)
+    assert rep.seminorm_sup == best
+    assert rep.argmax == arg
+    assert rep.certified == _certify(best, degree, m)
+
+
+def _visited_shells(p):
+    """How many shells the early stop visits; they must come back in radius order."""
+    f = FunctionExpr.poly1d(p)
+    full = list(zip(*_disc_shells(f, dyadic_radii())[:2]))
+    visited = list(zip(*_disc_shells(f, dyadic_radii(), stop_early=True)[:2]))
+    index = [full.index(shell) for shell in visited]
+    assert index == sorted(index)
+    return len(visited)
+
+
+def test_early_stop_matches_full_scan_on_monomials():
+    for n in [*range(0, 65), 100, 127, 128, 129, 255, 256, 511, 512, 1000, 1023, 1024]:
+        _assert_matches_full_scan(_monomial(n))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_early_stop_matches_full_scan_on_random_polynomials(seed):
+    rng = np.random.default_rng(seed)
+    degree = int(rng.integers(1, 2000))
+    decay = rng.uniform(0.0, 5.0) ** -np.arange(degree + 1) if seed % 2 else 1.0
+    p = Polynomial1D((rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)) * decay)
+    _assert_matches_full_scan(p)
+    assert _visited_shells(p) >= 1
+
+
+def test_early_stop_matches_full_scan_on_a_ladder_polynomial():
+    # a plateau P of degree 4096 times a degree-72 factor, the degree the
+    # disc construction passes to bloch_norm
+    half_gap = 0.2 * np.pi
+    F = ArcSet.from_arcs([(half_gap, np.pi - half_gap), (np.pi + half_gap, 2.0 * np.pi - half_gap)])
+    rng = np.random.default_rng(3)
+    q = (rng.normal(size=73) + 1j * rng.normal(size=73)) * 0.9 ** np.arange(73)
+    for center in (0.0, 0.6):
+        plateau, _ = plateau_polynomial(F, 0.3, center, 4096)
+        p = Polynomial1D(np.convolve(plateau.coeffs, q))
+        assert p.degree == 4168
+        _assert_matches_full_scan(p)
+        assert _visited_shells(p) < len(dyadic_radii())
+
+
+def test_early_stop_skips_every_shell_of_a_constant():
+    p = Polynomial1D(np.array([0.7 + 0.1j]))
+    assert _visited_shells(p) == 0
+    _assert_matches_full_scan(p)
+    assert bloch_norm(p).argmax == (0.0,)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_coefficients_still_raise(bad):
+    with pytest.raises(NonFiniteSampleError), np.errstate(invalid="ignore"):
+        bloch_norm(Polynomial1D(np.array([1.0, bad, 2.0])))

@@ -272,6 +272,28 @@ def test_runge_miss_writes_its_best_fit_and_exits_1(tmp_path):
     assert _verify(tmp_path, report) == (1, ["status"])
 
 
+def test_decompose_miss_writes_its_best_sum_and_exits_1(tmp_path):
+    status, doc, report = _run(tmp_path, "decompose",
+                               {"target": {"kind": "product_re"}, "eps": 1e-17})
+    assert status == 1
+    assert doc["achieved"] is False
+    assert doc["terms"] == 1 and doc["error"] >= 1e-17
+    assert _verify(tmp_path, report) == (1, ["status"])
+
+
+@pytest.mark.parametrize("cfg", [
+    {"target": {"kind": "constant", "value": 1.0}, "dim": 3, "eps": 0.1},
+    {"target": {"kind": "product_re"}, "dim": 3, "eps": 0.1},
+    {"target": {"kind": "product_re"}, "dim": 1, "eps": 0.1},
+    {"target": {"kind": "constant", "value": 1.0}, "eps": 0.1},
+], ids=["constant-dim3", "product_re-dim3", "product_re-dim1", "constant-dim2"])
+def test_decompose_on_a_bad_dimension_is_a_config_error(tmp_path, capsys, cfg):
+    status, doc, _ = _run(tmp_path, "decompose", cfg)
+    assert status == 2
+    assert doc is None
+    assert "config error" in capsys.readouterr().err
+
+
 def test_runge_on_a_gapless_arc_set_is_a_stage_failure(tmp_path, capsys):
     status, doc, _ = _run(tmp_path, "runge", {"arcs": [[0.0, 6.2831]], "delta": 0.3})
     assert status == 1

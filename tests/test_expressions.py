@@ -19,6 +19,44 @@ def test_poly1d_sum_and_scale():
     assert p.scale(2.0)(z) == pytest.approx(2.0 * p(z))
 
 
+def _polyval_gap(p, z):
+    """|p(z) - polyval| in units of sum |a_k| |z|^k, the scale of both roundings."""
+    direct = np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), p.coeffs)
+    scale = np.polynomial.polynomial.polyval(np.abs(z), np.abs(p.coeffs))
+    return np.max(np.abs(p(z) - direct) / scale)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 15, 16, 17, 100, 1023, 4096, 5000])
+def test_blocked_eval_matches_polyval(degree):
+    rng = np.random.default_rng(degree)
+    p = Polynomial1D(rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1))
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=2000)
+    inside = np.sqrt(rng.uniform(size=2000)) * np.exp(1j * theta)
+    assert _polyval_gap(p, inside) < 1e-13
+    assert _polyval_gap(p, np.exp(1j * theta)) < 1e-13
+
+
+@pytest.mark.parametrize("count", [1023, 1024, 1025])
+def test_blocked_eval_across_a_chunk_boundary(count):
+    rng = np.random.default_rng(count)
+    p = Polynomial1D(rng.normal(size=300) + 1j * rng.normal(size=300))
+    z = 0.99 * np.exp(2j * np.pi * np.arange(count) / count)
+    assert p(z).shape == (count,)
+    assert _polyval_gap(p, z) < 1e-13
+
+
+def test_blocked_eval_keeps_the_input_shape():
+    rng = np.random.default_rng(7)
+    p = Polynomial1D(rng.normal(size=50) + 1j * rng.normal(size=50))
+    z = 0.9 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(3, 700, 2)))
+    assert p(z).shape == (3, 700, 2)
+    assert _polyval_gap(p, z) < 1e-13
+    assert p(np.zeros((0, 4))).shape == (0, 4)
+    value = p(0.5 - 0.25j)
+    assert np.ndim(value) == 0 and isinstance(value, complex)
+    assert _polyval_gap(p, 0.5 - 0.25j) < 1e-13
+
+
 def test_circle_values_match_direct_eval():
     rng = np.random.default_rng(0)
     p = Polynomial1D(rng.normal(size=6) + 1j * rng.normal(size=6))
