@@ -261,7 +261,6 @@ def _cmd_decompose(cfg, seed, out):
 def _simul_document(res) -> dict:
     rep = dict(res.report)
     rep.pop("norm_report", None)
-    rep.pop("center_ladder", None)
     # a polydisc E is one arc set per axis
     E = serialize.to_document(res.E) if isinstance(res.E, ArcSet) \
         else [serialize.to_document(s) for s in res.E]
@@ -272,13 +271,7 @@ def _cmd_simul(cfg, seed, out):
     phi, tid = _target_from_config(cfg["target"])
     eps = float(cfg["eps"])
     dim = int(cfg.get("dim", 1))
-    base = _inner_from_config(cfg.get("inner", {"kind": "atomic",
-                                               "atoms": [[0.0, 0.02]]}))
-    if dim == 1:
-        res = simul_approx_disc(phi, eps, base,
-                                degree_cap=int(cfg.get("degree_cap", 4096)))
-    else:
-        res = simul_approx_polydisc(phi, eps, dim, base)
+    res = simul_approx_disc(phi, eps) if dim == 1 else simul_approx_polydisc(phi, eps, dim)
     doc = _simul_document(res)
     doc["target"] = tid
     return doc, 0

@@ -1,23 +1,15 @@
-"""End-to-end simultaneous approximation: disc blocks and polydisc assemblies.
+"""End-to-end simultaneous approximation: disc fits and polydisc assemblies.
 
-The disc routine first tries a norm-aware boundary fit: a polynomial that
+The disc routine is one norm-aware boundary fit: a polynomial that
 minimises its Bloch norm within a pointwise error budget on an arc set F
-(``approximation.norm_fit``).  When that fit meets the whole contract
-(certified norm, error and measure against eps) it is the result.
-Otherwise the block f = Q (P o J) is built as before: Q is a polynomial
-carrying the target's boundary values on F, P is a plateau polynomial
-close to 1 on F, and J(z) = z I(z) for an inner function I obtained by
-chain shrinking.  The exceptional set is absorbed by gaps of F; the
-boundary set E of the result is the verified part of F.
+(``approximation.norm_fit``), tried at each degree of ``_FIT_DEGREES``.
+The first fit that meets the whole contract (certified norm, error and
+measure against eps) is the result; when none does, the fit with the
+least certified norm is.  The boundary set E of the result is the
+verified part of F.
 
-Budget arithmetic of the block follows the product estimate
-|f - phi| <= |Q| |P o J - 1| + |Q - phi| on E.  The canonical split
-(delta_Q = eps/2, delta_P = eps/(2 sup|Q|), eta = eps/(4 multiplier))
-is recorded; when it is infeasible the pipeline rebalances toward the
-measured fit margins and reports both.
-
-Polydisc factors are norm-aware fits too; no inner function enters
-them.  Their error budget comes from the product estimate
+Polydisc factors are norm-aware fits too.  Their error budget comes from
+the product estimate
 |f_1 f_2 - phi_1 phi_2| <= |f_1| |f_2 - phi_2| + |phi_2| |f_1 - phi_1|
 with measured factor values.  All report entries are measured
 quantities; nothing is assumed.
@@ -30,13 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# runge_pair and indicator_measure stay imported: the benchmark tracer patches them here
+# runge_pair, uniform_fit, taylor_truncate, compose_shrink, hyperbolic_quotient and
+# indicator_measure stay imported: the benchmark tracer patches them here
 from .approximation import norm_fit, product_decompose, runge_pair, uniform_fit  # noqa: F401
 from .arcs import ArcSet
 from .blochnorm import bloch_norm
-from .expressions import FunctionExpr, Polynomial1D, PolynomialND, taylor_truncate
-from .inner import InnerSpec, ShrinkFailure, ShrinkResult, compose_shrink, hyperbolic_quotient
-from .numerics import dyadic_radii, indicator_measure  # noqa: F401
+from .expressions import Polynomial1D, PolynomialND, taylor_truncate  # noqa: F401
+from .inner import compose_shrink, hyperbolic_quotient  # noqa: F401
+from .numerics import indicator_measure  # noqa: F401
 
 __all__ = [
     "SimulApproxResult",
@@ -107,7 +100,8 @@ def plateau_polynomial(F: ArcSet, margin: float, center_value: float,
     gap level chosen so that the harmonic mean matches the requested
     origin value; the analytic completion comes from a Hilbert transform
     and P is the Fourier section of 1 - exp(-S).  Returns (Polynomial1D,
-    diagnostics dict).
+    diagnostics dict).  No pipeline routine calls it; it serves as a dense
+    high-degree test polynomial for the Bloch-norm scan.
     """
     if not 0.0 < margin < 1.0:
         raise ValueError("margin must lie in (0, 1)")
@@ -176,29 +170,6 @@ def plateau_polynomial(F: ArcSet, margin: float, center_value: float,
 
 # ---------------------------------------------------------------------------
 # Measured helpers
-
-
-def _multiplier_constant(q: Polynomial1D) -> float:
-    """sup over the norm grid of (1 - |z|^2)|Q'| + |Q| (pointwise sum)."""
-    m = int(2 ** math.ceil(math.log2(max(8 * (q.degree + 1), 256))))
-    dq = q.derivative()
-    best = 0.0
-    for r in dyadic_radii(16):
-        vals = (1.0 - r * r) * np.abs(dq.circle_values(r, m)) \
-            + np.abs(q.circle_values(r, m))
-        best = max(best, float(np.max(vals)))
-    return best
-
-
-def _shrink_or_report(base: InnerSpec, eta: float):
-    try:
-        return compose_shrink(base, eta, max_chain=16)
-    except ShrinkFailure:
-        # non-contracting base: measure the raw quotient and keep length 1
-        rng = np.random.default_rng(5)
-        pts = np.sqrt(rng.uniform(0.0, 0.94, 512)) * np.exp(1j * rng.uniform(0.0, TWO_PI, 512))
-        sup = float(np.nanmax(hyperbolic_quotient(base, pts)))
-        return ShrinkResult(base, sup, False, 1)
 
 
 def _default_arcs(measure: float) -> ArcSet:
@@ -293,7 +264,8 @@ def _contract(norm_rep, sup_err: float, E: ArcSet, eps: float) -> dict:
     """The measured quantities of the disc contract and its three clauses.
 
     ``norm`` is the grid estimate, a lower bound; ``certified_norm`` is
-    the certified upper bound of the same polynomial.
+    the certified upper bound of the same polynomial, and the norm clause
+    judges it.
     """
     return {
         "norm": norm_rep.norm,
@@ -302,24 +274,30 @@ def _contract(norm_rep, sup_err: float, E: ArcSet, eps: float) -> dict:
         "value_at_zero": norm_rep.value_at_zero,
         "sup_error": sup_err,
         "measure": E.measure,
-        "norm_ok": norm_rep.norm < eps,
+        "norm_ok": norm_rep.certified_norm < eps,
         "error_ok": sup_err < eps,
         "measure_ok": E.measure >= 1.0 - eps,
     }
 
 
-def _is_zero_target(phi) -> bool:
-    zeta = np.exp(1j * TWO_PI * np.arange(512) / 512)
-    return float(np.max(np.abs(np.asarray(phi(zeta), dtype=complex)))) < 1e-13
+def _is_zero_target(phi, dim: int = 1) -> bool:
+    """|phi| < 1e-13 on a product grid of equispaced circle points.
+
+    The grid has 512 points on the circle and 64 per axis on the bidisc,
+    so a target that vanishes only on the diagonal is not zero.
+    """
+    count = 512 if dim == 1 else 64
+    zeta = np.exp(1j * TWO_PI * np.arange(count) / count)
+    pts = np.stack(np.meshgrid(*(zeta,) * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    values = phi(pts[:, 0] if dim == 1 else pts)
+    return float(np.max(np.abs(np.asarray(values, dtype=complex)))) < 1e-13
 
 
 def _zero_result(dim: int = 1) -> SimulApproxResult:
     f = PolynomialND({(0,) * dim: 0.0}, dim)
     report = {
         "norm": 0.0, "value_at_zero": 0.0, "sup_error": 0.0,
-        "measure": 1.0, "eta_used": 0.0,
-        "degrees": {"Q": 0, "P": 0, "f": 0}, "chain_length": 0,
-        "trivial_zero": True,
+        "measure": 1.0, "degrees": {"f": 0}, "trivial_zero": True,
     }
     E = ArcSet.full_circle() if dim == 1 else (ArcSet.full_circle(),) * dim
     return SimulApproxResult(f, E, report)
@@ -329,18 +307,27 @@ def _zero_result(dim: int = 1) -> SimulApproxResult:
 # Disc lemma: one polynomial, small norm and small boundary error
 
 
-def _norm_fit_stage(F: ArcSet, phi, eps: float, degree_cap: int):
-    """Norm-aware fits on F at rising degree until one meets the contract.
+def simul_approx_disc(phi, eps: float) -> SimulApproxResult:
+    """Norm-aware fit f with its measured Bloch norm and sup error on E against eps.
 
-    Returns (poly, E, contract, trail) for the first fit whose certified
-    norm, error and measure meet eps, with (None, None, None, trail) when
-    none does; the trail has one entry per degree tried.  The fit drives
-    its norm down on grid points, so its grid norm is not evidence enough.
+    ``norm_fit`` is run on the default arc set F at each degree of
+    ``_FIT_DEGREES``.  The fit drives its norm down on grid points, so the
+    contract judges its certified norm: the first fit with certified norm
+    < eps, sup error < eps on E and m(E) >= 1 - eps is the result.  When
+    none meets it, the fit with the least certified norm is returned (the
+    earlier on ties) and ``report["norm_ok"]`` and friends say which
+    clause fails.  ``report["norm_fit"]`` has one entry per degree tried.
+    E is the verified part of F, a finite union of arcs, so its measure is
+    exact.
     """
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+    if _is_zero_target(phi):
+        return _zero_result()
+    F = _default_arcs(_target_measure(eps))
+    best = None
     trail = []
     for degree in _FIT_DEGREES:
-        if degree > degree_cap:
-            break
         fit = norm_fit(F, phi, _BUDGET_SHARE * eps, degree)
         E = _verified_subarcs(F, _disc_residual(fit.poly, phi), eps)
         contract = _contract(bloch_norm(fit.poly), sup_error(fit.poly, E, phi), E, eps)
@@ -348,94 +335,14 @@ def _norm_fit_stage(F: ArcSet, phi, eps: float, degree_cap: int):
                       "converged": fit.converged, "norm": contract["norm"],
                       "certified_norm": contract["certified_norm"],
                       "sup_error": contract["sup_error"], "measure": contract["measure"]})
-        if contract["certified_norm"] < eps and contract["error_ok"] and contract["measure_ok"]:
-            return fit.poly, E, contract, trail
-    return None, None, None, trail
-
-
-def simul_approx_disc(phi, eps: float, inner_base: InnerSpec,
-                      degree_cap: int = 4096) -> SimulApproxResult:
-    """Polynomial f with measured Bloch norm and sup error on E against eps.
-
-    The norm-aware fit comes first; when it meets the contract (certified
-    norm < eps, sup error < eps on E, m(E) >= 1 - eps) it is the result
-    and ``report["construction"]`` is "norm_fit".  Otherwise the block
-    Q (P o J) is built: the canonical budget split is recorded, the plateau
-    center is swept (trading |f(0)| against seminorm) and the best
-    measured norm kept ("ladder").  A result is returned even when the
-    norm budget cannot be met; report["norm_ok"] says which.  E is a
-    finite union of arcs, so its measure is exact.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    if _is_zero_target(phi):
-        return _zero_result()
-    F = _default_arcs(_target_measure(eps))
-
-    fit_poly, E, contract, fit_trail = _norm_fit_stage(F, phi, eps, degree_cap)
-    if fit_poly is not None:
-        report = {**contract, "construction": "norm_fit", "norm_fit": fit_trail,
-                  "degrees": {"f": fit_poly.degree}}
-        return SimulApproxResult(PolynomialND.from_poly1d(fit_poly, axis=0, dim=1), E, report)
-
-    # a fit that misses eps / 2 still serves: the split is rebalanced below
-    qfit = uniform_fit(F, phi, eps / 2.0, degree_cap=min(1024, degree_cap))
-    q = qfit.poly
-    sup_q = max(qfit.sup_norm, 1e-12)
-    mult = _multiplier_constant(q)
-    eta = min(0.999, eps / (4.0 * mult))
-    shrink = _shrink_or_report(inner_base, eta)
-    j_expr = FunctionExpr.radialize(shrink.spec)
-
-    delta_p_canonical = eps / (2.0 * sup_q)
-    delta_p = (eps - qfit.margin - 2e-3) / sup_q
-    margin = min(max(delta_p, 1e-3), 0.96)
-    rebalanced = margin > delta_p_canonical
-
-    trunc_radius = 1.0 - 2.0 ** -11
-    ladder = sorted({0.0, 0.25,
-                     round(max(0.0, 1.0 - margin - 0.10), 4),
-                     round(max(0.0, 1.0 - margin - 0.05), 4),
-                     round(max(0.0, 1.0 - margin - 0.025), 4)})
-    best = None
-    trail = []
-    for center in ladder:
-        p_poly, p_diag = plateau_polynomial(F, margin, center, degree_cap)
-        f_expr = FunctionExpr.product(
-            FunctionExpr.poly1d(q),
-            FunctionExpr.compose(FunctionExpr.poly1d(p_poly), j_expr))
-        trunc = taylor_truncate(f_expr, trunc_radius,
-                                min(2 * degree_cap, q.degree + p_poly.degree + 64))
-        f_poly = trunc.poly
-        norm_rep = bloch_norm(f_poly)
-        trail.append({"center": center, "norm": norm_rep.norm,
-                      "value_at_zero": norm_rep.value_at_zero})
-        key = (norm_rep.norm >= eps, norm_rep.norm)
-        if best is None or key < best[0]:
-            best = (key, f_poly, norm_rep, p_poly, p_diag, trunc, center)
-
-    _, f_poly, norm_rep, p_poly, p_diag, trunc, center = best
-    E = _verified_subarcs(F, _disc_residual(f_poly, phi), eps)
-    report = {
-        **_contract(norm_rep, sup_error(f_poly, E, phi), E, eps),
-        "construction": "ladder",
-        "norm_fit": fit_trail,
-        "eta_used": eta,
-        "eta_achieved": shrink.achieved_sup,
-        "chain_length": shrink.chain_length,
-        "multiplier": mult,
-        "fit_margin": qfit.margin,
-        "split_canonical": {"delta_Q": eps / 2.0, "delta_P": delta_p_canonical},
-        "split_used": {"delta_Q": qfit.margin, "delta_P": margin},
-        "rebalanced": rebalanced,
-        "center_ladder": trail,
-        "center_used": center,
-        "degrees": {"Q": q.degree, "P": p_poly.degree, "f": f_poly.degree},
-        "truncation_tail": trunc.tail_bound,
-        "plateau": p_diag,
-    }
-    f_nd = PolynomialND.from_poly1d(f_poly, axis=0, dim=1)
-    return SimulApproxResult(f_nd, E, report)
+        met = contract["norm_ok"] and contract["error_ok"] and contract["measure_ok"]
+        if met or best is None or contract["certified_norm"] < best[2]["certified_norm"]:
+            best = (fit.poly, E, contract)
+        if met:
+            break
+    poly, E, contract = best
+    report = {**contract, "norm_fit": trail, "degrees": {"f": poly.degree}}
+    return SimulApproxResult(PolynomialND.from_poly1d(poly, axis=0, dim=1), E, report)
 
 
 # ---------------------------------------------------------------------------
@@ -475,12 +382,11 @@ def _cross_weights(p: Polynomial1D) -> tuple:
     return tuple((float(sem[i]), float(mod[i])) for i in picks)
 
 
-def simul_approx_polydisc(phi, eps: float, n_dim: int,
-                          inner_base: InnerSpec) -> SimulApproxResult:
+def simul_approx_polydisc(phi, eps: float, n_dim: int) -> SimulApproxResult:
     """Tensor assembly f = sum_l f_{1,l}(z_1) f_{2,l}(z_2) on the bidisc.
 
-    N = 1 delegates to the disc pipeline (the two statements coincide);
-    ``inner_base`` is used only there.  Only N <= 2 is assembled.
+    N = 1 delegates to the disc pipeline (the two statements coincide).
+    Only N <= 2 is assembled.
 
     phi is split into product terms phi_{1,l} phi_{2,l} whose scale and
     phase are arbitrary.  Every factor is a norm-aware fit
@@ -502,10 +408,10 @@ def simul_approx_polydisc(phi, eps: float, n_dim: int,
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     if n_dim == 1:
-        return simul_approx_disc(phi, eps, inner_base)
+        return simul_approx_disc(phi, eps)
     if n_dim != 2:
         raise PipelineError("polydisc assembly implemented for N <= 2 only")
-    if _is_zero_target(lambda z: phi(np.stack([z, z], axis=-1))):
+    if _is_zero_target(phi, 2):
         return _zero_result(2)
 
     dec = product_decompose(phi, n_dim, eps / 2.0, m_cap=_FACTOR_TERM_CAP)

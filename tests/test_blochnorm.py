@@ -196,7 +196,7 @@ def test_early_stop_matches_full_scan_on_random_polynomials(seed):
 
 def test_early_stop_matches_full_scan_on_a_ladder_polynomial():
     # a plateau P of degree 4096 times a degree-72 factor, the degree the
-    # disc construction passes to bloch_norm
+    # former Q (P o J) disc construction passed to bloch_norm
     half_gap = 0.2 * np.pi
     F = ArcSet.from_arcs([(half_gap, np.pi - half_gap), (np.pi + half_gap, 2.0 * np.pi - half_gap)])
     rng = np.random.default_rng(3)

@@ -254,13 +254,24 @@ def test_bad_config_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("command, cfg", [
-    ("simul", {"target": {"kind": "re"}, "eps": 0.5, "degree_cap": 4}),
     ("runge", {"arcs": [[0.5, 2.0]], "delta": 0.3, "degree_cap": 4}),
-], ids=["simul", "runge"])
+], ids=["runge"])
 def test_degree_cap_below_the_first_fit_degree_exits_2(tmp_path, command, cfg):
     status, doc, _ = _run(tmp_path, command, cfg)
     assert status == 2
     assert doc is None
+
+
+def test_simul_ignores_an_inner_key(tmp_path):
+    cfg = {"target": {"kind": "re"}, "eps": 0.5}
+    (tmp_path / "plain").mkdir()
+    _, plain, _ = _run(tmp_path / "plain", "simul", cfg)
+    status, doc, report = _run(tmp_path, "simul",
+                               {**cfg, "inner": {"kind": "atomic",
+                                                 "atoms": [[1.57, 0.3], [-1.57, 0.4]]}})
+    assert status == 0
+    assert doc["report"] == plain["report"] and doc["f"] == plain["f"]
+    assert _verify(tmp_path, report) == (0, [])
 
 
 def test_runge_miss_writes_its_best_fit_and_exits_1(tmp_path):

@@ -9,16 +9,10 @@ from blochlab.arcs import ArcSet
 from blochlab.blochnorm import bloch_norm
 from blochlab.cli import _target_from_config, main
 from blochlab.expressions import Polynomial1D, PolynomialND
-from blochlab.inner import InnerSpec
 from blochlab.pipeline import (plateau_polynomial, simul_approx_disc,
                                simul_approx_polydisc, sup_error)
 
 TWO_PI = 2.0 * np.pi
-
-
-def _weak_base():
-    # a weak atom keeps the exceptional boundary set tiny
-    return InnerSpec.atomic([(1.0 + 0j, 0.02)])
 
 
 def _two_arcs(measure=0.8):
@@ -42,8 +36,7 @@ def test_plateau_polynomial_rejects_full_circle():
 
 
 def test_simul_disc_zero_target():
-    res = simul_approx_disc(lambda z: np.zeros_like(np.asarray(z)), 0.5,
-                            _weak_base())
+    res = simul_approx_disc(lambda z: np.zeros_like(np.asarray(z)), 0.5)
     assert res.report["norm"] == 0.0
     assert res.report["measure"] == 1.0
     assert res.E.is_full()
@@ -51,21 +44,40 @@ def test_simul_disc_zero_target():
 
 def test_simul_disc_constant_target():
     res = simul_approx_disc(
-        lambda z: np.ones_like(np.asarray(z, dtype=complex)), 0.5, _weak_base())
+        lambda z: np.ones_like(np.asarray(z, dtype=complex)), 0.5)
     rep = res.report
     assert rep["error_ok"]
     assert rep["measure_ok"]
     assert rep["sup_error"] < 0.5
-    assert rep["value_at_zero"] < 0.5
     assert rep["measure"] >= 0.5
-    # canonical and used splits both recorded
-    assert rep["split_canonical"]["delta_Q"] == pytest.approx(0.25)
-    assert rep["split_used"]["delta_P"] > 0
+    # the best norm fit is a constant near 1/2: below the 0.520 of the
+    # former Q (P o J) ladder, but not below eps
+    assert rep["certified_norm"] < 0.51
+    assert not rep["norm_ok"]
+
+
+def _step_target(z):
+    th = np.angle(np.asarray(z, dtype=complex)) % TWO_PI
+    return ((0.37 <= th) & (th < 2.77)).astype(complex)
+
+
+@pytest.mark.parametrize("phi", [lambda z: np.ones_like(np.asarray(z, dtype=complex)),
+                                 _step_target], ids=["const", "step"])
+def test_simul_disc_miss_returns_the_fit_of_least_certified_norm(phi):
+    rep = simul_approx_disc(phi, 0.5).report
+    assert not rep["norm_ok"]
+    trail = rep["norm_fit"]
+    assert len(trail) == 2
+    certified = [t["certified_norm"] for t in trail]
+    best = trail[certified.index(min(certified))]
+    assert rep["certified_norm"] == min(certified)
+    assert (rep["norm"], rep["sup_error"], rep["measure"]) == \
+        (best["norm"], best["sup_error"], best["measure"])
 
 
 def test_simul_disc_real_part_meets_contract():
     res = simul_approx_disc(
-        lambda z: np.asarray(z, dtype=complex).real.astype(complex), 0.5, _weak_base())
+        lambda z: np.asarray(z, dtype=complex).real.astype(complex), 0.5)
     rep = res.report
     assert rep["norm_ok"] and rep["error_ok"] and rep["measure_ok"]
     assert rep["norm"] < 0.5 and rep["sup_error"] < 0.5 and res.E.measure >= 0.5
@@ -75,7 +87,7 @@ def test_simul_disc_real_part_meets_contract():
 
 def test_simul_disc_result_is_polynomial():
     res = simul_approx_disc(
-        lambda z: np.ones_like(np.asarray(z, dtype=complex)), 0.5, _weak_base())
+        lambda z: np.ones_like(np.asarray(z, dtype=complex)), 0.5)
     p = res.f_disc
     z = np.exp(1j * res.E.sample(512)) if res.E.arcs else np.zeros(1)
     assert np.all(np.isfinite(p(z)))
@@ -83,8 +95,8 @@ def test_simul_disc_result_is_polynomial():
 
 def test_simul_polydisc_n1_delegates_to_disc():
     phi = lambda z: np.asarray(z, dtype=complex).real.astype(complex)
-    a = simul_approx_disc(phi, 0.5, _weak_base())
-    b = simul_approx_polydisc(phi, 0.5, 1, _weak_base())
+    a = simul_approx_disc(phi, 0.5)
+    b = simul_approx_polydisc(phi, 0.5, 1)
     assert abs(a.report["norm"] - b.report["norm"]) < 0.05
     assert abs(a.report["sup_error"] - b.report["sup_error"]) < 0.05
     assert abs(a.report["measure"] - b.report["measure"]) < 0.05
@@ -101,19 +113,28 @@ def test_sup_error_polydisc_matches_pointwise_evaluation():
     assert sup_error(f, (E[0], ArcSet.empty()), phi) == float("inf")
 
 
+def test_simul_polydisc_target_vanishing_on_the_diagonal_is_not_zero():
+    def phi(pts):
+        pts = np.asarray(pts, dtype=complex)
+        return pts[..., 0] - pts[..., 1]
+
+    res = simul_approx_polydisc(phi, 0.5, 2)
+    assert "trivial_zero" not in res.report
+    assert res.report["sup_error"] == pytest.approx(sup_error(res.f, res.E, phi), abs=1e-12)
+
+
 def test_simul_polydisc_rejects_large_dim():
     with pytest.raises(Exception):
-        simul_approx_polydisc(lambda pts: np.zeros(pts.shape[0]), 0.5, 3,
-                              _weak_base())
+        simul_approx_polydisc(lambda pts: np.zeros(pts.shape[0]), 0.5, 3)
 
 
 def test_simul_eps_validation():
     phi = lambda z: np.ones_like(np.asarray(z, dtype=complex))
     for eps in (0.0, 1.5):
         with pytest.raises(ValueError):
-            simul_approx_disc(phi, eps, _weak_base())
+            simul_approx_disc(phi, eps)
         with pytest.raises(ValueError):
-            simul_approx_polydisc(phi, eps, 2, _weak_base())
+            simul_approx_polydisc(phi, eps, 2)
 
 
 @pytest.mark.parametrize("name", ["simul_re.json", "simul_zero.json",
