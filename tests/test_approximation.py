@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from blochlab.approximation import norm_fit, product_decompose, runge_pair, uniform_fit
+from blochlab import approximation
+from blochlab.approximation import (ApproxError, norm_fit, product_decompose, runge_pair,
+                                    uniform_fit)
 from blochlab.arcs import ArcSet
 from blochlab.blochnorm import bloch_norm
 
@@ -58,6 +65,161 @@ def test_uniform_fit_miss_returns_best():
 def test_fit_degree_cap_below_first_degree_is_rejected():
     with pytest.raises(ValueError):
         uniform_fit(_two_arcs(), lambda z: np.ones_like(z), 0.1, degree_cap=4)
+
+
+# Arc sets of the boundary-fit solve tests: two arcs with gaps of 1.6, one
+# short arc, the two nearly half circles of a universality correction block
+# at budget 0.25, and a nearly full circle.
+_FIT_SETS = {
+    "two-arcs": _two_arcs(),
+    "short-arc": ArcSet.from_arcs([(1.0, 1.3)]),
+    "universal-gaps": ArcSet.from_arcs([(1 / 32, np.pi - 1 / 32),
+                                        (np.pi + 1 / 32, TWO_PI - 1 / 32)]),
+    "nearly-full": ArcSet.from_arcs([(0.005, TWO_PI - 0.005)]),
+}
+
+
+def _fit(kind, F, degree_cap):
+    """Run every degree from 8 to ``degree_cap``: the tolerance is never met."""
+    if kind == "runge":
+        return runge_pair(F, 1e-12, degree_cap=degree_cap)
+    return uniform_fit(F, lambda z: z.real.astype(complex), 1e-12, degree_cap=degree_cap)
+
+
+def _qr_lawson(A, b, n_main, bound):
+    """The Lawson passes of ``_bounded_fit``, each solved by a pivoted-QR least
+    squares of the stacked, reweighted rows: the reference for its normal equations."""
+    A_main, A_gap = A[:n_main], A[n_main:]
+    b_main, t_gap = b[:n_main], b[n_main:]
+    w = np.ones(n_main)
+    for _ in range(approximation._LAWSON_PASSES):
+        sw = np.sqrt(w)[:, None]
+        g = np.sqrt(approximation._GAP_WEIGHT)
+        coef, *_ = scipy.linalg.lstsq(np.vstack([A_main * sw, A_gap * g]),
+                                      np.concatenate([b_main * sw[:, 0], t_gap * g]),
+                                      lapack_driver="gelsy", check_finite=False)
+        w = w * np.maximum(np.abs(A_main @ coef - b_main), 1e-15)
+        w = np.clip(w / np.mean(w), 1e-6, 1e6)
+        v = A_gap @ coef
+        mod = np.abs(v)
+        t_gap = np.where(mod > bound, v * (bound / np.maximum(mod, 1e-300)), v)
+    return coef
+
+
+@pytest.mark.parametrize("kind, name, degree_cap", [
+    ("uniform", "two-arcs", 256), ("runge", "universal-gaps", 256),
+    ("uniform", "short-arc", 64), ("runge", "short-arc", 64)])
+def test_bounded_fit_matches_a_qr_least_squares(monkeypatch, kind, name, degree_cap):
+    fits = []
+    solve = approximation._bounded_fit
+
+    def record(A, b, n_main, bound):
+        coef = solve(A, b, n_main, bound)
+        fits.append((A.shape[1], coef, _qr_lawson(A, b, n_main, bound)))
+        return coef
+
+    monkeypatch.setattr(approximation, "_bounded_fit", record)
+    _fit(kind, _FIT_SETS[name], degree_cap)
+    lowest = 1 if kind == "runge" else 0
+    degrees = [8 * 2 ** k for k in range(int(np.log2(degree_cap // 8)) + 1)]
+    assert [n - 1 + lowest for n, _, _ in fits] == degrees
+    for _, coef, reference in fits:
+        assert np.linalg.norm(coef - reference) <= 1e-10 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 257])
+def test_toeplitz_cholesky_factors_the_hermitian_toeplitz_matrix(n):
+    rng = np.random.default_rng(n)
+    z = np.exp(1j * rng.uniform(0.0, TWO_PI, 3 * n))
+    w = rng.uniform(0.1, 2.0, 3 * n)
+    mu = (w[:, None] * z[:, None] ** np.arange(n)).sum(axis=0)
+    T = scipy.linalg.toeplitz(np.conj(mu), mu)
+    R = approximation._toeplitz_cholesky(mu)
+    assert np.array_equal(R, np.triu(R))
+    assert np.max(np.abs(R.conj().T @ R - T)) < 1e-13 * mu[0].real
+    assert np.max(np.abs(R - scipy.linalg.cholesky(T))) < 1e-11 * np.sqrt(mu[0].real)
+
+
+@pytest.mark.parametrize("mu", [[0.0, 0.0], [np.nan, 0.0], [1.0, 2.0], [1.0, 1.0],
+                                [1.0, 0.5, -0.5]],
+                         ids=["zero", "nan", "indefinite", "singular", "singular-3"])
+def test_toeplitz_cholesky_rejects_a_matrix_that_is_not_positive_definite(mu):
+    with pytest.raises(np.linalg.LinAlgError):
+        approximation._toeplitz_cholesky(np.array(mu, dtype=complex))
+
+
+def _gram_conditions(monkeypatch):
+    """cond(G) of the first and the last Lawson pass of every degree, by size."""
+    conds = {}
+    calls = []
+    factor = approximation._toeplitz_cholesky
+
+    def record(mu):
+        calls.append(mu.size)
+        if len(calls) % approximation._LAWSON_PASSES in (0, 1):
+            eig = np.linalg.eigvalsh(scipy.linalg.toeplitz(np.conj(mu), mu))
+            conds.setdefault(mu.size, []).append(eig[-1] / eig[0])
+        return factor(mu)
+
+    monkeypatch.setattr(approximation, "_toeplitz_cholesky", record)
+    return conds
+
+
+@pytest.mark.parametrize("kind, name, degree_cap", [
+    ("uniform", "universal-gaps", 1024), ("runge", "nearly-full", 1024),
+    ("uniform", "two-arcs", 512)])
+def test_gram_matrix_is_well_conditioned_where_the_gaps_are_sampled_densely(
+        monkeypatch, kind, name, degree_cap):
+    conds = _gram_conditions(monkeypatch)
+    _fit(kind, _FIT_SETS[name], degree_cap)
+    assert max(conds) == degree_cap + (kind == "uniform")
+    assert all(len(c) == 2 for c in conds.values())
+    assert max(max(c) for c in conds.values()) < 1e6
+
+
+def test_numerically_singular_gram_still_gives_a_fit(monkeypatch):
+    # 64 anchors on a gap of 2 pi - 0.3 cannot pin a degree-128 polynomial
+    # down off a short arc: G is singular to working precision, and the
+    # diagonal shift keeps its factor defined
+    conds = _gram_conditions(monkeypatch)
+    rep = runge_pair(_FIT_SETS["short-arc"], 1e-5, degree_cap=128)
+    assert max(conds[64]) < 1e6
+    assert min(conds[128]) > 1e12
+    assert rep.achieved
+    assert rep.degree == 128
+    assert rep.margin < 1e-6
+
+
+def test_a_target_that_is_not_finite_on_the_samples_is_an_approx_error():
+    # NaN coefficients of the first pass make every weight NaN, and the
+    # second pass's factor fails
+    def phi(z):
+        v = np.ones_like(z)
+        v[::7] = np.nan
+        return v
+
+    with pytest.raises(ApproxError, match="degree-8 fit"):
+        uniform_fit(_two_arcs(), phi, 0.1, degree_cap=16)
+
+
+def test_uniform_fit_does_not_depend_on_the_blas_thread_count():
+    # a degree-128 fit with a constant term has 129 unknowns; at that size
+    # OpenBLAS sums a product with a transposed (non-contiguous) A in an
+    # order that depends on the thread count
+    script = ("import hashlib, numpy as np\n"
+              "from blochlab.approximation import uniform_fit\n"
+              "from blochlab.arcs import ArcSet\n"
+              "F = ArcSet.from_arcs([(0.8, np.pi - 0.8), (np.pi + 0.8, 2 * np.pi - 0.8)])\n"
+              "fit = uniform_fit(F, lambda z: z.real.astype(complex), 1e-12, degree_cap=128)\n"
+              "print(fit.degree, hashlib.sha256(fit.poly.coeffs.tobytes()).hexdigest())\n")
+    path = os.pathsep.join([os.path.join(os.path.dirname(__file__), "..", "src"),
+                            os.environ.get("PYTHONPATH", "")])
+    runs = [subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                           text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                                               PYTHONPATH=path)).stdout
+            for threads in ("1", "2")]
+    assert runs[0].startswith("128 ")
+    assert runs[0] == runs[1]
 
 
 def test_product_decompose_separable_target():

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from blochlab.inner import QuadratureError, TransportReport
 from blochlab.numerics import MeasureEstimate
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def _shipped(name):
@@ -310,6 +313,48 @@ def test_runge_on_a_gapless_arc_set_is_a_stage_failure(tmp_path, capsys):
     assert status == 1
     assert doc is None
     assert "complementary gap" in capsys.readouterr().err
+
+
+def test_a_gram_matrix_that_is_not_positive_definite_is_a_stage_failure(
+        tmp_path, monkeypatch, capsys):
+    def fail(mu):
+        raise np.linalg.LinAlgError("leading minor 2 of the Toeplitz matrix is not "
+                                    "positive definite")
+
+    monkeypatch.setattr("blochlab.approximation._toeplitz_cholesky", fail)
+    status, doc, _ = _run(tmp_path, "runge", {"arcs": [[0.5, 2.0]], "delta": 0.3})
+    assert status == 1
+    assert doc is None
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "stage failure [runge]: the Gram matrix of the degree-8 fit is not "
+        "numerically positive definite"]
+
+
+# two arcs with gaps of 1.6; the fit runs degrees 8 to 256
+_RUNGE_TWO_ARCS = {"arcs": [[0.8, np.pi - 0.8], [np.pi + 0.8, 2 * np.pi - 0.8]],
+                   "delta": 0.25}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("universal", _shipped("universal_two_constants.json")),
+    ("runge", _RUNGE_TWO_ARCS),
+], ids=["universal", "runge"])
+def test_report_does_not_depend_on_the_blas_thread_count(tmp_path, command, cfg):
+    cfg_path = os.path.join(tmp_path, "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    reports = []
+    for threads in ("1", "2"):
+        out = os.path.join(tmp_path, threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([SRC_DIR, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c",
+                        "import sys; from blochlab.cli import main; sys.exit(main(sys.argv[1:]))",
+                        command, "--config", cfg_path, "--out", out, "--seed", "5"],
+                       env=env, check=True, capture_output=True)
+        with open(os.path.join(out, f"{command}_report.json")) as fh:
+            reports.append(_strip_timestamp(fh.read()))
+    assert reports[0] == reports[1]
 
 
 def test_every_shipped_config_verifies(tmp_path):
