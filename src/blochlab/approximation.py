@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from blochlab.arcs import ArcSet
 from blochlab.expressions import Polynomial1D
@@ -92,14 +91,18 @@ def _bounded_fit(A, b, n_main, bound):
     diagonal shift (d + 1) eps mu_0 keeps the factor defined, and the fit
     reaches a margin near 1e-7 where a QR reached 1e-13.
     """
+    # imported here, not at module level: numpy has no triangular solve, and loading
+    # the package costs about 0.25 s and 28 MB (2-core x86 VM) that only the boundary fits need
+    from scipy.linalg import cho_solve
+
     w = np.where(np.arange(A.shape[0]) < n_main, 1.0, _GAP_WEIGHT)
     b = b.copy()
     AT = np.ascontiguousarray(A.T)
     for _ in range(_LAWSON_PASSES):
         mu = AT @ (w * np.conj(A[:, 0]))
         mu[0] *= 1.0 + mu.size * np.finfo(float).eps
-        coef = scipy.linalg.cho_solve((_toeplitz_cholesky(mu), False),
-                                      np.conj(AT @ (w * np.conj(b))), check_finite=False)
+        coef = cho_solve((_toeplitz_cholesky(mu), False),
+                         np.conj(AT @ (w * np.conj(b))), check_finite=False)
         v = A @ coef
         err = np.maximum(np.abs(v[:n_main] - b[:n_main]), 1e-15) * w[:n_main]
         w[:n_main] = np.clip(err / np.mean(err), 1e-6, 1e6)
@@ -217,24 +220,28 @@ def _lp_solve(A, b, c):
     last iterate.
 
     Dense normal equations A' (z/s) A are fine here: the programs have a
-    few dozen columns.  The tiny diagonal shift keeps the Cholesky factor
-    defined once inactive rows stop contributing.
+    few dozen columns, so numpy's Cholesky and two solves on its factor
+    serve.  The tiny diagonal shift keeps the factor defined once inactive
+    rows stop contributing.
     """
     m, n = A.shape
 
     def factor(d):
         H = A.T @ (d[:, None] * A)
         H[np.diag_indices(n)] += 1e-14 * np.trace(H) / n
-        return scipy.linalg.cho_factor(H, check_finite=False)
+        return np.linalg.cholesky(H)
+
+    def solve(L, r):
+        return np.linalg.solve(L.T, np.linalg.solve(L, r))
 
     def max_step(v, dv):
         neg = dv < 0.0
         return min(1.0, float(np.min(-v[neg] / dv[neg]))) if np.any(neg) else 1.0
 
     start = factor(np.ones(m))
-    x = scipy.linalg.cho_solve(start, A.T @ b, check_finite=False)
+    x = solve(start, A.T @ b)
     s = b - A @ x
-    z = -A @ scipy.linalg.cho_solve(start, c, check_finite=False)
+    z = -A @ solve(start, c)
     s += max(0.0, 1.0 - float(np.min(s)))
     z += max(0.0, 1.0 - float(np.min(z)))
     for _ in range(_LP_MAX_ITER):
@@ -248,8 +255,7 @@ def _lp_solve(A, b, c):
         cho = factor(z / s)
 
         def direction(rc):
-            dx = scipy.linalg.cho_solve(cho, -rd - A.T @ ((z * rp - rc) / s),
-                                        check_finite=False)
+            dx = solve(cho, -rd - A.T @ ((z * rp - rc) / s))
             ds = -rp - A @ dx
             return dx, ds, (-rc - z * ds) / s
 

@@ -11,6 +11,7 @@ only field excluded from byte-level determinism, which is what lets
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import pathlib
@@ -47,8 +48,11 @@ class ConfigError(ValueError):
 
 
 def _complex(v) -> complex:
-    """A complex number from a config value: [re, im] or a real number."""
-    return complex(v[0], v[1]) if isinstance(v, list) else complex(v)
+    """A finite complex number from a config value: [re, im] or a real number."""
+    c = complex(v[0], v[1]) if isinstance(v, list) else complex(v)
+    if not cmath.isfinite(c):
+        raise ConfigError(f"config number {v!r} is not finite")
+    return c
 
 
 def _function_from_config(spec) -> FunctionExpr:
@@ -126,7 +130,7 @@ def _target_from_config(spec):
         return (lambda z: np.asarray(z, dtype=complex).real.astype(complex)), "re"
     if kind == "monomial":
         k = int(spec.get("n", 1))
-        c = complex(spec.get("scale", 1.0))
+        c = _complex(spec.get("scale", 1.0))
 
         def fn(z, k=k, c=c):
             z = np.asarray(z, dtype=complex)

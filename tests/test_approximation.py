@@ -300,3 +300,21 @@ def test_norm_fit_meets_budget_and_bounds_the_norm():
     # may exceed it only slightly
     assert rep.value < 0.5
     assert bloch_norm(rep.poly).norm == pytest.approx(rep.value, rel=0.05)
+
+
+# minimise -x1 - x2 subject to x1 + 2 x2 <= 4, 3 x1 + x2 <= 6, x >= 0;
+# the optimum is the vertex (1.6, 1.2)
+_LP = (np.array([[1.0, 2.0], [3.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+       np.array([4.0, 6.0, 0.0, 0.0]), np.array([-1.0, -1.0]))
+
+
+def test_lp_solve_finds_the_optimal_vertex():
+    x, converged = approximation._lp_solve(*_LP)
+    assert converged
+    assert np.max(np.abs(x - [1.6, 1.2])) < 1e-7
+
+
+def test_lp_solve_at_its_iteration_cap_is_not_converged(monkeypatch):
+    monkeypatch.setattr(approximation, "_LP_MAX_ITER", 1)
+    _, converged = approximation._lp_solve(*_LP)
+    assert not converged

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,51 @@ def test_degree_cap_below_the_first_fit_degree_exits_2(tmp_path, command, cfg):
     status, doc, _ = _run(tmp_path, command, cfg)
     assert status == 2
     assert doc is None
+
+
+@pytest.mark.parametrize("target, bad", [
+    ({"kind": "constant", "value": float("nan")}, "nan"),
+    ({"kind": "step", "jumps": [0.37, 2.77], "values": [0.0, float("nan")]}, "nan"),
+    ({"kind": "monomial", "n": 2, "scale": float("inf")}, "inf"),
+], ids=["constant", "step", "monomial-scale"])
+def test_a_number_that_is_not_finite_is_a_config_error(tmp_path, capsys, target, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        status, doc, _ = _run(tmp_path, "simul", {"target": target, "eps": 0.5})
+    assert status == 2
+    assert doc is None
+    assert capsys.readouterr().err.strip() == f"config error: config number {bad} is not finite"
+
+
+# records, after each run, whether scipy has been imported
+_SCIPY_PROBE = """
+import json, os, sys
+from blochlab.cli import main
+
+out, loaded = sys.argv[1], []
+for i, (command, cfg) in enumerate(json.loads(sys.argv[2])):
+    path = os.path.join(out, f"{i}.json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    status = main([command, "--config", path, "--out", out, "--seed", "5"])
+    loaded.append([command, status, "scipy" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_only_the_boundary_fits_load_scipy(tmp_path):
+    runs = [("simul", {"target": {"kind": "re"}, "eps": 0.5}),
+            ("simul", {"target": {"kind": "product_re"}, "eps": 0.5, "dim": 2}),
+            ("inner-quotient", {"inner": {"kind": "atomic", "atoms": [[0.0, 0.5]]},
+                                "samples": 2000}),
+            ("runge", {"arcs": [[0.5, 2.0]], "delta": 0.3})]
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([SRC_DIR, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), json.dumps(runs)],
+                          env=env, check=True, capture_output=True, text=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        ["simul", 0, False], ["simul", 0, False], ["inner-quotient", 0, False],
+        ["runge", 0, True]]
 
 
 def test_simul_ignores_an_inner_key(tmp_path):
