@@ -117,7 +117,6 @@ class FitReport:
     poly: Polynomial1D
     margin: float    # sup |poly - target| on a dense fresh sampling of F
     degree: int
-    sup_norm: float  # sup |poly| on the closed disc, from a grid of the circle
     achieved: bool   # margin < delta
 
 
@@ -136,7 +135,7 @@ def _doubling_fit(F: ArcSet, phi, delta: float, degree_cap: int, lowest: int,
     if degree_cap < _FIRST_DEGREE:
         raise ValueError(f"degree cap must be >= {_FIRST_DEGREE}")
     if not F.arcs:
-        return FitReport(Polynomial1D.zero(), 0.0, 0, 0.0, True)
+        return FitReport(Polynomial1D.zero(), 0.0, 0, True)
     gaps = F.complement()
     if not gaps.arcs or max(e - s for s, e in gaps.arcs) < GAP_MIN:
         raise ApproxError("arc set must leave a complementary gap of length >= 2*pi/1000")
@@ -162,7 +161,7 @@ def _doubling_fit(F: ArcSet, phi, delta: float, degree_cap: int, lowest: int,
             break
         degree *= 2
     p, margin, degree = best
-    return FitReport(p, margin, degree, p.sup_on_circle(), margin < delta)
+    return FitReport(p, margin, degree, margin < delta)
 
 
 def runge_pair(F: ArcSet, delta: float, degree_cap: int = 4096) -> FitReport:
@@ -184,7 +183,7 @@ def runge_pair(F: ArcSet, delta: float, degree_cap: int = 4096) -> FitReport:
 
 
 def uniform_fit(F: ArcSet, phi, delta: float, degree_cap: int = 4096) -> FitReport:
-    """Polynomial Q with |Q - phi| < delta on F; also reports sup |Q| on the disc.
+    """Polynomial Q with |Q - phi| < delta on F.
 
     ``phi`` is a callable on unimodular points.  Off F the modulus is
     softly capped at 1.5 sup |phi| + 0.5 (phi sampled on F at each

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,8 @@ class ArcSet:
         cleaned = []
         for s, e in arcs:
             s, e = float(s), float(e)
+            if not (math.isfinite(s) and math.isfinite(e)):
+                raise ValueError(f"arc ({s}, {e}) has an endpoint that is not finite")
             if e < s:
                 raise ValueError(f"arc end {e} precedes start {s}")
             if e - s >= TWO_PI:
@@ -92,14 +95,6 @@ class ArcSet:
             pieces.append(np.linspace(s, e, n, endpoint=e - s < TWO_PI))
         return _wrap(np.concatenate(pieces))
 
-    def shrink(self, margin: float) -> "ArcSet":
-        """Remove a margin from both ends of every arc."""
-        out = []
-        for s, e in self.arcs:
-            if e - s > 2.0 * margin:
-                out.append((s + margin, e - margin))
-        return ArcSet.from_arcs(out)
-
     def complement(self) -> "ArcSet":
         if not self.arcs:
             return ArcSet.full_circle()
@@ -117,18 +112,9 @@ class ArcSet:
             gaps.append((last_e, first_s))
         return ArcSet.from_arcs(gaps)
 
-    def intersection(self, other: "ArcSet") -> "ArcSet":
-        """Exact intersection: the complement of the union of the complements."""
-        return ArcSet.from_arcs(self.complement().arcs + other.complement().arcs).complement()
-
     def to_json(self) -> list:
         return [[s, e] for s, e in self.arcs]
 
     @classmethod
     def from_json(cls, data) -> "ArcSet":
         return cls.from_arcs([(s, e) for s, e in data])
-
-
-def arc_around(center_angle: float, length: float) -> ArcSet:
-    """Single closed arc of the given length centered at an angle."""
-    return ArcSet.from_arcs([(center_angle - length / 2.0, center_angle + length / 2.0)])

@@ -8,8 +8,9 @@ Norm conventions:
 
 Grid suprema are lower estimates.  For polynomials on the disc a
 Bernstein-type oversampling correction turns the angular sup into a
-certified upper bound: multiply by (1 - pi d / M)^(-1) when M > 4 d
-angular samples are used for degree d.
+certified upper bound: multiply by (1 - pi d / M)^(-1), which needs
+M > 4 d angular samples for degree d; ``angular_count`` gives at least
+8 (d + 1).
 
 The polydisc norm takes two-variable polynomials only.  Both partials
 are evaluated exactly on a tensor grid: every pair of radii from
@@ -51,8 +52,8 @@ class BlochReport:
     """Outcome of a norm estimate.
 
     ``certified`` upgrades ``seminorm_sup`` to an upper bound for the
-    true seminorm; it is None when the input is not polynomial or the
-    angular grid was too coarse for the correction factor.
+    true seminorm; ``bloch_norm`` sets it for one-variable polynomials on
+    the disc, and it is None otherwise.
     """
 
     domain: str
@@ -111,11 +112,9 @@ def _angular_count(degree) -> int:
 
 
 def _certify(sup: float, degree, m: int):
-    if degree is None or degree == 0:
-        return sup if degree == 0 else None
-    if m > 4 * degree:
-        return sup / (1.0 - math.pi * degree / m)
-    return None
+    if degree is None:
+        return None
+    return sup / (1.0 - math.pi * degree / m)
 
 
 #: relative slack on a shell bound, far above its rounding and the FFT's

@@ -11,8 +11,8 @@ only field excluded from byte-level determinism, which is what lets
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
+import math
 import os
 import pathlib
 import sys
@@ -24,14 +24,13 @@ import numpy as np
 from . import serialize
 from .approximation import ApproxError, runge_pair, product_decompose, decomposition_csv
 from .arcs import ArcSet
-from .blochnorm import (WeightSpec, WeightError, bloch_norm,
-                        little_bloch_profile, profile_to_csv,
+from .blochnorm import (WeightSpec, bloch_norm, little_bloch_profile, profile_to_csv,
                         weight_integral_test, weighted_bloch_norm)
 from .expressions import FunctionExpr, PathSpec, Polynomial1D, PolynomialND
 from .inner import (InnerSpec, QuadratureError, ShrinkFailure, compose_shrink,
                     hyperbolic_quotient, loewner_transport_check)
 from .numerics import dyadic_radii
-from .pipeline import PipelineError, simul_approx_disc, simul_approx_polydisc
+from .pipeline import simul_approx_disc, simul_approx_polydisc
 from .universality import (TargetEnumeration, certificates_csv, certify,
                            cluster_probe, default_radii, lacunary_baseline,
                            universal_build)
@@ -47,12 +46,20 @@ class ConfigError(ValueError):
 # config -> objects
 
 
-def _complex(v) -> complex:
-    """A finite complex number from a config value: [re, im] or a real number."""
-    c = complex(v[0], v[1]) if isinstance(v, list) else complex(v)
-    if not cmath.isfinite(c):
+def _check_finite(v) -> None:
+    """ConfigError at the first number of a config, at any depth, that is not finite."""
+    if isinstance(v, dict):
+        v = list(v.values())
+    if isinstance(v, list):
+        for item in v:
+            _check_finite(item)
+    elif isinstance(v, float) and not math.isfinite(v):
         raise ConfigError(f"config number {v!r} is not finite")
-    return c
+
+
+def _complex(v) -> complex:
+    """A complex number from a config value: [re, im] or a real number."""
+    return complex(v[0], v[1]) if isinstance(v, list) else complex(v)
 
 
 def _function_from_config(spec) -> FunctionExpr:
@@ -263,12 +270,10 @@ def _cmd_decompose(cfg, seed, out):
 
 
 def _simul_document(res) -> dict:
-    rep = dict(res.report)
-    rep.pop("norm_report", None)
     # a polydisc E is one arc set per axis
     E = serialize.to_document(res.E) if isinstance(res.E, ArcSet) \
         else [serialize.to_document(s) for s in res.E]
-    return {"f": serialize.to_document(res.f), "E": E, "report": rep}
+    return {"f": serialize.to_document(res.f), "E": E, "report": res.report}
 
 
 def _cmd_simul(cfg, seed, out):
@@ -382,6 +387,7 @@ def _cmd_verify(cfg, seed, out):
         check = {"check": "config", "passed": False,
                  "note": "the artifact stores no config of a known command"}
         return {**result, "checks": [check], "passed": False}, 1
+    _check_finite(stored["config"])
     # a fresh directory: the artifact's own may hold the side files it names
     with tempfile.TemporaryDirectory() as tmp:
         fresh, status = _HANDLERS[command](stored["config"], stored["seed"], tmp)
@@ -441,6 +447,7 @@ def _finish(doc: dict, command: str, cfg: dict, seed: int) -> dict:
 
 def run_scenario(command: str, cfg: dict, out: str, seed: int) -> int:
     """Execute one subcommand; write the report document; return exit status."""
+    _check_finite(cfg)
     doc, status = _HANDLERS[command](cfg, seed, out)
     doc = _finish(doc, command, cfg, seed)
     doc["timestamp"] = time.time()
@@ -465,11 +472,10 @@ def main(argv=None) -> int:
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     try:
         return run_scenario(args.command, cfg, out, seed)
-    except (ConfigError, KeyError, WeightError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (PipelineError, ApproxError, QuadratureError,
-            serialize.SerializationError) as exc:
+    except (ApproxError, QuadratureError) as exc:
         print(f"stage failure [{args.command}]: {exc}", file=sys.stderr)
         return 1
 

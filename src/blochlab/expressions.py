@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from blochlab.inner import InnerSpec, _chain_eval
-from blochlab.numerics import angular_count
 
 #: points per block of Polynomial1D evaluation; bounds its temporaries
 _EVAL_CHUNK = 1024
@@ -100,13 +99,6 @@ class Polynomial1D:
         if count < b.size:
             raise ValueError("need at least degree+1 angular samples")
         return np.fft.fft(b, n=count)
-
-    def sup_on_circle(self) -> float:
-        """Largest |p| at >= 8 (degree + 1) equispaced points of the unit circle.
-
-        The unit circle is where |p| takes its sup over the closed disc.
-        """
-        return float(np.max(np.abs(self.circle_values(1.0, angular_count(self.degree)))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,8 +243,6 @@ class FunctionExpr:
             return True
         if self.kind in ("inner", "radialize"):
             return False
-        if self.kind == "compose":
-            return all(c.is_entire() for c in self.children)
         return all(c.is_entire() for c in self.children)
 
     def as_poly1d(self):
@@ -456,8 +446,6 @@ class PathSpec:
 def path_points(p: PathSpec) -> np.ndarray:
     """Interior points r (zeta - w) + w for each r in the schedule."""
     r = np.asarray(p.schedule, dtype=float)
-    if np.any(r < 0.0) or np.any(r >= 1.0):
-        raise DomainError("path radii must lie in [0, 1)")
     pts = r * (p.zeta - p.anchor) + p.anchor
     if np.any(np.abs(pts) >= 1.0):
         raise DomainError("path escapes the open disc (invalid anchor)")

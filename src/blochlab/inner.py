@@ -464,13 +464,6 @@ class TransportReport:
     inconclusive: bool
 
 
-def boundary_map(spec: InnerSpec, zeta):
-    """Approximate boundary values of J(z) = z I(z) via a radial probe."""
-    z = BOUNDARY_PROBE_RADIUS * np.asarray(zeta, dtype=complex)
-    val, _, _, _, _ = _chain_eval(spec, z)
-    return z * val
-
-
 def loewner_transport_check(spec: InnerSpec, F: ArcSet, samples: int, seed: int) -> TransportReport:
     """Check m(J_b^{-1}(F)) = m(F) for the measure-preserving boundary map.
 

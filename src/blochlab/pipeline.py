@@ -33,7 +33,6 @@ from .numerics import indicator_measure  # noqa: F401
 
 __all__ = [
     "SimulApproxResult",
-    "PipelineError",
     "plateau_polynomial",
     "simul_approx_disc",
     "simul_approx_polydisc",
@@ -49,10 +48,6 @@ _FIT_DEGREES = (8, 16)
 # share of eps given to a fit's pointwise error budget; the rest absorbs
 # the error between the fit's samples
 _BUDGET_SHARE = 0.998
-
-
-class PipelineError(RuntimeError):
-    """A pipeline stage failed; the message names the stage."""
 
 
 @dataclass(frozen=True)
@@ -189,6 +184,12 @@ def _target_measure(eps: float) -> float:
     return min(0.98, 1.0 - eps + 0.01)
 
 
+def _runs(ok):
+    """(start, stop) index pairs of the runs of True in ``ok``, stop exclusive."""
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], ok.astype(int), [0]])))
+    return zip(edges[::2], edges[1::2])
+
+
 def _verified_subarcs(F: ArcSet, residual, tol: float) -> ArcSet:
     """Maximal sub-arcs of F on which residual(zeta) < tol at 512 samples per arc."""
     per_arc = 512
@@ -197,17 +198,8 @@ def _verified_subarcs(F: ArcSet, residual, tol: float) -> ArcSet:
         length = (b - a) % TWO_PI or TWO_PI
         th = a + length * (np.arange(per_arc) + 0.5) / per_arc
         ok = residual(np.exp(1j * th)) < tol
-        i = 0
-        while i < per_arc:
-            if ok[i]:
-                j = i
-                while j + 1 < per_arc and ok[j + 1]:
-                    j += 1
-                if j > i:  # at least two verified samples make an arc
-                    arcs.append((th[i], th[j]))
-                i = j + 1
-            else:
-                i += 1
+        # at least two verified samples make an arc
+        arcs += [(th[i], th[j - 1]) for i, j in _runs(ok) if j - i >= 2]
     if not arcs:
         return ArcSet.empty()
     return ArcSet.from_arcs(arcs)
@@ -223,9 +215,8 @@ def _superlevel_arcs(score, measure: float) -> ArcSet:
     theta = h * (np.arange(count) + 0.5)
     values = score(theta)
     ok = values >= np.sort(values)[::-1][int(math.ceil(measure * count)) - 1]
-    # runs of selected cells; the merge in from_arcs joins a run through angle 0
-    edges = np.flatnonzero(np.diff(np.concatenate([[0], ok.astype(int), [0]])))
-    return ArcSet.from_arcs([(h * i, h * j) for i, j in zip(edges[::2], edges[1::2])])
+    # the merge in from_arcs joins a run through angle 0
+    return ArcSet.from_arcs([(h * i, h * j) for i, j in _runs(ok)])
 
 
 def _disc_residual(f_poly: Polynomial1D, phi):
@@ -270,7 +261,6 @@ def _contract(norm_rep, sup_err: float, E: ArcSet, eps: float) -> dict:
     return {
         "norm": norm_rep.norm,
         "certified_norm": norm_rep.certified_norm,
-        "norm_report": norm_rep,
         "value_at_zero": norm_rep.value_at_zero,
         "sup_error": sup_err,
         "measure": E.measure,
@@ -386,7 +376,7 @@ def simul_approx_polydisc(phi, eps: float, n_dim: int) -> SimulApproxResult:
     """Tensor assembly f = sum_l f_{1,l}(z_1) f_{2,l}(z_2) on the bidisc.
 
     N = 1 delegates to the disc pipeline (the two statements coincide).
-    Only N <= 2 is assembled.
+    N other than 1 and 2 raises ``ValueError``.
 
     phi is split into product terms phi_{1,l} phi_{2,l} whose scale and
     phase are arbitrary.  Every factor is a norm-aware fit
@@ -410,7 +400,7 @@ def simul_approx_polydisc(phi, eps: float, n_dim: int) -> SimulApproxResult:
     if n_dim == 1:
         return simul_approx_disc(phi, eps)
     if n_dim != 2:
-        raise PipelineError("polydisc assembly implemented for N <= 2 only")
+        raise ValueError(f"polydisc assembly takes dimension 1 or 2, not {n_dim}")
     if _is_zero_target(phi, 2):
         return _zero_result(2)
 

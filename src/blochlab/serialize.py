@@ -3,8 +3,7 @@
 Conventions: complex scalars serialize as [re, im] pairs, keys are
 sorted, floats go through repr (shortest round-trip form), and every
 document carries a schema_version.  Round-trips are byte-identical;
-timestamps, when present, live in a "timestamp" field that comparison
-helpers ignore.
+timestamps, when present, live in a "timestamp" field.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import json
 import numpy as np
 
 from .arcs import ArcSet
-from .blochnorm import BlochReport, IntegralTestResult
 from .expressions import FunctionExpr, Polynomial1D, PolynomialND
 from .inner import InnerSpec, SingularMeasureSpec
 from .universality import Certificate, UniversalCandidate
@@ -28,7 +26,6 @@ __all__ = [
     "loads",
     "save",
     "load",
-    "documents_equal",
 ]
 
 SCHEMA_VERSION = 1
@@ -89,10 +86,6 @@ def to_document(obj) -> dict:
         return doc
     if isinstance(obj, ArcSet):
         return {"kind": "arcs", "arcs": obj.to_json()}
-    if isinstance(obj, BlochReport):
-        return {"kind": "bloch_report", **obj.to_dict()}
-    if isinstance(obj, IntegralTestResult):
-        return {"kind": "weight_test", **obj.to_dict()}
     if isinstance(obj, Certificate):
         return {"kind": "certificate", **obj.to_dict()}
     if isinstance(obj, UniversalCandidate):
@@ -208,10 +201,3 @@ def save(path, doc: dict) -> None:
 def load(path) -> dict:
     with open(path) as fh:
         return loads(fh.read())
-
-
-def documents_equal(a: dict, b: dict) -> bool:
-    """Byte-level equality after dropping timestamp fields."""
-    a = {k: v for k, v in a.items() if k != "timestamp"}
-    b = {k: v for k, v in b.items() if k != "timestamp"}
-    return dumps(a) == dumps(b)

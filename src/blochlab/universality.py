@@ -141,12 +141,6 @@ class UniversalCandidate:
     partial_norms: tuple
     failed: tuple            # target ids that never certified
 
-    def partial_sum(self) -> Polynomial1D:
-        out = Polynomial1D.zero()
-        for p in self.blocks:
-            out = out + p
-        return out
-
 
 def apply_Tnw(f, n: int, w: complex, zeta, radii=None) -> np.ndarray:
     """Samples of zeta -> f(r_n (zeta - w) + w) at the circle points ``zeta``."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blochlab.arcs import ArcSet, arc_around
+from blochlab.arcs import ArcSet
 
 
 def test_measure_normalized():
@@ -40,23 +40,25 @@ def test_complement_disjoint():
     assert not np.any(both)
 
 
-def test_intersection_across_angle_zero():
+def test_complement_across_angle_zero():
     two_pi = 2 * np.pi
-    F = ArcSet.from_arcs([(-0.5, 0.7)])  # crosses angle 0
-    G = ArcSet.from_arcs([(0.2, 1.5), (two_pi - 0.3, two_pi - 0.1)])
-    # overlaps: [0.2, 0.7] and [2 pi - 0.3, 2 pi - 0.1], total length 0.7
-    H = F.intersection(G)
-    assert H.measure == pytest.approx(0.7 / two_pi, abs=1e-14)
     th = np.linspace(0, two_pi, 2000, endpoint=False)
-    assert np.array_equal(H.contains(th), F.contains(th) & G.contains(th))
-    assert F.intersection(ArcSet.full_circle()).measure == pytest.approx(F.measure)
-    assert F.intersection(ArcSet.empty()).arcs == ()
-    # the complement of G wraps past angle 0 and covers two of its gaps
-    F = ArcSet.from_arcs([(1.0, 2.0)])
-    G = ArcSet.from_arcs([(0.3, 0.4), (0.5, 0.6), (0.8, 2.0)])
-    H = F.intersection(G)
-    assert H.measure == pytest.approx(1.0 / two_pi, abs=1e-14)
-    assert np.array_equal(H.contains(th), F.contains(th) & G.contains(th))
+    F = ArcSet.from_arcs([(-0.5, 0.7)])  # crosses angle 0
+    np.testing.assert_allclose(F.arcs, [(two_pi - 0.5, two_pi + 0.7)])
+    G = F.complement()
+    np.testing.assert_allclose(G.arcs, [(0.7, two_pi - 0.5)])
+    # no sample angle is an endpoint
+    assert np.array_equal(G.contains(th), ~F.contains(th))
+    np.testing.assert_allclose(G.complement().arcs, F.arcs)
+    # the complement wraps past angle 0 and covers two of the gaps
+    F = ArcSet.from_arcs([(0.3, 0.4), (0.5, 0.6), (0.8, 2.0)])
+    G = F.complement()
+    np.testing.assert_allclose(G.arcs, [(0.4, 0.5), (0.6, 0.8), (2.0, two_pi + 0.3)])
+    assert np.array_equal(G.contains(th), ~F.contains(th))
+    assert F.measure + G.measure == pytest.approx(1.0, abs=1e-15)
+    # a union of arcs through angle 0 joins the wrapped tail to the head arcs
+    U = ArcSet.from_arcs(G.arcs + ArcSet.from_arcs([(-0.5, 0.7)]).arcs)
+    np.testing.assert_allclose(U.arcs, [(2.0, two_pi + 0.8)])
 
 
 def test_from_arcs_wrap_absorbs_several_head_arcs():
@@ -73,24 +75,16 @@ def test_sample_lands_inside():
     assert np.all(F.contains(th))
 
 
-def test_shrink_reduces_measure():
-    F = ArcSet.from_arcs([(0.0, 2.0)])
-    G = F.shrink(0.1)
-    assert G.measure < F.measure
-    th = np.linspace(0, 2 * np.pi, 1000, endpoint=False)
-    assert not np.any(G.contains(th) & ~F.contains(th))
-
-
 def test_json_round_trip():
     F = ArcSet.from_arcs([(0.1, 0.9), (2.0, 3.0)])
     assert ArcSet.from_json(F.to_json()).arcs == F.arcs
 
 
-def test_arc_around_wraps():
-    F = arc_around(0.0, 1.0)
-    assert F.contains(np.array([2 * np.pi - 0.3]))[0]
-    assert F.contains(np.array([0.3]))[0]
-    assert F.measure == pytest.approx(1.0 / (2 * np.pi))
+@pytest.mark.parametrize("arc", [(0.0, float("nan")), (0.5, float("inf")),
+                                 (float("-inf"), 0.5)], ids=["nan", "inf", "-inf"])
+def test_from_arcs_rejects_an_endpoint_that_is_not_finite(arc):
+    with pytest.raises(ValueError, match="not finite"):
+        ArcSet.from_arcs([(0.2, 0.4), arc])
 
 
 def test_full_circle_sample_has_distinct_angles():

@@ -280,6 +280,21 @@ def test_a_number_that_is_not_finite_is_a_config_error(tmp_path, capsys, target,
     assert capsys.readouterr().err.strip() == f"config error: config number {bad} is not finite"
 
 
+@pytest.mark.parametrize("command, cfg", [
+    ("decompose", {"target": {"kind": "step", "jumps": [float("nan"), 2.0],
+                              "values": [0.0, 1.0]}, "dim": 1, "eps": 0.1}),
+    ("certify", {"function": {"kind": "coeffs", "coeffs": [0.0, 1.0]},
+                 "target": {"kind": "constant", "value": 0.0}, "n": 3, "tol": float("nan")}),
+    ("runge", {"arcs": [[0.0, float("nan")]], "delta": 0.3}),
+], ids=["decompose-step-jumps", "certify-tol", "runge-arcs"])
+def test_a_number_that_is_not_finite_anywhere_in_a_config_is_a_config_error(
+        tmp_path, capsys, command, cfg):
+    status, doc, _ = _run(tmp_path, command, cfg)
+    assert status == 2
+    assert doc is None
+    assert capsys.readouterr().err.strip() == "config error: config number nan is not finite"
+
+
 # records, after each run, whether scipy has been imported
 _SCIPY_PROBE = """
 import json, os, sys
@@ -349,6 +364,15 @@ def test_decompose_miss_writes_its_best_sum_and_exits_1(tmp_path):
 ], ids=["constant-dim3", "product_re-dim3", "product_re-dim1", "constant-dim2"])
 def test_decompose_on_a_bad_dimension_is_a_config_error(tmp_path, capsys, cfg):
     status, doc, _ = _run(tmp_path, "decompose", cfg)
+    assert status == 2
+    assert doc is None
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim", [3, 0])
+def test_simul_on_a_bad_dimension_is_a_config_error(tmp_path, capsys, dim):
+    status, doc, _ = _run(tmp_path, "simul", {"target": {"kind": "product_re"},
+                                              "dim": dim, "eps": 0.5})
     assert status == 2
     assert doc is None
     assert "config error" in capsys.readouterr().err

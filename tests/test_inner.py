@@ -6,7 +6,7 @@ import pytest
 from blochlab import inner
 from blochlab.inner import (InnerSpec, QuadratureError, ShrinkFailure,
                             SingularMeasureSpec, _cantor_integrals, _cantor_tree,
-                            boundary_map, cantor_gauss_rule, compose_shrink,
+                            cantor_gauss_rule, compose_shrink,
                             hyperbolic_quotient, inner_eval,
                             loewner_transport_check)
 from blochlab.arcs import ArcSet
@@ -155,14 +155,6 @@ def test_compose_shrink_failure_on_rigid_base():
     base = InnerSpec.blaschke([0.0 + 0j])
     with pytest.raises(ShrinkFailure):
         compose_shrink(base, 0.5, max_chain=4)
-
-
-def test_boundary_map_modulus():
-    spec = InnerSpec.atomic([(1.0 + 0j, 0.5)])
-    zeta = np.exp(1j * np.linspace(0.3, 5.9, 50))
-    jb = boundary_map(spec, zeta)
-    assert np.all(np.abs(jb) < 1.0)
-    assert np.all(np.abs(jb) > 0.5)
 
 
 def test_transport_square_map():
