@@ -183,34 +183,64 @@ def _polydisc_sup(f: FunctionExpr, weight):
     f must be a two-variable polynomial with coefficient matrix C.  On
     the circles of radii (r_1, r_2) a partial with coefficient matrix D
     takes the values V(r_1) D V(r_2)^T, V(r) the Vandermonde matrix of m
-    equispaced points of |z| = r.  Returns (|f(0)|, sup, argmax, note).
+    equispaced points of |z| = r.  Returns (|f(0)|, sup, argmax, note,
+    visited): ``visited`` lists the (i, j) radius-index pairs sampled, in
+    row-major order.
+
+    The pairs are visited in decreasing order of
+    b = weight(r_1) sum |D_1| r_1^j r_2^k + weight(r_2) sum |D_2| r_1^j r_2^k,
+    which bounds every sample of the pair, and the scan stops once b is
+    0 or below the largest sample so far: no skipped pair can reach or
+    tie it, so the first maximum in row-major order among the visited
+    pairs is the full scan's.  With a non-finite bound every pair is
+    scanned in row-major order; the first pair with a non-finite sample
+    raises.
     """
     if f.kind != "polynd" or f.dim != 2:
         raise ValueError("polydisc norm needs a two-variable polynomial")
     c = f.poly.coefficient_array()
     n1, n2 = c.shape
-    d1 = c[1:] * np.arange(1, n1)[:, None]
-    d2 = c[:, 1:] * np.arange(1, n2)
-    radii = dyadic_radii(12, linear=16)
+    radii = np.asarray(dyadic_radii(12, linear=16))
     m = _angular_count(max(n1, n2) - 1)
     unit = np.exp(2j * np.pi * np.outer(np.arange(m), np.arange(max(n1, n2))) / m)
 
     def vander(r, n):
         return unit[:, :n] * r ** np.arange(n)
 
-    weights = [float(weight(r)) for r in radii]
+    def point(i, j, k):
+        return (radii[i] * np.exp(2j * np.pi * (k // m) / m), radii[j] * np.exp(2j * np.pi * (k % m) / m))
+
+    w = np.array([float(weight(r)) for r in radii])
     right = [(vander(r, n2).T, vander(r, n2 - 1).T) for r in radii]
-    best, arg = 0.0, (0.0, 0.0)
-    for r1, w1 in zip(radii, weights):
-        left1, left2 = vander(r1, n1 - 1) @ d1, vander(r1, n1) @ d2
-        for r2, w2, (v1, v2) in zip(radii, weights, right):
-            vals = w1 * np.abs(left1 @ v1) + w2 * np.abs(left2 @ v2)
-            k = int(np.argmax(vals))
-            if vals.flat[k] > best:
-                best = float(vals.flat[k])
-                arg = (r1 * np.exp(2j * np.pi * (k // m) / m), r2 * np.exp(2j * np.pi * (k % m) / m))
+    pw = radii[:, None] ** np.arange(max(n1, n2))
+    left, pairs, best = {}, {}, 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1 = c[1:] * np.arange(1, n1)[:, None]
+        d2 = c[:, 1:] * np.arange(1, n2)
+        bound = (w[:, None] * (pw[:, :n1 - 1] @ np.abs(d1) @ pw[:, :n2].T)
+                 + w * (pw[:, :n1] @ np.abs(d2) @ pw[:, :n2 - 1].T)).ravel() * _BOUND_GUARD
+        if np.all(np.isfinite(bound)):
+            order = np.argsort(-bound, kind="stable")
+        else:  # non-finite coefficients: scan in row-major order, raise at the first bad pair
+            order, bound = range(bound.size), None
+        for p in order:
+            if bound is not None and (bound[p] < best or bound[p] == 0.0):
+                break
+            i, j = divmod(int(p), len(radii))
+            if i not in left:
+                left[i] = (vander(radii[i], n1 - 1) @ d1, vander(radii[i], n1) @ d2)
+            (left1, left2), (v1, v2) = left[i], right[j]
+            vals = w[i] * np.abs(left1 @ v1) + w[j] * np.abs(left2 @ v2)
+            k = int(np.argmax(vals))  # a NaN, else an inf, is its own argmax
+            if not np.isfinite(vals.flat[k]):
+                raise NonFiniteSampleError(point(i, j, k), complex(vals.flat[k]))
+            pairs[i, j] = (float(vals.flat[k]), k)
+            best = max(best, pairs[i, j][0])
+    visited = sorted(pairs)
+    arg = next((point(i, j, pairs[i, j][1]) for i, j in visited
+                if best > 0.0 and pairs[i, j][0] == best), (0.0, 0.0))
     note = f"polydisc grid: {len(radii)}^2 radius pairs x {m}^2 angles"
-    return float(abs(c[0, 0])), best, arg, note
+    return float(abs(c[0, 0])), best, arg, note, visited
 
 
 def bloch_norm(f, domain: str = "disc") -> BlochReport:
@@ -227,7 +257,7 @@ def bloch_norm(f, domain: str = "disc") -> BlochReport:
     if domain == "disc" and f.dim != 1:
         raise ValueError("disc norm needs a one-variable function")
     if domain == "polydisc":
-        f0, best, arg, note = _polydisc_sup(f, lambda r: 1.0 - r * r)
+        f0, best, arg, note, _ = _polydisc_sup(f, lambda r: 1.0 - r * r)
         return BlochReport(domain, f0, best, None, arg, note)
     radii = dyadic_radii()
 
@@ -347,7 +377,7 @@ def weighted_bloch_norm(f, w: WeightSpec) -> BlochReport:
                 raise WeightError(f"weight not usable at 1 - r^2 = {1.0 - r * r!r}")
             return (1.0 - r * r) / wv
 
-        f0, best, arg, note = _polydisc_sup(f, weight)
+        f0, best, arg, note, _ = _polydisc_sup(f, weight)
         return BlochReport("polydisc", f0, best, None, arg, "weighted " + note)
     radii = dyadic_radii()
     f0 = abs(complex(f.eval(0.0)))

@@ -467,10 +467,13 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-    out = args.out or cfg.get("out") or os.environ.get("BLOCHLAB_OUT", ".")
-    os.makedirs(out, exist_ok=True)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     try:
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"config must be a JSON object, not {type(cfg).__name__}")
+        _check_finite(cfg)
+        out = args.out or cfg.get("out") or os.environ.get("BLOCHLAB_OUT", ".")
+        os.makedirs(out, exist_ok=True)
+        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
         return run_scenario(args.command, cfg, out, seed)
     except (KeyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

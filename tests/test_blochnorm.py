@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from blochlab.arcs import ArcSet
-from blochlab.blochnorm import (WeightSpec, WeightError, _certify, _disc_shells,
-                                _first_max, bloch_norm, little_bloch_profile,
+from blochlab.blochnorm import (BlochReport, WeightSpec, WeightError, _certify, _disc_shells,
+                                _first_max, _polydisc_sup, bloch_norm, little_bloch_profile,
                                 profile_to_csv, weight_integral_test,
                                 weighted_bloch_norm)
 from blochlab.expressions import FunctionExpr, Polynomial1D, PolynomialND
-from blochlab.numerics import NonFiniteSampleError, dyadic_radii
-from blochlab.pipeline import plateau_polynomial
+from blochlab.numerics import NonFiniteSampleError, angular_count, dyadic_radii
+from blochlab.pipeline import plateau_polynomial, simul_approx_polydisc
 
 
 def _monomial(n):
@@ -220,3 +220,108 @@ def test_early_stop_skips_every_shell_of_a_constant():
 def test_non_finite_coefficients_still_raise(bad):
     with pytest.raises(NonFiniteSampleError), np.errstate(invalid="ignore"):
         bloch_norm(Polynomial1D(np.array([1.0, bad, 2.0])))
+
+
+def _full_polydisc_scan(f, weight):
+    """Reference: every radius pair in row-major order, the first strict maximum wins."""
+    c = f.coefficient_array()
+    n1, n2 = c.shape
+    d1 = c[1:] * np.arange(1, n1)[:, None]
+    d2 = c[:, 1:] * np.arange(1, n2)
+    radii = dyadic_radii(12, linear=16)
+    m = angular_count(max(n1, n2) - 1)
+    unit = np.exp(2j * np.pi * np.outer(np.arange(m), np.arange(max(n1, n2))) / m)
+
+    def vander(r, n):
+        return unit[:, :n] * r ** np.arange(n)
+
+    weights = [float(weight(r)) for r in radii]
+    right = [(vander(r, n2).T, vander(r, n2 - 1).T) for r in radii]
+    best, arg = 0.0, (0.0, 0.0)
+    for r1, w1 in zip(radii, weights):
+        left1, left2 = vander(r1, n1 - 1) @ d1, vander(r1, n1) @ d2
+        for r2, w2, (v1, v2) in zip(radii, weights, right):
+            vals = w1 * np.abs(left1 @ v1) + w2 * np.abs(left2 @ v2)
+            k = int(np.argmax(vals))
+            if vals.flat[k] > best:
+                best = float(vals.flat[k])
+                arg = (r1 * np.exp(2j * np.pi * (k // m) / m), r2 * np.exp(2j * np.pi * (k % m) / m))
+    note = f"polydisc grid: {len(radii)}^2 radius pairs x {m}^2 angles"
+    return float(abs(c[0, 0])), best, arg, note
+
+
+def _assert_polydisc_matches_full_scan(p, w=None):
+    """The early-stopped polydisc report is the full scan's, repr for repr."""
+    if w is None:
+        rep, prefix, weight = bloch_norm(p, domain="polydisc"), "", lambda r: 1.0 - r * r
+    else:
+        rep, prefix = weighted_bloch_norm(p, w), "weighted "
+        weight = lambda r: (1.0 - r * r) / float(w.omega(1.0 - r * r))
+    f0, best, arg, note = _full_polydisc_scan(p, weight)
+    assert repr(rep) == repr(BlochReport("polydisc", f0, best, None, arg, prefix + note))
+
+
+def _random_polynd(rng):
+    d1, d2 = (int(d) for d in rng.integers(1, 14, size=2))
+    decay = rng.uniform(0.2, 3.0)
+    return PolynomialND({(a, b): complex(rng.normal(), rng.normal()) * decay ** -(a + b)
+                         for a in range(d1 + 1) for b in range(d2 + 1) if rng.random() < 0.6}, 2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_polydisc_early_stop_matches_full_scan_on_random_polynomials(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        _assert_polydisc_matches_full_scan(_random_polynd(rng))
+
+
+def test_polydisc_early_stop_keeps_the_first_of_tied_maxima():
+    # z1 (z2) samples 1 - |z1|^2 (1 - |z2|^2): its sup 1 ties on all 24 pairs
+    # with r1 = 0 (r2 = 0), and the argmax stays the first in row-major order
+    for alpha in ((1, 0), (0, 1)):
+        p = PolynomialND({alpha: 1.0}, 2)
+        _assert_polydisc_matches_full_scan(p)
+        assert len(_polydisc_sup(FunctionExpr.polynd(p), lambda r: 1.0 - r * r)[4]) == 24
+    _assert_polydisc_matches_full_scan(PolynomialND({(1, 0): 1.0, (0, 1): 1.0}, 2))
+    _assert_polydisc_matches_full_scan(PolynomialND({(1, 8): 1.0}, 2))
+
+
+def test_polydisc_early_stop_skips_every_pair_of_a_constant():
+    for p in (PolynomialND({}, 2), PolynomialND({(0, 0): 0.7 + 0.1j}, 2)):
+        assert _polydisc_sup(FunctionExpr.polynd(p), lambda r: 1.0 - r * r)[4] == []
+        _assert_polydisc_matches_full_scan(p)
+        assert bloch_norm(p, domain="polydisc").argmax == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("parameter", [0.5, 1.0, 2.0])
+def test_weighted_polydisc_early_stop_matches_full_scan(parameter):
+    w = WeightSpec(kind="power", parameter=parameter)
+    _assert_polydisc_matches_full_scan(PolynomialND({(1, 1): 1.0, (0, 2): -0.5j}, 2), w)
+    _assert_polydisc_matches_full_scan(_random_polynd(np.random.default_rng(7)), w)
+
+
+def test_polydisc_early_stop_visits_only_pairs_whose_bound_reaches_the_sup():
+    # criterion 7's f: simul dim 2 on Re z1 Re z2
+    def phi(pts):
+        pts = np.asarray(pts, dtype=complex)
+        return (pts[..., 0].real * pts[..., 1].real).astype(complex)
+
+    f = simul_approx_polydisc(phi, 0.5, 2).f
+    _, best, _, _, visited = _polydisc_sup(FunctionExpr.polynd(f), lambda r: 1.0 - r * r)
+    c = f.coefficient_array()
+    d1, d2 = (np.abs(np.polynomial.polynomial.polyder(c, axis=a)) for a in (0, 1))
+    radii = dyadic_radii(12, linear=16)
+    reach = [(i, j) for i, r1 in enumerate(radii) for j, r2 in enumerate(radii)
+             if (1.0 - r1 * r1) * np.polynomial.polynomial.polyval2d(r1, r2, d1)
+             + (1.0 - r2 * r2) * np.polynomial.polynomial.polyval2d(r1, r2, d2) >= best]
+    assert visited == reach
+    assert len(visited) < len(radii) ** 2 // 4
+
+
+@pytest.mark.parametrize("coeffs", [{(1, 0): np.nan, (0, 1): 1.0}, {(2, 1): np.nan, (1, 0): 1.0},
+                                    {(1, 0): np.inf, (0, 1): 1.0}], ids=["nan", "nan-mixed", "inf"])
+def test_non_finite_polydisc_coefficients_raise(coeffs):
+    with pytest.raises(NonFiniteSampleError):
+        bloch_norm(PolynomialND(coeffs, 2), domain="polydisc")
+    with pytest.raises(NonFiniteSampleError):
+        weighted_bloch_norm(PolynomialND(coeffs, 2), WeightSpec(kind="power", parameter=1.0))

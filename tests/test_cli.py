@@ -24,11 +24,12 @@ def _shipped(name):
 
 
 def _run(tmp_path, command, cfg, seed=5, name="cfg"):
+    """Run ``command`` on ``cfg``; ``seed=None`` leaves the seed to the config."""
     cfg_path = os.path.join(tmp_path, f"{name}.json")
     with open(cfg_path, "w") as fh:
         json.dump(cfg, fh)
     status = main([command, "--config", cfg_path, "--out", str(tmp_path),
-                   "--seed", str(seed)])
+                   *([] if seed is None else ["--seed", str(seed)])])
     report = os.path.join(tmp_path, f"{command.replace('-', '_')}_report.json")
     doc = serialize.load(report) if os.path.exists(report) else None
     return status, doc, report
@@ -280,19 +281,27 @@ def test_a_number_that_is_not_finite_is_a_config_error(tmp_path, capsys, target,
     assert capsys.readouterr().err.strip() == f"config error: config number {bad} is not finite"
 
 
-@pytest.mark.parametrize("command, cfg", [
+_NORM_Z = {"function": {"kind": "coeffs", "coeffs": [0.0, 1.0]}}
+_NAN = "config number nan is not finite"
+
+
+@pytest.mark.parametrize("command, cfg, err", [
     ("decompose", {"target": {"kind": "step", "jumps": [float("nan"), 2.0],
-                              "values": [0.0, 1.0]}, "dim": 1, "eps": 0.1}),
+                              "values": [0.0, 1.0]}, "dim": 1, "eps": 0.1}, _NAN),
     ("certify", {"function": {"kind": "coeffs", "coeffs": [0.0, 1.0]},
-                 "target": {"kind": "constant", "value": 0.0}, "n": 3, "tol": float("nan")}),
-    ("runge", {"arcs": [[0.0, float("nan")]], "delta": 0.3}),
-], ids=["decompose-step-jumps", "certify-tol", "runge-arcs"])
+                 "target": {"kind": "constant", "value": 0.0}, "n": 3, "tol": float("nan")}, _NAN),
+    ("runge", {"arcs": [[0.0, float("nan")]], "delta": 0.3}, _NAN),
+    ("bloch-norm", {**_NORM_Z, "seed": float("nan")}, _NAN),
+    ("bloch-norm", {**_NORM_Z, "seed": float("inf")}, "config number inf is not finite"),
+    ("bloch-norm", [_NORM_Z], "config must be a JSON object, not list"),
+], ids=["decompose-step-jumps", "certify-tol", "runge-arcs", "seed-nan", "seed-inf", "top-level-array"])
 def test_a_number_that_is_not_finite_anywhere_in_a_config_is_a_config_error(
-        tmp_path, capsys, command, cfg):
-    status, doc, _ = _run(tmp_path, command, cfg)
+        tmp_path, capsys, command, cfg, err):
+    # no --seed: main reads the seed from the config
+    status, doc, _ = _run(tmp_path, command, cfg, seed=None)
     assert status == 2
     assert doc is None
-    assert capsys.readouterr().err.strip() == "config error: config number nan is not finite"
+    assert capsys.readouterr().err.strip() == f"config error: {err}"
 
 
 # records, after each run, whether scipy has been imported

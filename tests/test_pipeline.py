@@ -75,6 +75,12 @@ def test_simul_disc_miss_returns_the_fit_of_least_certified_norm(phi):
         (best["norm"], best["sup_error"], best["measure"])
 
 
+def test_every_step_norm_fit_converges():
+    # a solve stopped at the LP's iteration cap shows only as this field
+    trail = simul_approx_disc(_step_target, 0.5).report["norm_fit"]
+    assert [t["converged"] for t in trail] == [True] * len(trail)
+
+
 def test_simul_disc_real_part_meets_contract():
     res = simul_approx_disc(
         lambda z: np.asarray(z, dtype=complex).real.astype(complex), 0.5)
