@@ -121,6 +121,28 @@ def _certify(sup: float, degree, m: int):
 _BOUND_GUARD = 1.0 + 1e-9
 
 
+def _bound_ordered(sample, count: int, bound=None) -> dict:
+    """{i: sample(i)} for the items i < count that a bound-ordered scan visits.
+
+    ``sample(i)`` returns a pair whose first entry is the item's largest
+    sample.  Items are visited in decreasing order of ``bound`` (ties in
+    index order) and the scan stops once the bound is 0 or below the
+    largest sample so far.  Without a bound, or with a non-finite one,
+    every item is visited in index order.  Keys come back sorted.
+    """
+    if bound is not None and np.all(np.isfinite(bound)):
+        order = np.argsort(-bound, kind="stable")
+    else:
+        order, bound = range(count), None
+    visited, best = {}, 0.0
+    for i in map(int, order):
+        if bound is not None and (bound[i] < best or bound[i] == 0.0):
+            break
+        visited[i] = sample(i)
+        best = max(best, visited[i][0])
+    return dict(sorted(visited.items()))
+
+
 def _disc_shells(f: FunctionExpr, radii, stop_early: bool = False):
     """Per-shell sup of (1 - r^2)|f'| over |z| = r on the disc, for each r in radii.
 
@@ -143,18 +165,12 @@ def _disc_shells(f: FunctionExpr, radii, stop_early: bool = False):
     dpoly = None if poly is None else poly.derivative()
     theta = 2.0 * np.pi * np.arange(m) / m
     radii = np.asarray(radii, dtype=float)
-    order, bound = range(radii.size), None
+    bound = None
     if stop_early and dpoly is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             bound = (1.0 - radii * radii) * Polynomial1D(np.abs(dpoly.coeffs))(radii).real * _BOUND_GUARD
-        if np.all(np.isfinite(bound)):
-            order = np.argsort(-bound, kind="stable")
-        else:  # non-finite coefficients: scan in radius order, raise at the first bad shell
-            bound = None
-    shells, best = {}, 0.0
-    for i in order:
-        if bound is not None and (bound[i] < best or bound[i] == 0.0):
-            break
+
+    def shell(i):
         r = float(radii[i])
         if dpoly is not None:
             mag = np.abs(dpoly.circle_values(r, m))
@@ -165,10 +181,10 @@ def _disc_shells(f: FunctionExpr, radii, stop_early: bool = False):
             k = int(np.flatnonzero(~np.isfinite(mag))[0])
             raise NonFiniteSampleError(r * np.exp(2j * np.pi * k / m), complex("nan"))
         k = int(np.argmax(mag))
-        shells[i] = ((1.0 - r * r) * float(mag[k]), r * np.exp(2j * np.pi * k / m))
-        best = max(best, shells[i][0])
-    visited = sorted(shells)
-    return [shells[i][0] for i in visited], [shells[i][1] for i in visited], degree, m
+        return (1.0 - r * r) * float(mag[k]), r * np.exp(2j * np.pi * k / m)
+
+    shells = _bound_ordered(shell, radii.size, bound).values()
+    return [s for s, _ in shells], [z for _, z in shells], degree, m
 
 
 def _first_max(values, points):
@@ -207,40 +223,33 @@ def _polydisc_sup(f: FunctionExpr, weight):
     def vander(r, n):
         return unit[:, :n] * r ** np.arange(n)
 
-    def point(i, j, k):
-        return (radii[i] * np.exp(2j * np.pi * (k // m) / m), radii[j] * np.exp(2j * np.pi * (k % m) / m))
-
     w = np.array([float(weight(r)) for r in radii])
     right = [(vander(r, n2).T, vander(r, n2 - 1).T) for r in radii]
     pw = radii[:, None] ** np.arange(max(n1, n2))
-    left, pairs, best = {}, {}, 0.0
+    left = {}
+
+    def pair(p):
+        i, j = divmod(p, len(radii))
+        if i not in left:
+            left[i] = (vander(radii[i], n1 - 1) @ d1, vander(radii[i], n1) @ d2)
+        (left1, left2), (v1, v2) = left[i], right[j]
+        vals = w[i] * np.abs(left1 @ v1) + w[j] * np.abs(left2 @ v2)
+        k = int(np.argmax(vals))  # a NaN, else an inf, is its own argmax
+        z = (radii[i] * np.exp(2j * np.pi * (k // m) / m), radii[j] * np.exp(2j * np.pi * (k % m) / m))
+        if not np.isfinite(vals.flat[k]):
+            raise NonFiniteSampleError(z, complex(vals.flat[k]))
+        return float(vals.flat[k]), z
+
     with np.errstate(over="ignore", invalid="ignore"):
         d1 = c[1:] * np.arange(1, n1)[:, None]
         d2 = c[:, 1:] * np.arange(1, n2)
         bound = (w[:, None] * (pw[:, :n1 - 1] @ np.abs(d1) @ pw[:, :n2].T)
                  + w * (pw[:, :n1] @ np.abs(d2) @ pw[:, :n2 - 1].T)).ravel() * _BOUND_GUARD
-        if np.all(np.isfinite(bound)):
-            order = np.argsort(-bound, kind="stable")
-        else:  # non-finite coefficients: scan in row-major order, raise at the first bad pair
-            order, bound = range(bound.size), None
-        for p in order:
-            if bound is not None and (bound[p] < best or bound[p] == 0.0):
-                break
-            i, j = divmod(int(p), len(radii))
-            if i not in left:
-                left[i] = (vander(radii[i], n1 - 1) @ d1, vander(radii[i], n1) @ d2)
-            (left1, left2), (v1, v2) = left[i], right[j]
-            vals = w[i] * np.abs(left1 @ v1) + w[j] * np.abs(left2 @ v2)
-            k = int(np.argmax(vals))  # a NaN, else an inf, is its own argmax
-            if not np.isfinite(vals.flat[k]):
-                raise NonFiniteSampleError(point(i, j, k), complex(vals.flat[k]))
-            pairs[i, j] = (float(vals.flat[k]), k)
-            best = max(best, pairs[i, j][0])
-    visited = sorted(pairs)
-    arg = next((point(i, j, pairs[i, j][1]) for i, j in visited
-                if best > 0.0 and pairs[i, j][0] == best), (0.0, 0.0))
+        pairs = _bound_ordered(pair, bound.size, bound)
+    best = max((v for v, _ in pairs.values()), default=0.0)
+    arg = next((z for v, z in pairs.values() if best > 0.0 and v == best), (0.0, 0.0))
     note = f"polydisc grid: {len(radii)}^2 radius pairs x {m}^2 angles"
-    return float(abs(c[0, 0])), best, arg, note, visited
+    return float(abs(c[0, 0])), best, arg, note, [divmod(p, len(radii)) for p in pairs]
 
 
 def bloch_norm(f, domain: str = "disc") -> BlochReport:

@@ -472,8 +472,13 @@ def main(argv=None) -> int:
             raise ConfigError(f"config must be a JSON object, not {type(cfg).__name__}")
         _check_finite(cfg)
         out = args.out or cfg.get("out") or os.environ.get("BLOCHLAB_OUT", ".")
+        if not isinstance(out, str):
+            raise ConfigError(f"out must be a directory path, not {type(out).__name__}")
         os.makedirs(out, exist_ok=True)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+        if not isinstance(seed, (int, float, str)):
+            raise ConfigError(f"seed must be a number, not {type(seed).__name__}")
+        seed = int(seed)
         return run_scenario(args.command, cfg, out, seed)
     except (KeyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

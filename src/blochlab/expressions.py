@@ -1,9 +1,10 @@
-"""Expression trees for the holomorphic functions the toolkit manipulates.
+"""The holomorphic functions the toolkit manipulates.
 
-Polynomials, inner-function atoms, sums, products, compositions, dilations
-and the radializing map z -> z I(z) combine into immutable trees that are
-evaluated and differentiated pointwise (forward mode, exact chain rule;
-inner atoms supply value and derivative jointly from their closed forms).
+A FunctionExpr is one of three leaves: a dense one-variable polynomial,
+a sparse polynomial in N variables, or an inner function on the disc.
+Each is evaluated and differentiated pointwise at interior points;
+inner functions supply value and derivative jointly from their closed
+forms.
 """
 
 from __future__ import annotations
@@ -79,9 +80,6 @@ class Polynomial1D:
             return Polynomial1D.zero()
         k = np.arange(1, self.coeffs.size)
         return Polynomial1D(self.coeffs[1:] * k)
-
-    def dilate(self, r: float) -> "Polynomial1D":
-        return Polynomial1D(self.coeffs * r ** np.arange(self.coeffs.size))
 
     def __add__(self, other: "Polynomial1D") -> "Polynomial1D":
         n = max(self.coeffs.size, other.coeffs.size)
@@ -165,19 +163,16 @@ class PolynomialND:
 
 @dataclass(frozen=True, eq=False)
 class FunctionExpr:
-    """Immutable expression node.
+    """Immutable function leaf: a polynomial or an inner function.
 
-    kind is one of ``poly1d``, ``polynd``, ``inner``, ``sum``, ``product``,
-    ``compose``, ``dilate``, ``radialize``.  ``dim`` is the complex
-    dimension of the domain (disc when 1).
+    kind is one of ``poly1d``, ``polynd``, ``inner``.  ``dim`` is the
+    complex dimension of the domain (disc when 1).
     """
 
     kind: str
     dim: int = 1
-    children: tuple = ()
     poly: object = None
     inner_spec: InnerSpec = None
-    factor: float = 1.0
 
     # -- constructors -------------------------------------------------------
 
@@ -195,72 +190,9 @@ class FunctionExpr:
     def inner(cls, spec: InnerSpec) -> "FunctionExpr":
         return cls(kind="inner", dim=1, inner_spec=spec)
 
-    @classmethod
-    def sum(cls, *fs) -> "FunctionExpr":
-        dims = {f.dim for f in fs}
-        if len(dims) != 1:
-            raise DomainError("sum children live on different domains")
-        return cls(kind="sum", dim=dims.pop(), children=tuple(fs))
-
-    @classmethod
-    def product(cls, *fs) -> "FunctionExpr":
-        dims = {f.dim for f in fs}
-        if len(dims) != 1:
-            raise DomainError("product children live on different domains")
-        return cls(kind="product", dim=dims.pop(), children=tuple(fs))
-
-    @classmethod
-    def compose(cls, outer: "FunctionExpr", inner_expr: "FunctionExpr") -> "FunctionExpr":
-        if outer.dim != 1:
-            raise DomainError("outer function of a composition must be one-variable")
-        node = cls(kind="compose", dim=inner_expr.dim, children=(outer, inner_expr))
-        if not outer.is_entire():
-            # probe: the inner range must stay inside the outer disc domain
-            probe = _probe_points(inner_expr.dim)
-            vals = inner_expr.eval(probe)
-            if np.any(np.abs(vals) >= 1.0):
-                raise DomainError("inner range escapes the outer function's disc")
-        return node
-
-    @classmethod
-    def dilate(cls, f: "FunctionExpr", r: float) -> "FunctionExpr":
-        if not 0.0 < r <= 1.0:
-            raise DomainError("dilation factor must lie in (0, 1]")
-        if f.kind == "dilate":  # normal form: nested dilations multiply
-            return cls(kind="dilate", dim=f.dim, children=f.children, factor=f.factor * r)
-        return cls(kind="dilate", dim=f.dim, children=(f,), factor=r)
-
-    @classmethod
-    def radialize(cls, spec: InnerSpec) -> "FunctionExpr":
-        """The inner map J(z) = z I(z) on the disc."""
-        return cls(kind="radialize", dim=1, inner_spec=spec)
-
-    # -- structure ----------------------------------------------------------
-
-    def is_entire(self) -> bool:
-        """True when the tree is polynomial-only (defined on all of C^N)."""
-        if self.kind in ("poly1d", "polynd"):
-            return True
-        if self.kind in ("inner", "radialize"):
-            return False
-        return all(c.is_entire() for c in self.children)
-
     def as_poly1d(self):
-        """Collapse to a Polynomial1D if the tree is exactly one (else None)."""
-        if self.kind == "poly1d":
-            return self.poly
-        if self.kind == "dilate" and self.dim == 1:
-            inner = self.children[0].as_poly1d()
-            return None if inner is None else inner.dilate(self.factor)
-        if self.kind == "sum":
-            parts = [c.as_poly1d() for c in self.children]
-            if any(p is None for p in parts):
-                return None
-            out = Polynomial1D.zero()
-            for p in parts:
-                out = out + p
-            return out
-        return None
+        """The Polynomial1D of a ``poly1d`` leaf, else None."""
+        return self.poly if self.kind == "poly1d" else None
 
     # -- evaluation ---------------------------------------------------------
 
@@ -286,27 +218,10 @@ class FunctionExpr:
         return val.reshape(zz.shape if self.dim == 1 else zz.shape[:-1])
 
     def _eval(self, z):
-        if self.kind == "poly1d" or self.kind == "polynd":
-            return self.poly(z)
         if self.kind == "inner":
             val, _, _, _, _ = _chain_eval(self.inner_spec, z)
             return val
-        if self.kind == "radialize":
-            val, _, _, _, _ = _chain_eval(self.inner_spec, z)
-            return z * val
-        if self.kind == "sum":
-            return np.sum([c._eval(z) for c in self.children], axis=0)
-        if self.kind == "product":
-            out = self.children[0]._eval(z)
-            for c in self.children[1:]:
-                out = out * c._eval(z)
-            return out
-        if self.kind == "compose":
-            outer, inner_expr = self.children
-            return outer._eval(np.asarray(inner_expr._eval(z)))
-        if self.kind == "dilate":
-            return self.children[0]._eval(self.factor * z)
-        raise ValueError(f"unknown node kind {self.kind!r}")
+        return self.poly(z)
 
     def eval_with_grad(self, z):
         """Value and complex gradient (d/dz_1, ..., d/dz_N) at point(s) z."""
@@ -323,40 +238,15 @@ class FunctionExpr:
         return val.reshape(zz.shape[:-1]), grad.reshape(zz.shape[:-1] + (self.dim,))
 
     def _eval_grad(self, z):
-        n_pts = z.shape[0]
         if self.kind == "poly1d":
-            zc = z if z.ndim == 1 else z[:, 0]
-            return self.poly(zc), self.poly.derivative()(zc)[:, None]
+            return self.poly(z), self.poly.derivative()(z)[:, None]
         if self.kind == "polynd":
             pts = z if z.ndim == 2 else z[:, None]
             val = self.poly(pts)
             grad = np.stack([self.poly.partial(k)(pts) for k in range(self.dim)], axis=-1)
             return val, grad
-        if self.kind == "inner":
-            val, der, _, _, _ = _chain_eval(self.inner_spec, z)
-            return val, der[:, None]
-        if self.kind == "radialize":
-            val, der, _, _, _ = _chain_eval(self.inner_spec, z)
-            return z * val, (val + z * der)[:, None]
-        if self.kind == "sum":
-            vals, grads = zip(*(c._eval_grad(z) for c in self.children))
-            return np.sum(vals, axis=0), np.sum(grads, axis=0)
-        if self.kind == "product":
-            val, grad = self.children[0]._eval_grad(z)
-            for c in self.children[1:]:
-                v, g = c._eval_grad(z)
-                grad = grad * v[:, None] + g * val[:, None]
-                val = val * v
-            return val, grad
-        if self.kind == "compose":
-            outer, inner_expr = self.children
-            iv, ig = inner_expr._eval_grad(z)
-            ov, og = outer._eval_grad(np.atleast_1d(iv))
-            return ov, og[:, 0][:, None] * ig
-        if self.kind == "dilate":
-            val, grad = self.children[0]._eval_grad(self.factor * z)
-            return val, self.factor * grad
-        raise ValueError(f"unknown node kind {self.kind!r}")
+        val, der, _, _, _ = _chain_eval(self.inner_spec, z)
+        return val, der[:, None]
 
     def radial_derivative(self, z):
         """Euler operator sum z_k df/dz_k; equals z f'(z) in one variable."""
@@ -365,16 +255,6 @@ class FunctionExpr:
         if self.dim == 1:
             return zz * grad
         return np.sum(zz * grad, axis=-1)
-
-
-def _probe_points(dim: int) -> np.ndarray:
-    """64 points of radius <= 0.9: a circle on the disc, seeded draws in N variables."""
-    if dim == 1:
-        return 0.9 * np.exp(1j * 2 * np.pi * np.arange(64) / 64)
-    rng = np.random.default_rng(11)
-    theta = rng.uniform(0, 2 * np.pi, size=(64, dim))
-    radii = 0.9 * rng.uniform(0.1, 1.0, size=(64, 1))
-    return radii * np.exp(1j * theta)
 
 
 # ---------------------------------------------------------------------------

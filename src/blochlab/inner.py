@@ -213,7 +213,7 @@ def _cantor_integrals(spec, z):
     interval (nodes mid + w x_i, weights m omega_i; by self-similarity the
     reference rule serves every interval).  A pair is accepted when its
     truncation bound is at most its mass share QUAD_TOL m / total, or at
-    the depth cap spec.depth + 4; otherwise its two children join the next
+    the depth cap spec.depth + 4; otherwise its two sub-intervals join the next
     frontier.  A point whose summed bound exceeds QUAD_TOL raises
     QuadratureError.
 

@@ -75,14 +75,10 @@ def to_document(obj) -> dict:
         return doc
     if isinstance(obj, FunctionExpr):
         doc = {"kind": "expr", "node": obj.kind, "dim": obj.dim}
-        if obj.kind in ("poly1d", "polynd"):
-            doc["poly"] = to_document(obj.poly)
-        elif obj.kind in ("inner", "radialize"):
+        if obj.kind == "inner":
             doc["inner"] = to_document(obj.inner_spec)
         else:
-            doc["children"] = [to_document(c) for c in obj.children]
-            if obj.kind == "dilate":
-                doc["factor"] = float(obj.factor)
+            doc["poly"] = to_document(obj.poly)
         return doc
     if isinstance(obj, ArcSet):
         return {"kind": "arcs", "arcs": obj.to_json()}
@@ -134,17 +130,6 @@ def from_document(doc):
                     else FunctionExpr.polynd(poly))
         if node == "inner":
             return FunctionExpr.inner(from_document(doc["inner"]))
-        if node == "radialize":
-            return FunctionExpr.radialize(from_document(doc["inner"]))
-        children = [from_document(c) for c in doc["children"]]
-        if node == "sum":
-            return FunctionExpr.sum(*children)
-        if node == "product":
-            return FunctionExpr.product(*children)
-        if node == "compose":
-            return FunctionExpr.compose(*children)
-        if node == "dilate":
-            return FunctionExpr.dilate(children[0], doc["factor"])
         raise SerializationError(f"unknown expression node {node!r}")
     if kind == "arcs":
         return ArcSet.from_json(doc["arcs"])

@@ -168,6 +168,8 @@ def certify(f, target, n: int, L, radii=None, tol: float = 0.25,
     measure is the fraction of the points that lie in it.
     """
     anchors = tuple(complex(w) for w in L)
+    if not anchors:
+        raise ValueError("certify needs at least one anchor")
     tv = np.asarray(target(CIRCLE_POINTS), dtype=complex)
     d_sup = 0.0
     good = np.ones(CIRCLE_POINTS.shape, dtype=bool)
@@ -201,6 +203,11 @@ def universal_build(targets: TargetEnumeration, radii, L, eps_schedule,
     continues (failed certificates are data, not errors).
     """
     eps_schedule = tuple(float(e) for e in eps_schedule)
+    L = tuple(L)
+    if not eps_schedule:
+        raise ValueError("eps schedule must not be empty")
+    if not L:
+        raise ValueError("universal build needs at least one anchor")
     if any(e <= 0 for e in eps_schedule):
         raise ValueError("eps schedule must be positive")
     if sum(eps_schedule) >= total_budget:

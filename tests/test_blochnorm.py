@@ -10,6 +10,7 @@ from blochlab.blochnorm import (BlochReport, WeightSpec, WeightError, _certify, 
                                 profile_to_csv, weight_integral_test,
                                 weighted_bloch_norm)
 from blochlab.expressions import FunctionExpr, Polynomial1D, PolynomialND
+from blochlab.inner import InnerSpec
 from blochlab.numerics import NonFiniteSampleError, angular_count, dyadic_radii
 from blochlab.pipeline import plateau_polynomial, simul_approx_polydisc
 
@@ -89,9 +90,7 @@ def test_weighted_polydisc_norm_applies_the_weight():
 
 def test_polydisc_norms_need_two_variable_polynomials():
     w = WeightSpec(kind="power", parameter=1.0)
-    for f in (_monomial(2), PolynomialND({(1, 1, 1): 1.0}, 3),
-              FunctionExpr.product(FunctionExpr.polynd(PolynomialND({(1, 0): 1.0}, 2)),
-                                   FunctionExpr.polynd(PolynomialND({(0, 1): 1.0}, 2)))):
+    for f in (_monomial(2), PolynomialND({(1, 1, 1): 1.0}, 3)):
         with pytest.raises(ValueError):
             bloch_norm(f, domain="polydisc")
         if not isinstance(f, Polynomial1D):
@@ -157,6 +156,23 @@ def test_weight_test_partials_monotone():
 def test_bloch_norm_of_expression():
     f = FunctionExpr.poly1d(_monomial(2))
     assert bloch_norm(f).norm == pytest.approx(4.0 / (3.0 * np.sqrt(3.0)), abs=1e-3)
+
+
+def test_bloch_norm_of_a_blaschke_factor_is_one():
+    # Schwarz-Pick: (1 - |z|^2)|B'(z)| = 1 - |B(z)|^2 <= 1, with equality at the zero 0.3
+    rep = bloch_norm(FunctionExpr.inner(InnerSpec.blaschke([0.3])))
+    assert 0.999 <= rep.seminorm_sup <= 1.0
+    assert rep.value_at_zero == pytest.approx(0.3)
+    assert rep.certified is None
+
+
+def test_little_bloch_profile_of_a_singular_inner_function_stays_below_one():
+    radii = dyadic_radii()[1:]
+    prof = little_bloch_profile(FunctionExpr.inner(InnerSpec.atomic([(1.0 + 0j, 0.5)])), radii)
+    assert prof.shape == (len(radii),)
+    assert np.all(np.isfinite(prof))
+    assert np.all(prof <= 1.0)
+    assert prof.max() > 0.5
 
 
 def _assert_matches_full_scan(p):

@@ -11,6 +11,7 @@ import pytest
 from blochlab import serialize
 from blochlab.blochnorm import IntegralTestResult
 from blochlab.cli import main
+from blochlab.expressions import FunctionExpr
 from blochlab.inner import QuadratureError, TransportReport
 from blochlab.numerics import MeasureEstimate
 
@@ -294,11 +295,43 @@ _NAN = "config number nan is not finite"
     ("bloch-norm", {**_NORM_Z, "seed": float("nan")}, _NAN),
     ("bloch-norm", {**_NORM_Z, "seed": float("inf")}, "config number inf is not finite"),
     ("bloch-norm", [_NORM_Z], "config must be a JSON object, not list"),
-], ids=["decompose-step-jumps", "certify-tol", "runge-arcs", "seed-nan", "seed-inf", "top-level-array"])
+    ("bloch-norm", {**_NORM_Z, "seed": [1]}, "seed must be a number, not list"),
+], ids=["decompose-step-jumps", "certify-tol", "runge-arcs", "seed-nan", "seed-inf", "top-level-array",
+        "seed-list"])
 def test_a_number_that_is_not_finite_anywhere_in_a_config_is_a_config_error(
         tmp_path, capsys, command, cfg, err):
     # no --seed: main reads the seed from the config
     status, doc, _ = _run(tmp_path, command, cfg, seed=None)
+    assert status == 2
+    assert doc is None
+    assert capsys.readouterr().err.strip() == f"config error: {err}"
+
+
+def test_an_out_that_is_not_a_path_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # no --out: main reads the output directory from the config
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_NORM_Z, "out": 5}))
+    assert main(["bloch-norm", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.strip() == "config error: out must be a directory path, not int"
+    assert not list(tmp_path.glob("*_report.json"))
+
+
+_ZERO = {"kind": "constant", "value": 0.0}
+
+
+@pytest.mark.parametrize("command, cfg, err", [
+    ("certify", {**_NORM_Z, "target": _ZERO, "n": 3, "anchors": []},
+     "certify needs at least one anchor"),
+    ("universal", {"targets": [_ZERO], "anchors": []}, "universal build needs at least one anchor"),
+    ("universal", {"targets": [_ZERO], "eps_schedule": []}, "eps schedule must not be empty"),
+    ("bloch-norm", {"function": {"kind": "expr", "node": "compose", "dim": 1, "children": [
+        serialize.to_document(FunctionExpr.poly1d([0.0, 0.0, 1.0])),
+        serialize.to_document(FunctionExpr.poly1d([0.0, 1.0]))]}},
+     "unknown expression node 'compose'"),
+], ids=["certify-no-anchor", "universal-no-anchor", "universal-no-eps", "compose-node"])
+def test_a_vacuous_or_unknown_spec_is_a_config_error(tmp_path, capsys, command, cfg, err):
+    status, doc, _ = _run(tmp_path, command, cfg)
     assert status == 2
     assert doc is None
     assert capsys.readouterr().err.strip() == f"config error: {err}"

@@ -3,6 +3,7 @@ import pytest
 
 from blochlab.expressions import (FunctionExpr, PathSpec, Polynomial1D,
                                   PolynomialND, path_points, taylor_truncate)
+from blochlab.inner import InnerSpec
 
 
 def test_poly1d_eval_and_trim():
@@ -72,11 +73,6 @@ def test_derivative():
     assert np.allclose(dp.coeffs, [0.0, 6.0])
 
 
-def test_dilate():
-    p = Polynomial1D(np.array([0.0, 0.0, 1.0]))
-    assert p.dilate(0.5)(1.0) == pytest.approx(0.25)
-
-
 def test_polynd_partial_and_degree():
     p = PolynomialND({(2, 1): 3.0, (0, 0): 1.0}, 2)
     assert p.total_degree == 3
@@ -91,21 +87,11 @@ def test_expr_rejects_boundary_points():
         f.eval(np.array([1.0 + 0j]))
 
 
-def test_expr_sum_product_compose():
-    p = FunctionExpr.poly1d(Polynomial1D(np.array([0.0, 1.0])))      # z
-    q = FunctionExpr.poly1d(Polynomial1D(np.array([0.0, 0.0, 1.0])))  # z^2
-    z = np.array([0.3 + 0.4j])
-    assert FunctionExpr.sum(p, q).eval(z)[0] == pytest.approx(z[0] + z[0] ** 2)
-    assert FunctionExpr.product(p, q).eval(z)[0] == pytest.approx(z[0] ** 3)
-    assert FunctionExpr.compose(q, p).eval(z)[0] == pytest.approx(z[0] ** 2)
-
-
-def test_as_poly1d_collapses_sums():
-    p = FunctionExpr.poly1d(Polynomial1D(np.array([1.0, 2.0])))
-    q = FunctionExpr.poly1d(Polynomial1D(np.array([0.0, 1.0, 1.0])))
-    out = FunctionExpr.sum(p, q).as_poly1d()
-    assert out is not None
-    assert np.allclose(out.coeffs, [1.0, 3.0, 1.0])
+def test_as_poly1d_returns_only_a_poly1d_leaf():
+    p = Polynomial1D(np.array([1.0, 2.0]))
+    assert FunctionExpr.poly1d(p).as_poly1d() is p
+    assert FunctionExpr.polynd(PolynomialND({(1, 0): 1.0}, 2)).as_poly1d() is None
+    assert FunctionExpr.inner(InnerSpec.blaschke([0.3])).as_poly1d() is None
 
 
 def test_taylor_truncate_returns_dilated_section():

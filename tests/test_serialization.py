@@ -42,14 +42,16 @@ def test_cantor_measure_round_trip():
     assert a == b
 
 
-def test_expression_tree_round_trip():
-    f = FunctionExpr.product(
-        FunctionExpr.poly1d(Polynomial1D(np.array([0.0, 1.0]))),
-        FunctionExpr.compose(
-            FunctionExpr.poly1d(Polynomial1D(np.array([1.0, 0.5]))),
-            FunctionExpr.radialize(InnerSpec.atomic([(1j, 0.2)]))))
+@pytest.mark.parametrize("f", [
+    FunctionExpr.poly1d(Polynomial1D(np.array([1.0, 0.5j]))),
+    FunctionExpr.polynd(PolynomialND({(1, 1): 2.0, (0, 3): -0.5j}, 2)),
+    FunctionExpr.inner(InnerSpec.composition([InnerSpec.atomic([(1j, 0.2)]),
+                                              InnerSpec.blaschke([0.3 - 0.2j])])),
+], ids=["poly1d", "polynd", "inner"])
+def test_expression_leaf_round_trip(f):
     a, b = _round_trip(f)
     assert a == b
+    assert serialize.loads(a)["node"] == f.kind
 
 
 def test_arcset_round_trip():
@@ -81,6 +83,11 @@ def test_save_load(tmp_path):
 def test_unknown_kind_raises():
     with pytest.raises(serialize.SerializationError):
         serialize.from_document({"kind": "nonsense"})
+    leaf = serialize.to_document(FunctionExpr.poly1d([0.0, 1.0]))
+    for node in ("sum", "product", "compose", "dilate", "radialize"):
+        with pytest.raises(serialize.SerializationError, match="unknown expression node"):
+            serialize.from_document({"kind": "expr", "node": node, "dim": 1,
+                                     "children": [leaf, leaf], "factor": 0.5})
     with pytest.raises(serialize.SerializationError):
         serialize.to_document(object())
 

@@ -62,6 +62,12 @@ def test_certify_good_measure_is_grid_fraction():
     assert cert.d_sup == 0.5
 
 
+def test_certify_needs_an_anchor():
+    # with no anchor the sup over anchors would be 0 and every point good
+    with pytest.raises(ValueError, match="anchor"):
+        certify(_poly([0.0, 1.0]), lambda z: np.zeros_like(z), 3, [])
+
+
 def test_certify_sup_dominates_single_anchors():
     f = _poly([0.0, 1.0, 0.3])
     target = lambda z: np.asarray(z, dtype=complex)
@@ -155,3 +161,11 @@ def test_lacunary_norms_stable():
     norms = [bloch_norm(lacunary_baseline(K)).norm for K in (8, 9, 10)]
     spread = (max(norms) - min(norms)) / min(norms)
     assert spread < 0.10
+
+
+@pytest.mark.parametrize("anchors, eps", [([], (0.3,)), ([0.0 + 0j], ())],
+                         ids=["no-anchor", "no-eps"])
+def test_universal_build_rejects_an_empty_anchor_list_or_schedule(anchors, eps):
+    targets = TargetEnumeration(1, (("zero", lambda z: np.zeros_like(z)),))
+    with pytest.raises(ValueError):
+        universal_build(targets, default_radii(5), anchors, eps)
