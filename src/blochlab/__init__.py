@@ -7,7 +7,7 @@ numerically.
 """
 
 from blochlab.numerics import MeasureEstimate, sample_torus, measure_metric, indicator_measure
-from blochlab.expressions import Polynomial1D, PolynomialND, FunctionExpr, PathSpec
+from blochlab.expressions import Polynomial1D, PolynomialND, PathSpec
 from blochlab.inner import SingularMeasureSpec, InnerSpec
 from blochlab.arcs import ArcSet
 from blochlab.blochnorm import BlochReport, WeightSpec, bloch_norm, weighted_bloch_norm, weight_integral_test
@@ -24,7 +24,6 @@ __all__ = [
     "indicator_measure",
     "Polynomial1D",
     "PolynomialND",
-    "FunctionExpr",
     "PathSpec",
     "SingularMeasureSpec",
     "InnerSpec",

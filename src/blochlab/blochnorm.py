@@ -1,5 +1,10 @@
 """Bloch, little-Bloch and weighted-Bloch norm estimation.
 
+Every norm takes the function itself and dispatches on its type: a
+``Polynomial1D`` is scanned by FFT, a one-variable ``PolynomialND`` or
+an ``InnerSpec`` pointwise, and a two-variable ``PolynomialND`` on the
+polydisc tensor grid or through its radial derivative on the ball.
+
 Norm conventions:
 
 * disc:      |f(0)| + sup (1 - |z|^2) |f'(z)|
@@ -27,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import FunctionExpr, Polynomial1D, PolynomialND
+from .expressions import Polynomial1D, PolynomialND
+from .inner import InnerSpec, inner_eval
 from .numerics import NonFiniteSampleError, angular_count, dyadic_radii
 
 __all__ = [
@@ -93,17 +99,21 @@ class BlochReport:
         }
 
 
-def _as_expr(f) -> FunctionExpr:
-    if isinstance(f, FunctionExpr):
-        return f
-    if isinstance(f, Polynomial1D):
-        return FunctionExpr.poly1d(f)
+def _dim(f) -> int:
+    """The number of variables of a polynomial or inner function."""
     if isinstance(f, PolynomialND):
-        return FunctionExpr.polynd(f)
-    raise TypeError(f"cannot interpret {type(f).__name__} as a function expression")
+        return f.dim
+    if isinstance(f, (Polynomial1D, InnerSpec)):
+        return 1
+    raise TypeError(f"cannot interpret {type(f).__name__} as a Bloch function")
 
 
-#: angles per shell (directions per sphere on the ball) for non-polynomial input
+def _value_at_zero(f, dim: int) -> float:
+    """|f(0)|, taken from a one-point array: numpy rounds scalars differently."""
+    return abs(complex(f(np.zeros(1) if dim == 1 else np.zeros((1, dim)))[0]))
+
+
+#: angles per shell (directions per sphere on the ball) for input other than a Polynomial1D
 _ANGULAR_COUNT = 512
 
 
@@ -143,13 +153,13 @@ def _bound_ordered(sample, count: int, bound=None) -> dict:
     return dict(sorted(visited.items()))
 
 
-def _disc_shells(f: FunctionExpr, radii, stop_early: bool = False):
+def _disc_shells(f, radii, stop_early: bool = False):
     """Per-shell sup of (1 - r^2)|f'| over |z| = r on the disc, for each r in radii.
 
     Returns (sups, argmax points, degree, m): ``degree`` is f's degree
-    when f is recognizably a one-variable polynomial (else None) and m the
-    angles per shell.  A polynomial's derivative is taken once and
-    evaluated on each shell by FFT; other input is differentiated
+    when f is a ``Polynomial1D`` (else None) and m the angles per shell.
+    A ``Polynomial1D``'s derivative is taken once and evaluated on each
+    shell by FFT; a ``PolynomialND`` or ``InnerSpec`` is differentiated
     pointwise.  The first shell with a non-finite sample raises.
 
     With ``stop_early`` a polynomial's shells are visited in decreasing
@@ -159,10 +169,10 @@ def _disc_shells(f: FunctionExpr, radii, stop_early: bool = False):
     the visited shells are returned, in radius order, so their first
     maximum is the full scan's.
     """
-    poly = f.as_poly1d() if f.dim == 1 else None
-    degree = None if poly is None else poly.degree
+    degree = f.degree if isinstance(f, Polynomial1D) else None
     m = _angular_count(degree)
-    dpoly = None if poly is None else poly.derivative()
+    dpoly = None if degree is None else f.derivative()
+    deriv = f.partial(0) if isinstance(f, PolynomialND) else (lambda z: inner_eval(f, z)[1])
     theta = 2.0 * np.pi * np.arange(m) / m
     radii = np.asarray(radii, dtype=float)
     bound = None
@@ -175,8 +185,7 @@ def _disc_shells(f: FunctionExpr, radii, stop_early: bool = False):
         if dpoly is not None:
             mag = np.abs(dpoly.circle_values(r, m))
         else:
-            _, grad = f.eval_with_grad(r * np.exp(1j * theta))
-            mag = np.abs(np.asarray(grad))
+            mag = np.abs(deriv(r * np.exp(1j * theta)))
         if not np.all(np.isfinite(mag)):
             k = int(np.flatnonzero(~np.isfinite(mag))[0])
             raise NonFiniteSampleError(r * np.exp(2j * np.pi * k / m), complex("nan"))
@@ -193,7 +202,7 @@ def _first_max(values, points):
     return (best, (points[values.index(best)],)) if best > 0.0 else (0.0, (0.0,))
 
 
-def _polydisc_sup(f: FunctionExpr, weight):
+def _polydisc_sup(f, weight):
     """Tensor-grid sup of weight(|z_1|)|d_1 f| + weight(|z_2|)|d_2 f|.
 
     f must be a two-variable polynomial with coefficient matrix C.  On
@@ -212,9 +221,9 @@ def _polydisc_sup(f: FunctionExpr, weight):
     scanned in row-major order; the first pair with a non-finite sample
     raises.
     """
-    if f.kind != "polynd" or f.dim != 2:
+    if not isinstance(f, PolynomialND) or f.dim != 2:
         raise ValueError("polydisc norm needs a two-variable polynomial")
-    c = f.poly.coefficient_array()
+    c = f.coefficient_array()
     n1, n2 = c.shape
     radii = np.asarray(dyadic_radii(12, linear=16))
     m = _angular_count(max(n1, n2) - 1)
@@ -260,20 +269,19 @@ def bloch_norm(f, domain: str = "disc") -> BlochReport:
     bound for the seminorm.  The polydisc takes two-variable polynomials
     only (``ValueError`` otherwise) and carries no certified bound.
     """
-    f = _as_expr(f)
+    dim = _dim(f)
     if domain not in ("disc", "ball", "polydisc"):
         raise ValueError(f"unknown domain {domain!r}")
-    if domain == "disc" and f.dim != 1:
+    if domain == "disc" and dim != 1:
         raise ValueError("disc norm needs a one-variable function")
     if domain == "polydisc":
         f0, best, arg, note, _ = _polydisc_sup(f, lambda r: 1.0 - r * r)
         return BlochReport(domain, f0, best, None, arg, note)
     radii = dyadic_radii()
 
-    origin = 0.0 if f.dim == 1 else np.zeros(f.dim)
-    f0 = abs(complex(f.eval(origin)))
+    f0 = _value_at_zero(f, dim)
 
-    if f.dim == 1:
+    if dim == 1:
         sups, points, degree, m = _disc_shells(f, radii, stop_early=True)
         best, arg = _first_max(sups, points)
         note = f"disc grid: {len(radii)} dyadic shells x {m} angles"
@@ -281,13 +289,14 @@ def bloch_norm(f, domain: str = "disc") -> BlochReport:
                            arg, note)
 
     rng = np.random.default_rng(0)
-    best, arg = 0.0, (0.0,) * f.dim
-    vecs = rng.normal(size=(_ANGULAR_COUNT, 2 * f.dim)).view(complex)
+    best, arg = 0.0, (0.0,) * dim
+    vecs = rng.normal(size=(_ANGULAR_COUNT, 2 * dim)).view(complex)
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    partials = [f.partial(k) for k in range(dim)]
     for r in radii:
         z = float(r) * vecs
-        rd = np.abs(f.radial_derivative(z))
-        vals = (1.0 - float(r) ** 2) * rd
+        grad = np.stack([d(z) for d in partials], axis=-1)
+        vals = (1.0 - float(r) ** 2) * np.abs(np.sum(z * grad, axis=-1))
         k = int(np.argmax(vals))
         if vals[k] > best:
             best, arg = float(vals[k]), tuple(z[k])
@@ -301,7 +310,7 @@ def little_bloch_profile(f, radii) -> np.ndarray:
     Raw values; no monotonicity is enforced.  A vanishing tail is the
     numerical signature of membership in the little Bloch space.
     """
-    f = _as_expr(f)
+    _dim(f)
     radii = np.asarray(radii, dtype=float)
     if radii.size and (np.any(np.diff(radii) <= 0) or np.any(radii <= 0) or np.any(radii >= 1)):
         raise ValueError("radii must be strictly increasing inside (0, 1)")
@@ -378,8 +387,7 @@ def weighted_bloch_norm(f, w: WeightSpec) -> BlochReport:
     uses the tensor grid of ``bloch_norm`` and takes two-variable
     polynomials only.
     """
-    f = _as_expr(f)
-    if f.dim != 1:
+    if _dim(f) != 1:
         def weight(r):
             wv = float(w.omega(1.0 - r * r))
             if not (math.isfinite(wv) and wv > 0.0):
@@ -389,7 +397,7 @@ def weighted_bloch_norm(f, w: WeightSpec) -> BlochReport:
         f0, best, arg, note, _ = _polydisc_sup(f, weight)
         return BlochReport("polydisc", f0, best, None, arg, "weighted " + note)
     radii = dyadic_radii()
-    f0 = abs(complex(f.eval(0.0)))
+    f0 = _value_at_zero(f, 1)
     weights = []
     for r in radii:
         wv = float(w.omega(1.0 - float(r)))

@@ -26,7 +26,7 @@ from .approximation import ApproxError, runge_pair, product_decompose, decomposi
 from .arcs import ArcSet
 from .blochnorm import (WeightSpec, bloch_norm, little_bloch_profile, profile_to_csv,
                         weight_integral_test, weighted_bloch_norm)
-from .expressions import FunctionExpr, PathSpec, Polynomial1D, PolynomialND
+from .expressions import PathSpec, Polynomial1D, PolynomialND
 from .inner import (InnerSpec, QuadratureError, ShrinkFailure, compose_shrink,
                     hyperbolic_quotient, loewner_transport_check)
 from .numerics import dyadic_radii
@@ -62,28 +62,23 @@ def _complex(v) -> complex:
     return complex(v[0], v[1]) if isinstance(v, list) else complex(v)
 
 
-def _function_from_config(spec) -> FunctionExpr:
+def _function_from_config(spec):
+    """A Polynomial1D, PolynomialND or InnerSpec from a config function spec."""
     if not isinstance(spec, dict):
         raise ConfigError("function spec must be an object")
     kind = spec.get("kind")
     if kind == "coeffs":
         coeffs = [_complex(c) for c in spec["coeffs"]]
-        return FunctionExpr.poly1d(Polynomial1D(np.array(coeffs, dtype=complex)))
+        return Polynomial1D(np.array(coeffs, dtype=complex))
     if kind == "monomial":
         n = int(spec["n"])
         coeffs = np.zeros(n + 1, dtype=complex)
         coeffs[n] = 1.0
-        return FunctionExpr.poly1d(Polynomial1D(coeffs))
+        return Polynomial1D(coeffs)
     if kind == "lacunary":
         return lacunary_baseline(int(spec["K"]))
     obj = serialize.from_document(spec)
-    if isinstance(obj, Polynomial1D):
-        return FunctionExpr.poly1d(obj)
-    if isinstance(obj, PolynomialND):
-        return FunctionExpr.polynd(obj)
-    if isinstance(obj, InnerSpec):
-        return FunctionExpr.inner(obj)
-    if isinstance(obj, FunctionExpr):
+    if isinstance(obj, (Polynomial1D, PolynomialND, InnerSpec)):
         return obj
     raise ConfigError(f"cannot interpret function spec of kind {kind!r}")
 
@@ -174,7 +169,7 @@ def _cmd_bloch_norm(cfg, seed, out):
     f = _function_from_config(cfg["function"])
     rep = bloch_norm(f, domain=cfg.get("domain", "disc"))
     return {"report": rep.to_dict(),
-            "function": serialize.to_document(_function_payload(f))}, 0
+            "function": serialize.to_document(f)}, 0
 
 
 def _cmd_little_bloch(cfg, seed, out):
@@ -323,13 +318,8 @@ def _cmd_certify(cfg, seed, out):
     cert = certify(f, phi, int(cfg["n"]), anchors, tol=float(cfg.get("tol", 0.25)),
                    target_id=tid)
     doc = serialize.to_document(cert)
-    doc["function"] = serialize.to_document(_function_payload(f))
+    doc["function"] = serialize.to_document(f)
     return doc, 0
-
-
-def _function_payload(f: FunctionExpr):
-    poly = f.as_poly1d()
-    return poly if poly is not None else f
 
 
 def _cmd_cluster(cfg, seed, out):

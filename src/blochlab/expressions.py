@@ -1,10 +1,10 @@
-"""The holomorphic functions the toolkit manipulates.
+"""The polynomials the toolkit builds, Taylor sections and boundary paths.
 
-A FunctionExpr is one of three leaves: a dense one-variable polynomial,
-a sparse polynomial in N variables, or an inner function on the disc.
-Each is evaluated and differentiated pointwise at interior points;
-inner functions supply value and derivative jointly from their closed
-forms.
+A Bloch function here is a dense one-variable polynomial
+(``Polynomial1D``), a sparse polynomial in N variables
+(``PolynomialND``) or an inner function on the disc
+(``inner.InnerSpec``).  Each evaluates itself when called and is passed
+around as is; the norms in ``blochnorm`` dispatch on its type.
 """
 
 from __future__ import annotations
@@ -14,14 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from blochlab.inner import InnerSpec, _chain_eval
+# _chain_eval stays imported: the benchmark tracer patches it here
+from blochlab.inner import _chain_eval  # noqa: F401
 
 #: points per block of Polynomial1D evaluation; bounds its temporaries
 _EVAL_CHUNK = 1024
-
-
-class DomainError(ValueError):
-    """Point outside (or on the boundary of) the expression's domain."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +128,12 @@ class PolynomialND:
         return max((sum(a) for a in self.terms), default=0)
 
     def __call__(self, z):
+        """p at points z, coordinates on the last axis; in one variable, one point per entry too."""
         z = np.asarray(z, dtype=complex)
+        if self.dim == 1 and z.ndim <= 1:
+            z = z[..., None]
+        if z.shape[-1:] != (self.dim,):
+            raise ValueError(f"expected points with {self.dim} coordinates")
         pts = z.reshape(-1, self.dim)
         out = np.zeros(pts.shape[0], dtype=complex)
         for alpha, c in self.terms.items():
@@ -161,102 +163,6 @@ class PolynomialND:
         return PolynomialND(terms, self.dim)
 
 
-@dataclass(frozen=True, eq=False)
-class FunctionExpr:
-    """Immutable function leaf: a polynomial or an inner function.
-
-    kind is one of ``poly1d``, ``polynd``, ``inner``.  ``dim`` is the
-    complex dimension of the domain (disc when 1).
-    """
-
-    kind: str
-    dim: int = 1
-    poly: object = None
-    inner_spec: InnerSpec = None
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def poly1d(cls, p) -> "FunctionExpr":
-        if not isinstance(p, Polynomial1D):
-            p = Polynomial1D(np.asarray(p, dtype=complex))
-        return cls(kind="poly1d", dim=1, poly=p)
-
-    @classmethod
-    def polynd(cls, p: PolynomialND) -> "FunctionExpr":
-        return cls(kind="polynd", dim=p.dim, poly=p)
-
-    @classmethod
-    def inner(cls, spec: InnerSpec) -> "FunctionExpr":
-        return cls(kind="inner", dim=1, inner_spec=spec)
-
-    def as_poly1d(self):
-        """The Polynomial1D of a ``poly1d`` leaf, else None."""
-        return self.poly if self.kind == "poly1d" else None
-
-    # -- evaluation ---------------------------------------------------------
-
-    def _check_interior(self, z):
-        z = np.asarray(z, dtype=complex)
-        if self.dim == 1:
-            bad = np.abs(z) >= 1.0
-        else:
-            if z.shape[-1] != self.dim:
-                raise DomainError(f"expected points with {self.dim} coordinates")
-            bad = np.any(np.abs(z) >= 1.0, axis=-1)
-        if np.any(bad):
-            raise DomainError("evaluation point on or outside the domain boundary")
-        return z
-
-    def eval(self, z):
-        """Evaluate at strictly interior point(s); scalar in, scalar out."""
-        scalar = np.ndim(z) == 0 if self.dim == 1 else np.ndim(z) <= 1
-        zz = self._check_interior(z)
-        val = self._eval(np.atleast_1d(zz) if self.dim == 1 else zz.reshape(-1, self.dim))
-        if scalar:
-            return complex(val.reshape(-1)[0])
-        return val.reshape(zz.shape if self.dim == 1 else zz.shape[:-1])
-
-    def _eval(self, z):
-        if self.kind == "inner":
-            val, _, _, _, _ = _chain_eval(self.inner_spec, z)
-            return val
-        return self.poly(z)
-
-    def eval_with_grad(self, z):
-        """Value and complex gradient (d/dz_1, ..., d/dz_N) at point(s) z."""
-        scalar = np.ndim(z) == 0 if self.dim == 1 else np.ndim(z) <= 1
-        zz = self._check_interior(z)
-        pts = np.atleast_1d(zz) if self.dim == 1 else zz.reshape(-1, self.dim)
-        val, grad = self._eval_grad(pts)
-        if scalar:
-            if self.dim == 1:
-                return complex(val[0]), complex(grad[0, 0])
-            return complex(val[0]), grad[0]
-        if self.dim == 1:
-            return val.reshape(zz.shape), grad[:, 0].reshape(zz.shape)
-        return val.reshape(zz.shape[:-1]), grad.reshape(zz.shape[:-1] + (self.dim,))
-
-    def _eval_grad(self, z):
-        if self.kind == "poly1d":
-            return self.poly(z), self.poly.derivative()(z)[:, None]
-        if self.kind == "polynd":
-            pts = z if z.ndim == 2 else z[:, None]
-            val = self.poly(pts)
-            grad = np.stack([self.poly.partial(k)(pts) for k in range(self.dim)], axis=-1)
-            return val, grad
-        val, der, _, _, _ = _chain_eval(self.inner_spec, z)
-        return val, der[:, None]
-
-    def radial_derivative(self, z):
-        """Euler operator sum z_k df/dz_k; equals z f'(z) in one variable."""
-        val, grad = self.eval_with_grad(z)
-        zz = np.asarray(z, dtype=complex)
-        if self.dim == 1:
-            return zz * grad
-        return np.sum(zz * grad, axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # Taylor truncation of dilates
 
@@ -269,8 +175,8 @@ class TruncationResult:
     sample_count: int
 
 
-def taylor_truncate(f: FunctionExpr, r: float, degree: int) -> TruncationResult:
-    """Degree-<= d Taylor section of the dilate f_r(z) = f(r z), one variable.
+def taylor_truncate(f, r: float, degree: int) -> TruncationResult:
+    """Degree-<= d Taylor section of the dilate f_r(z) = f(r z), f a one-variable callable.
 
     Coefficients are recovered by discrete Fourier analysis of f on the
     circle of radius rho = r + (1-r)/2 (between r and 1, so higher-order
@@ -278,15 +184,13 @@ def taylor_truncate(f: FunctionExpr, r: float, degree: int) -> TruncationResult:
     measured coefficients beyond the kept degree with a geometric
     extrapolation from their observed decay.
     """
-    if f.dim != 1:
-        raise DomainError("taylor_truncate operates on one-variable expressions")
     if not 0.0 < r < 1.0:
         raise ValueError("dilation radius must lie in (0, 1)")
     if degree < 0:
         raise ValueError("degree must be >= 0")
     rho = r + (1.0 - r) / 2.0
     m = int(2 ** np.ceil(np.log2(max(4 * (degree + 1), 256))))
-    samples = f.eval(rho * np.exp(1j * 2 * np.pi * np.arange(m) / m))
+    samples = f(rho * np.exp(1j * 2 * np.pi * np.arange(m) / m))
     c = np.fft.fft(samples) / m
     s = r / rho
     kept = c[: degree + 1] * s ** np.arange(degree + 1)
@@ -315,12 +219,12 @@ class PathSpec:
 
     def __post_init__(self):
         if abs(abs(self.zeta) - 1.0) > 1e-12:
-            raise DomainError("path endpoint must lie on the circle")
+            raise ValueError("path endpoint must lie on the circle")
         if abs(self.anchor) >= 1.0:
-            raise DomainError("anchor must be an interior point")
+            raise ValueError("anchor must be an interior point")
         for t in self.schedule:
             if not 0.0 <= t < 1.0:
-                raise DomainError("schedule parameters must lie in [0, 1)")
+                raise ValueError("schedule parameters must lie in [0, 1)")
 
 
 def path_points(p: PathSpec) -> np.ndarray:
@@ -328,5 +232,5 @@ def path_points(p: PathSpec) -> np.ndarray:
     r = np.asarray(p.schedule, dtype=float)
     pts = r * (p.zeta - p.anchor) + p.anchor
     if np.any(np.abs(pts) >= 1.0):
-        raise DomainError("path escapes the open disc (invalid anchor)")
+        raise ValueError("path escapes the open disc (invalid anchor)")
     return pts

@@ -136,6 +136,10 @@ class InnerSpec:
     def composition(cls, chain) -> "InnerSpec":
         return cls(kind="composition", chain=tuple(chain))
 
+    def __call__(self, z):
+        """Value at strictly interior point(s) z; ``ValueError`` at |z| >= 1."""
+        return inner_eval(self, z)[0]
+
     def primitives(self) -> list:
         """Flatten to the innermost-first list of primitive factors."""
         if self.kind != "composition":

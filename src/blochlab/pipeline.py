@@ -22,12 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# runge_pair, uniform_fit, taylor_truncate, compose_shrink, hyperbolic_quotient and
-# indicator_measure stay imported: the benchmark tracer patches them here
-from .approximation import norm_fit, product_decompose, runge_pair, uniform_fit  # noqa: F401
+from .approximation import norm_fit, product_decompose
 from .arcs import ArcSet
 from .blochnorm import bloch_norm
-from .expressions import Polynomial1D, PolynomialND, taylor_truncate  # noqa: F401
+from .expressions import Polynomial1D, PolynomialND
+# runge_pair, uniform_fit, taylor_truncate, compose_shrink, hyperbolic_quotient and
+# indicator_measure stay imported: the benchmark tracer patches them here
+from .approximation import runge_pair, uniform_fit  # noqa: F401
+from .expressions import taylor_truncate  # noqa: F401
 from .inner import compose_shrink, hyperbolic_quotient  # noqa: F401
 from .numerics import indicator_measure  # noqa: F401
 

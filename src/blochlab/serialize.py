@@ -1,9 +1,13 @@
-"""JSON persistence for polynomials, expressions, reports and certificates.
+"""JSON persistence for polynomials, inner functions, reports and certificates.
 
 Conventions: complex scalars serialize as [re, im] pairs, keys are
 sorted, floats go through repr (shortest round-trip form), and every
 document carries a schema_version.  Round-trips are byte-identical;
 timestamps, when present, live in a "timestamp" field.
+
+A function is written as its bare ``poly1d``, ``polynd`` or ``inner``
+document; the ``{"kind": "expr", "node": ...}`` envelope of older
+reports is still read, as the leaf inside it.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import json
 import numpy as np
 
 from .arcs import ArcSet
-from .expressions import FunctionExpr, Polynomial1D, PolynomialND
+from .expressions import Polynomial1D, PolynomialND
 from .inner import InnerSpec, SingularMeasureSpec
 from .universality import Certificate, UniversalCandidate
 
@@ -73,13 +77,6 @@ def to_document(obj) -> dict:
         else:
             doc["chain"] = [to_document(s) for s in obj.chain]
         return doc
-    if isinstance(obj, FunctionExpr):
-        doc = {"kind": "expr", "node": obj.kind, "dim": obj.dim}
-        if obj.kind == "inner":
-            doc["inner"] = to_document(obj.inner_spec)
-        else:
-            doc["poly"] = to_document(obj.poly)
-        return doc
     if isinstance(obj, ArcSet):
         return {"kind": "arcs", "arcs": obj.to_json()}
     if isinstance(obj, Certificate):
@@ -124,13 +121,9 @@ def from_document(doc):
         return InnerSpec.composition([from_document(s) for s in doc["chain"]])
     if kind == "expr":
         node = doc["node"]
-        if node in ("poly1d", "polynd"):
-            poly = from_document(doc["poly"])
-            return (FunctionExpr.poly1d(poly) if node == "poly1d"
-                    else FunctionExpr.polynd(poly))
-        if node == "inner":
-            return FunctionExpr.inner(from_document(doc["inner"]))
-        raise SerializationError(f"unknown expression node {node!r}")
+        if node not in ("poly1d", "polynd", "inner"):
+            raise SerializationError(f"unknown expression node {node!r}")
+        return from_document(doc["inner" if node == "inner" else "poly"])
     if kind == "arcs":
         return ArcSet.from_json(doc["arcs"])
     if kind == "certificate":

@@ -21,9 +21,10 @@ import numpy as np
 from .approximation import uniform_fit
 from .arcs import ArcSet
 from .blochnorm import bloch_norm
-from .expressions import FunctionExpr, PathSpec, Polynomial1D, path_points
+from .expressions import PathSpec, Polynomial1D, path_points
+from .numerics import measure_metric, metric_points
 # indicator_measure stays imported: the benchmark tracer patches it here
-from .numerics import indicator_measure, measure_metric, metric_points  # noqa: F401
+from .numerics import indicator_measure  # noqa: F401
 
 __all__ = [
     "TargetEnumeration",
@@ -153,8 +154,6 @@ def apply_Tnw(f, n: int, w: complex, zeta, radii=None) -> np.ndarray:
     if abs(w) >= 1.0:
         raise ValueError("anchor must be interior")
     pts = r * (zeta - w) + w
-    if isinstance(f, FunctionExpr):
-        return f.eval(pts)
     return np.asarray(f(pts), dtype=complex)
 
 
@@ -281,7 +280,7 @@ def cluster_probe(f, path: PathSpec, values, tol: float) -> tuple:
         raise ValueError("tolerance must be positive")
     pts = path_points(path)
     rs = np.asarray(path.schedule, dtype=float)
-    fv = f.eval(pts) if isinstance(f, FunctionExpr) else np.asarray(f(pts), dtype=complex)
+    fv = np.asarray(f(pts), dtype=complex)
     out = []
     for v in values:
         dist = np.abs(fv - complex(v))
@@ -291,14 +290,14 @@ def cluster_probe(f, path: PathSpec, values, tol: float) -> tuple:
     return tuple(out)
 
 
-def lacunary_baseline(K: int) -> FunctionExpr:
+def lacunary_baseline(K: int) -> Polynomial1D:
     """Partial sum sum_{k=1..K} z^(2^k), the classical wild Bloch function."""
     if K < 1:
         raise ValueError("K must be >= 1")
     coeffs = np.zeros(2 ** K + 1, dtype=complex)
     for k in range(1, K + 1):
         coeffs[2 ** k] = 1.0
-    return FunctionExpr.poly1d(Polynomial1D(coeffs))
+    return Polynomial1D(coeffs)
 
 
 def certificates_csv(candidate: UniversalCandidate) -> str:

@@ -17,7 +17,7 @@ from blochlab import serialize
 from blochlab.arcs import ArcSet
 from blochlab.blochnorm import WeightSpec, bloch_norm, weight_integral_test
 from blochlab.cli import main as cli_main
-from blochlab.expressions import FunctionExpr, Polynomial1D, PolynomialND
+from blochlab.expressions import Polynomial1D, PolynomialND
 from blochlab.inner import (InnerSpec, SingularMeasureSpec, hyperbolic_quotient,
                             inner_eval, loewner_transport_check)
 from blochlab.pipeline import simul_approx_disc, simul_approx_polydisc

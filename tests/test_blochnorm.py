@@ -9,7 +9,7 @@ from blochlab.blochnorm import (BlochReport, WeightSpec, WeightError, _certify, 
                                 _first_max, _polydisc_sup, bloch_norm, little_bloch_profile,
                                 profile_to_csv, weight_integral_test,
                                 weighted_bloch_norm)
-from blochlab.expressions import FunctionExpr, Polynomial1D, PolynomialND
+from blochlab.expressions import Polynomial1D, PolynomialND
 from blochlab.inner import InnerSpec
 from blochlab.numerics import NonFiniteSampleError, angular_count, dyadic_radii
 from blochlab.pipeline import plateau_polynomial, simul_approx_polydisc
@@ -154,13 +154,35 @@ def test_weight_test_partials_monotone():
 
 
 def test_bloch_norm_of_expression():
-    f = FunctionExpr.poly1d(_monomial(2))
-    assert bloch_norm(f).norm == pytest.approx(4.0 / (3.0 * np.sqrt(3.0)), abs=1e-3)
+    # z^2 as a Polynomial1D takes the FFT shell scan, as a one-variable
+    # PolynomialND the pointwise scan; both reach the closed form
+    for f in (_monomial(2), PolynomialND({(2,): 1.0}, 1)):
+        assert bloch_norm(f).norm == pytest.approx(4.0 / (3.0 * np.sqrt(3.0)), abs=1e-3)
+    assert bloch_norm(_monomial(2)).certified is not None
+    assert bloch_norm(PolynomialND({(2,): 1.0}, 1)).certified is None
+
+
+def test_bloch_norm_of_an_object_that_is_no_function_is_a_type_error():
+    for norm in (bloch_norm, lambda f: little_bloch_profile(f, [0.5]),
+                 lambda f: weighted_bloch_norm(f, WeightSpec(kind="power"))):
+        with pytest.raises(TypeError):
+            norm(object())
+
+
+def test_only_a_poly1d_takes_the_fft_shell_scan():
+    # _disc_shells reports a degree, and so a certified bound, for a
+    # Polynomial1D only; the other one-variable leaves are scanned pointwise
+    radii = dyadic_radii()[:8]
+    assert _disc_shells(_monomial(3), radii)[2:] == (3, angular_count(3))
+    for f in (PolynomialND({(3,): 1.0}, 1), InnerSpec.blaschke([0.3])):
+        assert _disc_shells(f, radii)[2] is None
+    ref = _disc_shells(_monomial(3), radii)[0]
+    assert _disc_shells(PolynomialND({(3,): 1.0}, 1), radii)[0] == pytest.approx(ref, rel=1e-12)
 
 
 def test_bloch_norm_of_a_blaschke_factor_is_one():
     # Schwarz-Pick: (1 - |z|^2)|B'(z)| = 1 - |B(z)|^2 <= 1, with equality at the zero 0.3
-    rep = bloch_norm(FunctionExpr.inner(InnerSpec.blaschke([0.3])))
+    rep = bloch_norm(InnerSpec.blaschke([0.3]))
     assert 0.999 <= rep.seminorm_sup <= 1.0
     assert rep.value_at_zero == pytest.approx(0.3)
     assert rep.certified is None
@@ -168,7 +190,7 @@ def test_bloch_norm_of_a_blaschke_factor_is_one():
 
 def test_little_bloch_profile_of_a_singular_inner_function_stays_below_one():
     radii = dyadic_radii()[1:]
-    prof = little_bloch_profile(FunctionExpr.inner(InnerSpec.atomic([(1.0 + 0j, 0.5)])), radii)
+    prof = little_bloch_profile(InnerSpec.atomic([(1.0 + 0j, 0.5)]), radii)
     assert prof.shape == (len(radii),)
     assert np.all(np.isfinite(prof))
     assert np.all(prof <= 1.0)
@@ -177,7 +199,7 @@ def test_little_bloch_profile_of_a_singular_inner_function_stays_below_one():
 
 def _assert_matches_full_scan(p):
     """bloch_norm's early-stopped scan gives the full scan's sup, argmax and bound bit for bit."""
-    sups, points, degree, m = _disc_shells(FunctionExpr.poly1d(p), dyadic_radii())
+    sups, points, degree, m = _disc_shells(p, dyadic_radii())
     best, arg = _first_max(sups, points)
     rep = bloch_norm(p)
     assert rep.seminorm_sup == best
@@ -187,9 +209,8 @@ def _assert_matches_full_scan(p):
 
 def _visited_shells(p):
     """How many shells the early stop visits; they must come back in radius order."""
-    f = FunctionExpr.poly1d(p)
-    full = list(zip(*_disc_shells(f, dyadic_radii())[:2]))
-    visited = list(zip(*_disc_shells(f, dyadic_radii(), stop_early=True)[:2]))
+    full = list(zip(*_disc_shells(p, dyadic_radii())[:2]))
+    visited = list(zip(*_disc_shells(p, dyadic_radii(), stop_early=True)[:2]))
     index = [full.index(shell) for shell in visited]
     assert index == sorted(index)
     return len(visited)
@@ -297,14 +318,14 @@ def test_polydisc_early_stop_keeps_the_first_of_tied_maxima():
     for alpha in ((1, 0), (0, 1)):
         p = PolynomialND({alpha: 1.0}, 2)
         _assert_polydisc_matches_full_scan(p)
-        assert len(_polydisc_sup(FunctionExpr.polynd(p), lambda r: 1.0 - r * r)[4]) == 24
+        assert len(_polydisc_sup(p, lambda r: 1.0 - r * r)[4]) == 24
     _assert_polydisc_matches_full_scan(PolynomialND({(1, 0): 1.0, (0, 1): 1.0}, 2))
     _assert_polydisc_matches_full_scan(PolynomialND({(1, 8): 1.0}, 2))
 
 
 def test_polydisc_early_stop_skips_every_pair_of_a_constant():
     for p in (PolynomialND({}, 2), PolynomialND({(0, 0): 0.7 + 0.1j}, 2)):
-        assert _polydisc_sup(FunctionExpr.polynd(p), lambda r: 1.0 - r * r)[4] == []
+        assert _polydisc_sup(p, lambda r: 1.0 - r * r)[4] == []
         _assert_polydisc_matches_full_scan(p)
         assert bloch_norm(p, domain="polydisc").argmax == (0.0, 0.0)
 
@@ -323,7 +344,7 @@ def test_polydisc_early_stop_visits_only_pairs_whose_bound_reaches_the_sup():
         return (pts[..., 0].real * pts[..., 1].real).astype(complex)
 
     f = simul_approx_polydisc(phi, 0.5, 2).f
-    _, best, _, _, visited = _polydisc_sup(FunctionExpr.polynd(f), lambda r: 1.0 - r * r)
+    _, best, _, _, visited = _polydisc_sup(f, lambda r: 1.0 - r * r)
     c = f.coefficient_array()
     d1, d2 = (np.abs(np.polynomial.polynomial.polyder(c, axis=a)) for a in (0, 1))
     radii = dyadic_radii(12, linear=16)

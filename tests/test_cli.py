@@ -11,7 +11,7 @@ import pytest
 from blochlab import serialize
 from blochlab.blochnorm import IntegralTestResult
 from blochlab.cli import main
-from blochlab.expressions import FunctionExpr
+from blochlab.expressions import Polynomial1D
 from blochlab.inner import QuadratureError, TransportReport
 from blochlab.numerics import MeasureEstimate
 
@@ -208,6 +208,45 @@ def test_bloch_norm_config_takes_a_bare_polynd(tmp_path):
     _, doc2, _ = _run(tmp_path, "bloch-norm", {"function": wrapped, "domain": "polydisc"},
                       name="wrapped")
     assert doc2["report"] == doc["report"]
+    assert doc2["function"] == doc["function"] == poly
+
+
+_ATOM = {"kind": "measure", "measure_kind": "atomic", "atoms": [[[1.0, 0.0], 0.5]]}
+_COMPOSED = {"kind": "inner", "inner_kind": "composition",
+             "chain": [{"kind": "inner", "inner_kind": "singular", "measure": _ATOM},
+                       {"kind": "inner", "inner_kind": "blaschke", "zeros": [[0.3, 0.1]]}]}
+_POLY_1VAR = {"kind": "polynd", "dim": 1, "terms": [[[0], [0.2, 0.0]], [[1], [0.5, 0.0]],
+                                                    [[3], [1.0, 0.0]]]}
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("bloch-norm", {}),
+    ("certify", {"target": {"kind": "constant", "value": 0.0}, "n": 3,
+                 "anchors": [[0.0, 0.0], [0.2, 0.1]]}),
+], ids=["bloch-norm", "certify"])
+@pytest.mark.parametrize("leaf, key", [(_COMPOSED, "inner"), (_POLY_1VAR, "poly")],
+                         ids=["inner", "polynd"])
+def test_an_expr_envelope_is_read_and_the_bare_leaf_written(tmp_path, command, extra, leaf, key):
+    wrapped = {"kind": "expr", "node": leaf["kind"], "dim": 1, key: leaf}
+    (tmp_path / "bare").mkdir()
+    (tmp_path / "wrapped").mkdir()
+    status, bare, _ = _run(tmp_path / "bare", command, {"function": leaf, **extra})
+    status2, doc, _ = _run(tmp_path / "wrapped", command, {"function": wrapped, **extra})
+    assert status == status2 == 0
+    assert bare["function"] == doc["function"] == leaf
+    numbers = "report" if command == "bloch-norm" else "d_sup"
+    assert doc[numbers] == bare[numbers]
+    if command == "certify":
+        assert doc["good_measure"] == bare["good_measure"]
+
+
+def test_certify_takes_a_one_variable_polynd(tmp_path):
+    # f = 0.2 + 0.5 z + z^3 against f(0): each of the 1024 circle points is one point of f
+    status, doc, report = _run(tmp_path, "certify", {
+        "function": _POLY_1VAR, "target": {"kind": "constant", "value": 0.2}, "n": 3})
+    assert status == 0
+    assert 0.0 < doc["d_sup"] < 1.0
+    assert _verify(tmp_path, report) == (0, [])
 
 
 def test_verify_bloch_norm_detects_tampered_seminorm(tmp_path):
@@ -326,8 +365,8 @@ _ZERO = {"kind": "constant", "value": 0.0}
     ("universal", {"targets": [_ZERO], "anchors": []}, "universal build needs at least one anchor"),
     ("universal", {"targets": [_ZERO], "eps_schedule": []}, "eps schedule must not be empty"),
     ("bloch-norm", {"function": {"kind": "expr", "node": "compose", "dim": 1, "children": [
-        serialize.to_document(FunctionExpr.poly1d([0.0, 0.0, 1.0])),
-        serialize.to_document(FunctionExpr.poly1d([0.0, 1.0]))]}},
+        serialize.to_document(Polynomial1D(np.array([0.0, 0.0, 1.0]))),
+        serialize.to_document(Polynomial1D(np.array([0.0, 1.0])))]}},
      "unknown expression node 'compose'"),
 ], ids=["certify-no-anchor", "universal-no-anchor", "universal-no-eps", "compose-node"])
 def test_a_vacuous_or_unknown_spec_is_a_config_error(tmp_path, capsys, command, cfg, err):

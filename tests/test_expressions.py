@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from blochlab.expressions import (FunctionExpr, PathSpec, Polynomial1D,
-                                  PolynomialND, path_points, taylor_truncate)
-from blochlab.inner import InnerSpec
+from blochlab.expressions import (PathSpec, Polynomial1D, PolynomialND, path_points,
+                                  taylor_truncate)
 
 
 def test_poly1d_eval_and_trim():
@@ -81,22 +80,28 @@ def test_polynd_partial_and_degree():
     assert dp(z)[0] == pytest.approx(6.0 * z[0, 0] * z[0, 1])
 
 
-def test_expr_rejects_boundary_points():
-    f = FunctionExpr.poly1d(Polynomial1D(np.array([0.0, 1.0])))
-    with pytest.raises(Exception):
-        f.eval(np.array([1.0 + 0j]))
+def test_one_variable_polynd_takes_one_point_per_entry_of_a_flat_array():
+    rng = np.random.default_rng(3)
+    coeffs = rng.normal(size=9) + 1j * rng.normal(size=9)
+    p = Polynomial1D(coeffs)
+    q = PolynomialND({(k,): c for k, c in enumerate(coeffs)}, 1)
+    z = 0.9 * np.exp(2j * np.pi * np.arange(1024) / 1024)
+    assert q(z).shape == (1024,)
+    assert np.allclose(q(z), p(z), rtol=1e-13, atol=1e-13)
+    assert np.allclose(q(z[:, None]), p(z), rtol=1e-13, atol=1e-13)
+    assert complex(q(0.5j)) == pytest.approx(p(0.5j))
 
 
-def test_as_poly1d_returns_only_a_poly1d_leaf():
-    p = Polynomial1D(np.array([1.0, 2.0]))
-    assert FunctionExpr.poly1d(p).as_poly1d() is p
-    assert FunctionExpr.polynd(PolynomialND({(1, 0): 1.0}, 2)).as_poly1d() is None
-    assert FunctionExpr.inner(InnerSpec.blaschke([0.3])).as_poly1d() is None
+def test_polynd_rejects_points_of_the_wrong_dimension():
+    p = PolynomialND({(1, 1): 1.0}, 2)
+    for z in (0.5, np.zeros(4), np.zeros((3, 3))):
+        with pytest.raises(ValueError, match="expected points with 2 coordinates"):
+            p(z)
 
 
 def test_taylor_truncate_returns_dilated_section():
     p = Polynomial1D(np.array([0.5, 0.0, 1.0, -0.25]))
-    res = taylor_truncate(FunctionExpr.poly1d(p), 0.9, 8)
+    res = taylor_truncate(p, 0.9, 8)
     z = 0.5 * np.exp(1j * np.linspace(0, 2 * np.pi, 16, endpoint=False))
     assert np.allclose(res.poly(z), p(0.9 * z), atol=1e-10)
     assert res.tail_bound < 1e-10
@@ -107,7 +112,7 @@ def test_taylor_truncate_geometric_series():
     # polynomial proxy and truncate low
     coeffs = 0.5 ** np.arange(30)
     p = Polynomial1D(coeffs.astype(complex))
-    res = taylor_truncate(FunctionExpr.poly1d(p), 0.5, 10)
+    res = taylor_truncate(p, 0.5, 10)
     assert res.poly.degree <= 10
     assert res.tail_bound < 1e-2
 

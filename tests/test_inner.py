@@ -39,6 +39,16 @@ def test_blaschke_zero_located():
     assert abs(v) < 1e-12
 
 
+def test_calling_an_inner_function_needs_interior_points():
+    spec = InnerSpec.composition([InnerSpec.atomic([(1.0 + 0j, 0.5)]), InnerSpec.blaschke([0.3])])
+    z = np.array([0.2 + 0.1j, -0.5j])
+    assert np.array_equal(spec(z), inner_eval(spec, z)[0])
+    assert spec(0.25) == inner_eval(spec, 0.25)[0]
+    for bad in (1.0, np.array([0.5, -1j]), np.array([0.1, 1.5])):
+        with pytest.raises(ValueError, match="strictly inside the disc"):
+            spec(bad)
+
+
 def test_schwarz_pick_quotient_bounded():
     spec = InnerSpec.atomic([(1.0 + 0j, 0.4), (-1.0 + 0j, 0.3)])
     q = hyperbolic_quotient(spec, _disc_samples(5000, seed=2))

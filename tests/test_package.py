@@ -1,4 +1,7 @@
+import ast
 import importlib
+import importlib.util
+import pathlib
 import pkgutil
 
 import pytest
@@ -6,6 +9,7 @@ import pytest
 import blochlab
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(blochlab.__path__))
+TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 @pytest.mark.parametrize("name", ["blochlab"] + [f"blochlab.{m}" for m in MODULES])
@@ -13,3 +17,26 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def _noqa_imports(path, module):
+    """(module, name) for each name an import marked ``# noqa: F401`` binds."""
+    source = path.read_text()
+    lines = source.splitlines()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                "# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            yield from ((module, alias.asname or alias.name) for alias in node.names)
+
+
+def test_every_unused_import_is_one_the_benchmark_tracer_patches():
+    spec = importlib.util.spec_from_file_location("_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    patched = {(module, attr) for module, attr, _ in tracing.PATCHES}
+    pinned = set()
+    for path in sorted(pathlib.Path(blochlab.__file__).parent.glob("*.py")):
+        module = "blochlab" if path.stem == "__init__" else f"blochlab.{path.stem}"
+        pinned.update(_noqa_imports(path, module))
+    assert pinned, "no tracer-pinned import found"
+    assert sorted(pinned - patched) == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blochlab.expressions import FunctionExpr, PathSpec, Polynomial1D
+from blochlab.expressions import PathSpec, Polynomial1D
 from blochlab.numerics import measure_metric, metric_points
 from blochlab.universality import (Certificate, TargetEnumeration, apply_Tnw,
                                    certificates_csv, certify, cluster_probe,
@@ -10,7 +10,7 @@ from blochlab.universality import (Certificate, TargetEnumeration, apply_Tnw,
 
 
 def _poly(coeffs):
-    return FunctionExpr.poly1d(Polynomial1D(np.array(coeffs, dtype=complex)))
+    return Polynomial1D(np.array(coeffs, dtype=complex))
 
 
 def test_default_radii():
@@ -82,7 +82,7 @@ def test_polynomial_dilation_converges_to_boundary():
     # d(T_n^w P, P boundary values) decreases along the radius schedule
     zeta = metric_points(512)
     p = _poly([0.1, 0.5, 0.0, 0.4])
-    bv = p.eval(0.999999 * zeta)
+    bv = p(0.999999 * zeta)
     ds = [measure_metric(apply_Tnw(p, n, 0.0 + 0j, zeta), bv)
           for n in range(10, 16)]
     assert all(a >= b - 1e-3 for a, b in zip(ds, ds[1:]))
@@ -149,9 +149,9 @@ def test_cluster_probe_zero_misses_one():
 
 
 def test_lacunary_baseline_small_cases():
-    f1 = lacunary_baseline(1).as_poly1d()
+    f1 = lacunary_baseline(1)
     assert np.allclose(f1.coeffs, [0, 0, 1])
-    f3 = lacunary_baseline(3).as_poly1d()
+    f3 = lacunary_baseline(3)
     nz = np.nonzero(f3.coeffs)[0]
     assert list(nz) == [2, 4, 8]
 
