@@ -72,6 +72,8 @@ def _function_from_config(spec):
         return Polynomial1D(np.array(coeffs, dtype=complex))
     if kind == "monomial":
         n = int(spec["n"])
+        if n < 0:
+            raise ConfigError(f"monomial degree n must be >= 0, got {n}")
         coeffs = np.zeros(n + 1, dtype=complex)
         coeffs[n] = 1.0
         return Polynomial1D(coeffs)

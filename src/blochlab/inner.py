@@ -391,9 +391,11 @@ def inner_eval(spec: InnerSpec, z):
     z_arr = np.asarray(z, dtype=complex)
     if np.any(np.abs(z_arr) >= 1.0):
         raise ValueError("inner functions are evaluated strictly inside the disc")
-    val, der, _, _, _ = _chain_eval(spec, z_arr)
-    if np.isscalar(z) or np.ndim(z) == 0:
-        return complex(val), complex(der)
+    # a scalar goes through as a one-point array: numpy scalar arithmetic
+    # rounds differently from the array loops
+    val, der, _, _, _ = _chain_eval(spec, np.atleast_1d(z_arr))
+    if z_arr.ndim == 0:
+        return complex(val[0]), complex(der[0])
     return val, der
 
 
@@ -402,9 +404,9 @@ def hyperbolic_quotient(spec: InnerSpec, z):
     z_arr = np.asarray(z, dtype=complex)
     if np.any(np.abs(z_arr) >= 1.0):
         raise ValueError("interior points required")
-    _, _, _, q, _ = _chain_eval(spec, z_arr)
-    if np.isscalar(z) or np.ndim(z) == 0:
-        return float(q)
+    _, _, _, q, _ = _chain_eval(spec, np.atleast_1d(z_arr))
+    if z_arr.ndim == 0:
+        return float(q[0])
     return q
 
 

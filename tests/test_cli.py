@@ -211,6 +211,16 @@ def test_bloch_norm_config_takes_a_bare_polynd(tmp_path):
     assert doc2["function"] == doc["function"] == poly
 
 
+def test_bloch_norm_of_an_empty_coefficient_list_is_that_of_zero(tmp_path):
+    status, doc, report = _run(tmp_path, "bloch-norm",
+                               {"function": {"kind": "coeffs", "coeffs": []}})
+    assert status == 0
+    assert doc["function"] == {"kind": "poly1d", "coeffs": [[0.0, 0.0]]}
+    assert doc["report"]["norm"] == 0.0
+    status2, vdoc, _ = _run(tmp_path, "verify", {"artifact": report}, name="v")
+    assert status2 == 0 and vdoc["passed"]
+
+
 _ATOM = {"kind": "measure", "measure_kind": "atomic", "atoms": [[[1.0, 0.0], 0.5]]}
 _COMPOSED = {"kind": "inner", "inner_kind": "composition",
              "chain": [{"kind": "inner", "inner_kind": "singular", "measure": _ATOM},
@@ -368,7 +378,10 @@ _ZERO = {"kind": "constant", "value": 0.0}
         serialize.to_document(Polynomial1D(np.array([0.0, 0.0, 1.0]))),
         serialize.to_document(Polynomial1D(np.array([0.0, 1.0])))]}},
      "unknown expression node 'compose'"),
-], ids=["certify-no-anchor", "universal-no-anchor", "universal-no-eps", "compose-node"])
+    ("bloch-norm", {"function": {"kind": "monomial", "n": -1}},
+     "monomial degree n must be >= 0, got -1"),
+], ids=["certify-no-anchor", "universal-no-anchor", "universal-no-eps", "compose-node",
+        "monomial-negative-n"])
 def test_a_vacuous_or_unknown_spec_is_a_config_error(tmp_path, capsys, command, cfg, err):
     status, doc, _ = _run(tmp_path, command, cfg)
     assert status == 2
@@ -468,11 +481,10 @@ def test_runge_on_a_gapless_arc_set_is_a_stage_failure(tmp_path, capsys):
 
 def test_a_gram_matrix_that_is_not_positive_definite_is_a_stage_failure(
         tmp_path, monkeypatch, capsys):
-    def fail(mu):
-        raise np.linalg.LinAlgError("leading minor 2 of the Toeplitz matrix is not "
-                                    "positive definite")
+    def fail(cr, b, **kwargs):
+        raise np.linalg.LinAlgError("Singular principal minor")
 
-    monkeypatch.setattr("blochlab.approximation._toeplitz_cholesky", fail)
+    monkeypatch.setattr("scipy.linalg.solve_toeplitz", fail)
     status, doc, _ = _run(tmp_path, "runge", {"arcs": [[0.5, 2.0]], "delta": 0.3})
     assert status == 1
     assert doc is None

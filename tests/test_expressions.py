@@ -11,6 +11,13 @@ def test_poly1d_eval_and_trim():
     assert p(0.5) == pytest.approx(2.0)
 
 
+def test_an_empty_coefficient_list_is_the_zero_polynomial():
+    p = Polynomial1D(np.array([]))
+    assert p.degree == 0
+    assert np.array_equal(p.coeffs, np.zeros(1, dtype=complex))
+    assert p(0.5) == 0.0
+
+
 def test_poly1d_sum_and_scale():
     p = Polynomial1D(np.array([1.0, 1.0]))
     q = Polynomial1D(np.array([0.0, 1.0]))

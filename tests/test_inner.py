@@ -49,6 +49,16 @@ def test_calling_an_inner_function_needs_interior_points():
             spec(bad)
 
 
+@pytest.mark.parametrize("z", [0.0, 0.3 + 0.2j, -0.5j, 0.7])
+def test_a_scalar_point_evaluates_as_a_one_point_array(z):
+    spec = InnerSpec.composition([InnerSpec.atomic([(1.0 + 0j, 0.5)]),
+                                  InnerSpec.blaschke([0.3 + 0.1j])])
+    val, der = inner_eval(spec, z)
+    vals, ders = inner_eval(spec, np.array([z]))
+    assert (val, der) == (vals[0], ders[0])
+    assert hyperbolic_quotient(spec, z) == hyperbolic_quotient(spec, np.array([z]))[0]
+
+
 def test_schwarz_pick_quotient_bounded():
     spec = InnerSpec.atomic([(1.0 + 0j, 0.4), (-1.0 + 0j, 0.3)])
     q = hyperbolic_quotient(spec, _disc_samples(5000, seed=2))
