@@ -1,9 +1,13 @@
 """Bloch, little-Bloch and weighted-Bloch norm estimation.
 
 Every norm takes the function itself and dispatches on its type: a
-``Polynomial1D`` is scanned by FFT, a one-variable ``PolynomialND`` or
-an ``InnerSpec`` pointwise, and a two-variable ``PolynomialND`` on the
-polydisc tensor grid or through its radial derivative on the ball.
+one-variable polynomial (a ``Polynomial1D``, or a ``PolynomialND`` read
+as one) is scanned by FFT and an ``InnerSpec`` pointwise.  A
+two-variable ``PolynomialND`` on the polydisc or the ball B_2 is
+evaluated exactly on M x M angles for each of a list of radius pairs, M
+chosen from the largest per-axis degree by the disc rule: both partials
+on every pair of radii from ``dyadic_radii(12, linear=16)``, or Rf on
+the pairs (r cos t, r sin t) of the ball, t = 2 pi k / M (k <= M/4).
 
 Norm conventions:
 
@@ -11,23 +15,18 @@ Norm conventions:
 * ball(N):   |f(0)| + sup (1 - |z|^2) |Rf(z)|  with Rf = sum z_k df/dz_k
 * polydisc:  |f(0)| + sup sum_k (1 - |z_k|^2) |df/dz_k|
 
-Grid suprema are lower estimates.  For polynomials on the disc a
-Bernstein-type oversampling correction turns the angular sup into a
-certified upper bound: multiply by (1 - pi d / M)^(-1), which needs
-M > 4 d angular samples for degree d; ``angular_count`` gives at least
-8 (d + 1).
-
-The polydisc norm takes two-variable polynomials only.  Both partials
-are evaluated exactly on a tensor grid: every pair of radii from
-``dyadic_radii(12, linear=16)`` times M x M angles, M chosen from the
-largest per-axis degree by the disc rule.  No certified bound is given
-there; ``certified`` is None.
+Grid suprema are lower estimates; only the disc certifies one.  For
+polynomials on the disc a Bernstein-type oversampling correction turns
+the angular sup into a certified upper bound: multiply by
+(1 - pi d / M)^(-1), which needs M > 4 d angular samples for degree d;
+``angular_count`` gives at least 8 (d + 1).
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,17 +107,13 @@ def _dim(f) -> int:
     raise TypeError(f"cannot interpret {type(f).__name__} as a Bloch function")
 
 
-def _value_at_zero(f, dim: int) -> float:
-    """|f(0)|, taken from a one-point array: numpy rounds scalars differently."""
-    return abs(complex(f(np.zeros(1) if dim == 1 else np.zeros((1, dim)))[0]))
+def _value_at_zero(f) -> float:
+    """|f(0)| of a one-variable f, from a one-point array: numpy rounds scalars differently."""
+    return abs(complex(f(np.zeros(1))[0]))
 
 
-#: angles per shell (directions per sphere on the ball) for input other than a Polynomial1D
+#: angles per shell for an InnerSpec
 _ANGULAR_COUNT = 512
-
-
-def _angular_count(degree) -> int:
-    return _ANGULAR_COUNT if degree is None else angular_count(degree)
 
 
 def _certify(sup: float, degree, m: int):
@@ -157,10 +152,11 @@ def _disc_shells(f, radii, stop_early: bool = False):
     """Per-shell sup of (1 - r^2)|f'| over |z| = r on the disc, for each r in radii.
 
     Returns (sups, argmax points, degree, m): ``degree`` is f's degree
-    when f is a ``Polynomial1D`` (else None) and m the angles per shell.
-    A ``Polynomial1D``'s derivative is taken once and evaluated on each
-    shell by FFT; a ``PolynomialND`` or ``InnerSpec`` is differentiated
-    pointwise.  The first shell with a non-finite sample raises.
+    when f is a polynomial (else None) and m the angles per shell.  A
+    one-variable ``PolynomialND`` is read as the ``Polynomial1D`` of its
+    coefficients; a polynomial's derivative is taken once and evaluated
+    on each shell by FFT, an ``InnerSpec`` is differentiated pointwise.
+    The first shell with a non-finite sample raises.
 
     With ``stop_early`` a polynomial's shells are visited in decreasing
     order of b(r) = (1 - r^2) sum k |a_k| r^(k-1), which bounds every
@@ -169,10 +165,11 @@ def _disc_shells(f, radii, stop_early: bool = False):
     the visited shells are returned, in radius order, so their first
     maximum is the full scan's.
     """
+    if isinstance(f, PolynomialND):
+        f = Polynomial1D(f.coefficient_array())
     degree = f.degree if isinstance(f, Polynomial1D) else None
-    m = _angular_count(degree)
+    m = _ANGULAR_COUNT if degree is None else angular_count(degree)
     dpoly = None if degree is None else f.derivative()
-    deriv = f.partial(0) if isinstance(f, PolynomialND) else (lambda z: inner_eval(f, z)[1])
     theta = 2.0 * np.pi * np.arange(m) / m
     radii = np.asarray(radii, dtype=float)
     bound = None
@@ -185,7 +182,7 @@ def _disc_shells(f, radii, stop_early: bool = False):
         if dpoly is not None:
             mag = np.abs(dpoly.circle_values(r, m))
         else:
-            mag = np.abs(deriv(r * np.exp(1j * theta)))
+            mag = np.abs(inner_eval(f, r * np.exp(1j * theta))[1])
         if not np.all(np.isfinite(mag)):
             k = int(np.flatnonzero(~np.isfinite(mag))[0])
             raise NonFiniteSampleError(r * np.exp(2j * np.pi * k / m), complex("nan"))
@@ -202,63 +199,81 @@ def _first_max(values, points):
     return (best, (points[values.index(best)],)) if best > 0.0 else (0.0, (0.0,))
 
 
+def _tensor_sup(pairs, terms, m: int):
+    """Bound-ordered sup over radius pairs of sum_t w_t |V(r_1) D_t V(r_2)^T|.
+
+    ``pairs`` is a (P, 2) array of radius pairs and ``terms`` a list of
+    (D, w): a coefficient matrix and its weight at each pair.  On the
+    circles of radii (r_1, r_2), D takes the values V(r_1) D V(r_2)^T,
+    V(r) the Vandermonde matrix of m equispaced points of |z| = r; the
+    factors of a radius that recurs on its side are computed once.
+    Returns (sup, argmax, visited pair indices).
+
+    Pairs are visited in decreasing order of the bound
+    b = sum_t w_t sum |D_t|_jk r_1^j r_2^k on their samples, and the scan
+    stops once b is 0 or below the largest sample so far: no skipped pair
+    can reach or tie it, so the first maximum in index order among the
+    visited pairs is the full scan's.  With a non-finite bound every pair
+    is scanned in index order; the first non-finite sample raises.
+    """
+    n = max(max(d.shape) for d, _ in terms)
+    unit = np.exp(2j * np.pi * np.outer(np.arange(m), np.arange(n)) / m)
+    recurs = [Counter(pairs[:, side].tolist()) for side in (0, 1)]
+    cache = {}
+
+    def vander(r, k):
+        return unit[:, :k] * r ** np.arange(k)
+
+    def factors(side, r):  # V(r) D_t on the left, V(r)^T on the right
+        out = cache.get((side, r))
+        if out is None:
+            out = [vander(r, d.shape[0]) @ d if side == 0 else vander(r, d.shape[1]).T for d, _ in terms]
+            if recurs[side][r] > 1:
+                cache[side, r] = out
+        return out
+
+    def pair(p):
+        r1, r2 = pairs[p]
+        samples = (w[p] * np.abs(a @ b) for a, b, (_, w) in zip(factors(0, r1), factors(1, r2), terms))
+        vals = sum(samples, next(samples))
+        k = int(np.argmax(vals))  # a NaN, else an inf, is its own argmax
+        z = (r1 * np.exp(2j * np.pi * (k // m) / m), r2 * np.exp(2j * np.pi * (k % m) / m))
+        if not np.isfinite(vals.flat[k]):
+            raise NonFiniteSampleError(z, complex(vals.flat[k]))
+        return float(vals.flat[k]), z
+
+    powers = pairs[:, :, None] ** np.arange(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = sum(w * np.einsum("pj,jk,pk->p", powers[:, 0, :d.shape[0]], np.abs(d),
+                                  powers[:, 1, :d.shape[1]]) for d, w in terms) * _BOUND_GUARD
+        visited = _bound_ordered(pair, len(pairs), bound)
+    best = max((v for v, _ in visited.values()), default=0.0)
+    arg = next((z for v, z in visited.values() if best > 0.0 and v == best), (0.0, 0.0))
+    return best, arg, list(visited)
+
+
 def _polydisc_sup(f, weight):
-    """Tensor-grid sup of weight(|z_1|)|d_1 f| + weight(|z_2|)|d_2 f|.
+    """Sup of weight(|z_1|)|d_1 f| + weight(|z_2|)|d_2 f| over every pair of radii.
 
-    f must be a two-variable polynomial with coefficient matrix C.  On
-    the circles of radii (r_1, r_2) a partial with coefficient matrix D
-    takes the values V(r_1) D V(r_2)^T, V(r) the Vandermonde matrix of m
-    equispaced points of |z| = r.  Returns (|f(0)|, sup, argmax, note,
-    visited): ``visited`` lists the (i, j) radius-index pairs sampled, in
-    row-major order.
-
-    The pairs are visited in decreasing order of
-    b = weight(r_1) sum |D_1| r_1^j r_2^k + weight(r_2) sum |D_2| r_1^j r_2^k,
-    which bounds every sample of the pair, and the scan stops once b is
-    0 or below the largest sample so far: no skipped pair can reach or
-    tie it, so the first maximum in row-major order among the visited
-    pairs is the full scan's.  With a non-finite bound every pair is
-    scanned in row-major order; the first pair with a non-finite sample
-    raises.
+    f must be a two-variable polynomial; the radii are
+    ``dyadic_radii(12, linear=16)``.  Returns (|f(0)|, sup, argmax, note,
+    visited): ``visited`` lists the (i, j) radius-index pairs sampled,
+    in row-major order.
     """
     if not isinstance(f, PolynomialND) or f.dim != 2:
         raise ValueError("polydisc norm needs a two-variable polynomial")
     c = f.coefficient_array()
     n1, n2 = c.shape
     radii = np.asarray(dyadic_radii(12, linear=16))
-    m = _angular_count(max(n1, n2) - 1)
-    unit = np.exp(2j * np.pi * np.outer(np.arange(m), np.arange(max(n1, n2))) / m)
-
-    def vander(r, n):
-        return unit[:, :n] * r ** np.arange(n)
-
+    m = angular_count(max(n1, n2) - 1)
     w = np.array([float(weight(r)) for r in radii])
-    right = [(vander(r, n2).T, vander(r, n2 - 1).T) for r in radii]
-    pw = radii[:, None] ** np.arange(max(n1, n2))
-    left = {}
-
-    def pair(p):
-        i, j = divmod(p, len(radii))
-        if i not in left:
-            left[i] = (vander(radii[i], n1 - 1) @ d1, vander(radii[i], n1) @ d2)
-        (left1, left2), (v1, v2) = left[i], right[j]
-        vals = w[i] * np.abs(left1 @ v1) + w[j] * np.abs(left2 @ v2)
-        k = int(np.argmax(vals))  # a NaN, else an inf, is its own argmax
-        z = (radii[i] * np.exp(2j * np.pi * (k // m) / m), radii[j] * np.exp(2j * np.pi * (k % m) / m))
-        if not np.isfinite(vals.flat[k]):
-            raise NonFiniteSampleError(z, complex(vals.flat[k]))
-        return float(vals.flat[k]), z
-
+    pairs = np.stack(np.meshgrid(radii, radii, indexing="ij"), axis=-1).reshape(-1, 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        d1 = c[1:] * np.arange(1, n1)[:, None]
-        d2 = c[:, 1:] * np.arange(1, n2)
-        bound = (w[:, None] * (pw[:, :n1 - 1] @ np.abs(d1) @ pw[:, :n2].T)
-                 + w * (pw[:, :n1] @ np.abs(d2) @ pw[:, :n2 - 1].T)).ravel() * _BOUND_GUARD
-        pairs = _bound_ordered(pair, bound.size, bound)
-    best = max((v for v, _ in pairs.values()), default=0.0)
-    arg = next((z for v, z in pairs.values() if best > 0.0 and v == best), (0.0, 0.0))
+        terms = [(c[1:] * np.arange(1, n1)[:, None], np.repeat(w, radii.size)),
+                 (c[:, 1:] * np.arange(1, n2), np.tile(w, radii.size))]
+    best, arg, visited = _tensor_sup(pairs, terms, m)
     note = f"polydisc grid: {len(radii)}^2 radius pairs x {m}^2 angles"
-    return float(abs(c[0, 0])), best, arg, note, [divmod(p, len(radii)) for p in pairs]
+    return float(abs(c[0, 0])), best, arg, note, [divmod(p, len(radii)) for p in visited]
 
 
 def bloch_norm(f, domain: str = "disc") -> BlochReport:
@@ -267,41 +282,36 @@ def bloch_norm(f, domain: str = "disc") -> BlochReport:
     Returns |f(0)| plus the grid supremum of the defining seminorm;
     polynomial inputs on the disc additionally carry a certified upper
     bound for the seminorm.  The polydisc takes two-variable polynomials
-    only (``ValueError`` otherwise) and carries no certified bound.
+    only, the ball at most two variables (``ValueError`` otherwise).
     """
     dim = _dim(f)
     if domain not in ("disc", "ball", "polydisc"):
         raise ValueError(f"unknown domain {domain!r}")
     if domain == "disc" and dim != 1:
         raise ValueError("disc norm needs a one-variable function")
+    if domain == "ball" and dim > 2:
+        raise ValueError("ball norm needs at most two variables")
     if domain == "polydisc":
         f0, best, arg, note, _ = _polydisc_sup(f, lambda r: 1.0 - r * r)
         return BlochReport(domain, f0, best, None, arg, note)
     radii = dyadic_radii()
-
-    f0 = _value_at_zero(f, dim)
-
-    if dim == 1:
-        sups, points, degree, m = _disc_shells(f, radii, stop_early=True)
-        best, arg = _first_max(sups, points)
-        note = f"disc grid: {len(radii)} dyadic shells x {m} angles"
-        return BlochReport(domain, f0, best, _certify(best, degree, m),
-                           arg, note)
-
-    rng = np.random.default_rng(0)
-    best, arg = 0.0, (0.0,) * dim
-    vecs = rng.normal(size=(_ANGULAR_COUNT, 2 * dim)).view(complex)
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    partials = [f.partial(k) for k in range(dim)]
-    for r in radii:
-        z = float(r) * vecs
-        grad = np.stack([d(z) for d in partials], axis=-1)
-        vals = (1.0 - float(r) ** 2) * np.abs(np.sum(z * grad, axis=-1))
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            best, arg = float(vals[k]), tuple(z[k])
-    note = f"{domain} grid: {len(radii)} shells x {_ANGULAR_COUNT} directions, seed 0"
-    return BlochReport(domain, f0, best, None, arg, note)
+    if dim == 2:
+        # Rf, with coefficients (j + k) c_jk, at (r cos t e^(ia), r sin t e^(ib))
+        c = f.coefficient_array()
+        n1, n2 = c.shape
+        m = angular_count(max(n1, n2) - 1)
+        r, t = np.asarray(radii), 2.0 * np.pi * np.arange(m // 4 + 1) / m
+        pairs = np.stack([np.outer(r, np.cos(t)), np.outer(r, np.sin(t))], axis=-1).reshape(-1, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = c * np.add.outer(np.arange(n1), np.arange(n2))
+        best, arg, _ = _tensor_sup(pairs, [(d, np.repeat(1.0 - r * r, t.size))], m)
+        note = f"ball grid: {len(radii)} shells x {t.size} polar angles x {m}^2 angles"
+        return BlochReport(domain, float(abs(c[0, 0])), best, None, arg, note)
+    f0 = _value_at_zero(f)
+    sups, points, degree, m = _disc_shells(f, radii, stop_early=True)
+    best, arg = _first_max(sups, points)
+    note = f"disc grid: {len(radii)} dyadic shells x {m} angles"
+    return BlochReport(domain, f0, best, _certify(best, degree, m), arg, note)
 
 
 def little_bloch_profile(f, radii) -> np.ndarray:
@@ -397,7 +407,7 @@ def weighted_bloch_norm(f, w: WeightSpec) -> BlochReport:
         f0, best, arg, note, _ = _polydisc_sup(f, weight)
         return BlochReport("polydisc", f0, best, None, arg, "weighted " + note)
     radii = dyadic_radii()
-    f0 = _value_at_zero(f, 1)
+    f0 = _value_at_zero(f)
     weights = []
     for r in radii:
         wv = float(w.omega(1.0 - float(r)))

@@ -207,6 +207,8 @@ def _cmd_weight_test(cfg, seed, out):
 def _cmd_inner_quotient(cfg, seed, out):
     spec = _inner_from_config(cfg["inner"])
     count = int(cfg.get("samples", 100_000))
+    if count < 1:
+        raise ConfigError(f"samples must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     z = np.sqrt(rng.uniform(0.0, 0.9999, count)) \
         * np.exp(1j * rng.uniform(0.0, TWO_PI, count))
@@ -472,7 +474,10 @@ def main(argv=None) -> int:
             raise ConfigError(f"seed must be a number, not {type(seed).__name__}")
         seed = int(seed)
         return run_scenario(args.command, cfg, out, seed)
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
+        print(f"config error: missing key {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ApproxError, QuadratureError) as exc:

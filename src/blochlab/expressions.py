@@ -31,7 +31,7 @@ class Polynomial1D:
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
         if c.size == 0:
             c = np.zeros(1, dtype=complex)
-        nz = np.flatnonzero(np.abs(c) > 0.0)
+        nz = np.flatnonzero(c != 0)  # a NaN is kept, not stripped as a zero
         c = c[: nz[-1] + 1] if nz.size else c[:1] * 0.0
         object.__setattr__(self, "coeffs", c)
 

@@ -199,7 +199,8 @@ def universal_build(targets: TargetEnumeration, radii, L, eps_schedule,
     stabilization at which the corrected partial sum certifies
     sup_w d(T_n^w(partial), y_l) < eps_l.  Targets that never certify
     within the radius list are recorded in ``failed``; the build
-    continues (failed certificates are data, not errors).
+    continues (failed certificates are data, not errors).  No target,
+    anchor or eps budget at all is a ``ValueError``.
     """
     eps_schedule = tuple(float(e) for e in eps_schedule)
     L = tuple(L)
@@ -218,6 +219,8 @@ def universal_build(targets: TargetEnumeration, radii, L, eps_schedule,
     partial = Polynomial1D.zero()
     n_prev = 0
     pairs = list(targets)
+    if not pairs:
+        raise ValueError("universal build needs at least one target")
     for l, (tid, target) in enumerate(pairs):
         eps_l = eps_schedule[min(l, len(eps_schedule) - 1)]
         tv = np.asarray(target(zeta), dtype=complex)

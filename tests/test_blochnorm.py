@@ -96,6 +96,9 @@ def test_polydisc_norms_need_two_variable_polynomials():
         if not isinstance(f, Polynomial1D):
             with pytest.raises(ValueError):
                 weighted_bloch_norm(f, w)
+            # the ball takes at most two variables, as its tensor grid does
+            with pytest.raises(ValueError):
+                bloch_norm(f, domain="ball")
 
 
 def test_ball_radial_derivative_norm():
@@ -103,7 +106,23 @@ def test_ball_radial_derivative_norm():
     # the integrand r(1-r^2) peaks at 1/sqrt(3) with value 2/(3 sqrt 3)
     p = PolynomialND({(1, 0): 1.0}, 2)
     rep = bloch_norm(p, domain="ball")
-    assert rep.seminorm_sup == pytest.approx(2.0 / (3.0 * np.sqrt(3.0)), abs=1e-2)
+    assert rep.seminorm_sup == pytest.approx(2.0 / (3.0 * np.sqrt(3.0)), abs=1e-5)
+
+
+def test_ball_norm_of_z1_plus_z2():
+    # Rf = z1 + z2 peaks at |z1| = |z2| on each sphere: sup (1 - r^2) sqrt(2) r
+    rep = bloch_norm(PolynomialND({(1, 0): 1.0, (0, 1): 1.0}, 2), domain="ball")
+    assert rep.seminorm_sup == pytest.approx(np.sqrt(2.0) * 2.0 / (3.0 * np.sqrt(3.0)), abs=1e-5)
+    assert rep.certified is None
+
+
+def test_ball_norm_of_z1_to_the_8_z2_to_the_8():
+    # Rf = 16 z1^8 z2^8 peaks at t = pi/4: 16 2^-8 max (1 - r^2) r^16, which
+    # the grid of radii approaches from below
+    r = np.linspace(0.0, 1.0, 2_000_001)[:-1]
+    exact = 16.0 * 2.0 ** -8 * float(np.max((1.0 - r * r) * r ** 16))
+    rep = bloch_norm(PolynomialND({(8, 8): 1.0}, 2), domain="ball")
+    assert exact * 0.99 <= rep.seminorm_sup <= exact
 
 
 def test_little_bloch_profile_vanishes_for_polynomial():
@@ -154,12 +173,20 @@ def test_weight_test_partials_monotone():
 
 
 def test_bloch_norm_of_expression():
-    # z^2 as a Polynomial1D takes the FFT shell scan, as a one-variable
-    # PolynomialND the pointwise scan; both reach the closed form
-    for f in (_monomial(2), PolynomialND({(2,): 1.0}, 1)):
-        assert bloch_norm(f).norm == pytest.approx(4.0 / (3.0 * np.sqrt(3.0)), abs=1e-3)
-    assert bloch_norm(_monomial(2)).certified is not None
-    assert bloch_norm(PolynomialND({(2,): 1.0}, 1)).certified is None
+    # a one-variable PolynomialND is read as the Polynomial1D of its
+    # coefficients: every norm gives both the same report, repr for repr
+    rng = np.random.default_rng(5)
+    radii = dyadic_radii(16, linear=32)[1:]
+    w = WeightSpec(kind="log-power", parameter=0.5)
+    norms = (bloch_norm, lambda h: bloch_norm(h, "ball"), lambda h: weighted_bloch_norm(h, w),
+             lambda h: little_bloch_profile(h, radii).tolist())
+    for f in (_monomial(2), Polynomial1D(rng.normal(size=12) + 1j * rng.normal(size=12))):
+        g = PolynomialND.from_poly1d(f, axis=0, dim=1)
+        for norm in norms:
+            assert repr(norm(g)) == repr(norm(f))
+    rep = bloch_norm(PolynomialND({(2,): 1.0}, 1))
+    assert rep.norm == pytest.approx(4.0 / (3.0 * np.sqrt(3.0)), abs=1e-3)
+    assert rep.certified is not None
 
 
 def test_bloch_norm_of_an_object_that_is_no_function_is_a_type_error():
@@ -169,15 +196,15 @@ def test_bloch_norm_of_an_object_that_is_no_function_is_a_type_error():
             norm(object())
 
 
-def test_only_a_poly1d_takes_the_fft_shell_scan():
+def test_a_one_variable_polynd_takes_the_fft_shell_scan():
     # _disc_shells reports a degree, and so a certified bound, for a
-    # Polynomial1D only; the other one-variable leaves are scanned pointwise
+    # polynomial; a one-variable PolynomialND gives its Polynomial1D's shells
+    # bit for bit, and an InnerSpec is scanned pointwise
     radii = dyadic_radii()[:8]
-    assert _disc_shells(_monomial(3), radii)[2:] == (3, angular_count(3))
-    for f in (PolynomialND({(3,): 1.0}, 1), InnerSpec.blaschke([0.3])):
-        assert _disc_shells(f, radii)[2] is None
-    ref = _disc_shells(_monomial(3), radii)[0]
-    assert _disc_shells(PolynomialND({(3,): 1.0}, 1), radii)[0] == pytest.approx(ref, rel=1e-12)
+    ref = _disc_shells(_monomial(3), radii)
+    assert ref[2:] == (3, angular_count(3))
+    assert repr(_disc_shells(PolynomialND({(3,): 1.0}, 1), radii)) == repr(ref)
+    assert _disc_shells(InnerSpec.blaschke([0.3]), radii)[2] is None
 
 
 def test_bloch_norm_of_a_blaschke_factor_is_one():
@@ -255,8 +282,11 @@ def test_early_stop_skips_every_shell_of_a_constant():
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_non_finite_coefficients_still_raise(bad):
-    with pytest.raises(NonFiniteSampleError), np.errstate(invalid="ignore"):
-        bloch_norm(Polynomial1D(np.array([1.0, bad, 2.0])))
+    for coeffs in ([1.0, bad, 2.0], [1.0, bad]):
+        nd = PolynomialND({(k,): c for k, c in enumerate(coeffs)}, 1)
+        for f in (Polynomial1D(np.array(coeffs)), nd):
+            with pytest.raises(NonFiniteSampleError), np.errstate(invalid="ignore"):
+                bloch_norm(f)
 
 
 def _full_polydisc_scan(f, weight):
@@ -358,7 +388,8 @@ def test_polydisc_early_stop_visits_only_pairs_whose_bound_reaches_the_sup():
 @pytest.mark.parametrize("coeffs", [{(1, 0): np.nan, (0, 1): 1.0}, {(2, 1): np.nan, (1, 0): 1.0},
                                     {(1, 0): np.inf, (0, 1): 1.0}], ids=["nan", "nan-mixed", "inf"])
 def test_non_finite_polydisc_coefficients_raise(coeffs):
-    with pytest.raises(NonFiniteSampleError):
-        bloch_norm(PolynomialND(coeffs, 2), domain="polydisc")
+    for domain in ("polydisc", "ball"):
+        with pytest.raises(NonFiniteSampleError):
+            bloch_norm(PolynomialND(coeffs, 2), domain=domain)
     with pytest.raises(NonFiniteSampleError):
         weighted_bloch_norm(PolynomialND(coeffs, 2), WeightSpec(kind="power", parameter=1.0))

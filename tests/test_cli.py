@@ -111,14 +111,6 @@ def test_universal_two_targets_and_verify(tmp_path):
     assert vdoc["passed"]
 
 
-def test_universal_empty_targets(tmp_path):
-    status, doc, _ = _run(tmp_path, "universal",
-                          {"targets": [], "eps_schedule": [0.3],
-                           "anchors": [[0.0, 0.0]]})
-    assert status == 0
-    assert doc["certificates"] == []
-
-
 def test_certify_and_verify_tamper_detection(tmp_path):
     cfg = {"function": {"kind": "coeffs", "coeffs": [1.0]},
            "target": {"kind": "constant", "value": 1.0},
@@ -374,19 +366,45 @@ _ZERO = {"kind": "constant", "value": 0.0}
      "certify needs at least one anchor"),
     ("universal", {"targets": [_ZERO], "anchors": []}, "universal build needs at least one anchor"),
     ("universal", {"targets": [_ZERO], "eps_schedule": []}, "eps schedule must not be empty"),
+    ("universal", {"targets": [], "anchors": [[0.0, 0.0]]},
+     "universal build needs at least one target"),
+    ("universal", {"enumerate": 0}, "universal build needs at least one target"),
+    ("universal", {"enumerate": -2}, "universal build needs at least one target"),
+    ("inner-quotient", {"inner": {"kind": "atomic", "atoms": [[0.0, 0.5]]}, "samples": 0},
+     "samples must be >= 1, got 0"),
     ("bloch-norm", {"function": {"kind": "expr", "node": "compose", "dim": 1, "children": [
         serialize.to_document(Polynomial1D(np.array([0.0, 0.0, 1.0]))),
         serialize.to_document(Polynomial1D(np.array([0.0, 1.0])))]}},
      "unknown expression node 'compose'"),
     ("bloch-norm", {"function": {"kind": "monomial", "n": -1}},
      "monomial degree n must be >= 0, got -1"),
-], ids=["certify-no-anchor", "universal-no-anchor", "universal-no-eps", "compose-node",
-        "monomial-negative-n"])
+], ids=["certify-no-anchor", "universal-no-anchor", "universal-no-eps", "universal-no-target",
+        "universal-enumerate-0", "universal-enumerate-negative", "inner-quotient-no-samples",
+        "compose-node", "monomial-negative-n"])
 def test_a_vacuous_or_unknown_spec_is_a_config_error(tmp_path, capsys, command, cfg, err):
     status, doc, _ = _run(tmp_path, command, cfg)
     assert status == 2
     assert doc is None
     assert capsys.readouterr().err.strip() == f"config error: {err}"
+
+
+def test_a_missing_key_is_named(tmp_path, capsys):
+    status, doc, _ = _run(tmp_path, "simul", {"target": {"kind": "re"}})
+    assert (status, doc) == (2, None)
+    assert capsys.readouterr().err.strip() == "config error: missing key 'eps'"
+
+
+def test_bloch_norm_of_a_simul_f_reproduces_its_norms(tmp_path):
+    # simul writes its f as a one-variable polynd; bloch-norm reads it as the
+    # Polynomial1D it was fitted as, certified bound included
+    (tmp_path / "simul").mkdir()
+    _, simul, _ = _run(tmp_path / "simul", "simul", {"target": {"kind": "re"}, "eps": 0.5})
+    status, doc, _ = _run(tmp_path, "bloch-norm", {"function": simul["f"]})
+    assert status == 0
+    assert simul["f"]["kind"] == "polynd"
+    rep = doc["report"]
+    assert rep["norm"] == simul["report"]["norm"]
+    assert rep["value_at_zero"] + rep["certified"] == simul["report"]["certified_norm"]
 
 
 # records, after each run, whether scipy has been imported

@@ -40,3 +40,17 @@ def test_every_unused_import_is_one_the_benchmark_tracer_patches():
         pinned.update(_noqa_imports(path, module))
     assert pinned, "no tracer-pinned import found"
     assert sorted(pinned - patched) == []
+
+
+def test_only_the_two_monte_carlo_draws_seed_a_generator():
+    # every norm, fit and certificate is deterministic without a seed; a
+    # default_rng anywhere else would be a sampler growing back
+    owners = set()
+    for path in sorted(pathlib.Path(blochlab.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        defs = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.FunctionDef)]
+        for lineno, line in enumerate(source.splitlines(), 1):
+            if "default_rng" in line:
+                names = [n.name for n in defs if n.lineno <= lineno <= n.end_lineno]
+                owners.add(f"{path.stem}.{names[-1] if names else '<module>'}")
+    assert owners == {"numerics.sample_torus", "cli._cmd_inner_quotient"}

@@ -118,10 +118,9 @@ def test_universal_build_budget_precondition():
 
 
 def test_universal_build_empty_targets():
-    cand = universal_build(TargetEnumeration(0), default_radii(5), [0.0 + 0j],
-                           (0.3,))
-    assert cand.blocks == ()
-    assert cand.certificates == ()
+    # a build that certifies nothing is refused, as one without anchors is
+    with pytest.raises(ValueError, match="at least one target"):
+        universal_build(TargetEnumeration(0), default_radii(5), [0.0 + 0j], (0.3,))
 
 
 def test_certificates_csv_header():
