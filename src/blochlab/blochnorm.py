@@ -166,11 +166,12 @@ def _disc_shells(f, radii, stop_early: bool = False):
     maximum is the full scan's.
     """
     if isinstance(f, PolynomialND):
-        f = Polynomial1D(f.coefficient_array())
+        f = Polynomial1D(f.coeffs)
     degree = f.degree if isinstance(f, Polynomial1D) else None
     m = _ANGULAR_COUNT if degree is None else angular_count(degree)
     dpoly = None if degree is None else f.derivative()
     theta = 2.0 * np.pi * np.arange(m) / m
+    sign = 1.0 if dpoly is None else -1.0  # the FFT walks the circle clockwise
     radii = np.asarray(radii, dtype=float)
     bound = None
     if stop_early and dpoly is not None:
@@ -185,9 +186,9 @@ def _disc_shells(f, radii, stop_early: bool = False):
             mag = np.abs(inner_eval(f, r * np.exp(1j * theta))[1])
         if not np.all(np.isfinite(mag)):
             k = int(np.flatnonzero(~np.isfinite(mag))[0])
-            raise NonFiniteSampleError(r * np.exp(2j * np.pi * k / m), complex("nan"))
+            raise NonFiniteSampleError(r * np.exp(sign * 2j * np.pi * k / m), complex("nan"))
         k = int(np.argmax(mag))
-        return (1.0 - r * r) * float(mag[k]), r * np.exp(2j * np.pi * k / m)
+        return (1.0 - r * r) * float(mag[k]), r * np.exp(sign * 2j * np.pi * k / m)
 
     shells = _bound_ordered(shell, radii.size, bound).values()
     return [s for s, _ in shells], [z for _, z in shells], degree, m
@@ -262,7 +263,7 @@ def _polydisc_sup(f, weight):
     """
     if not isinstance(f, PolynomialND) or f.dim != 2:
         raise ValueError("polydisc norm needs a two-variable polynomial")
-    c = f.coefficient_array()
+    c = f.coeffs
     n1, n2 = c.shape
     radii = np.asarray(dyadic_radii(12, linear=16))
     m = angular_count(max(n1, n2) - 1)
@@ -297,7 +298,7 @@ def bloch_norm(f, domain: str = "disc") -> BlochReport:
     radii = dyadic_radii()
     if dim == 2:
         # Rf, with coefficients (j + k) c_jk, at (r cos t e^(ia), r sin t e^(ib))
-        c = f.coefficient_array()
+        c = f.coeffs
         n1, n2 = c.shape
         m = angular_count(max(n1, n2) - 1)
         r, t = np.asarray(radii), 2.0 * np.pi * np.arange(m // 4 + 1) / m

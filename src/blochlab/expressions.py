@@ -1,7 +1,7 @@
 """The polynomials the toolkit builds, Taylor sections and boundary paths.
 
 A Bloch function here is a dense one-variable polynomial
-(``Polynomial1D``), a sparse polynomial in N variables
+(``Polynomial1D``), a dense polynomial in N variables
 (``PolynomialND``) or an inner function on the disc
 (``inner.InnerSpec``).  Each evaluates itself when called and is passed
 around as is; the norms in ``blochnorm`` dispatch on its type.
@@ -98,71 +98,76 @@ class Polynomial1D:
         return np.fft.fft(b, n=count)
 
 
+_MAX_EXPONENT = int(np.iinfo(np.intp).max)  # the largest index of a numpy axis
+
+
 @dataclass(frozen=True, eq=False)
 class PolynomialND:
-    """Sparse polynomial in N variables: multi-index -> coefficient."""
+    """Dense polynomial in coeffs.ndim variables: coeffs[alpha] is the coefficient of z^alpha."""
 
-    terms: dict
-    dim: int
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        clean = {}
-        for alpha, c in self.terms.items():
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != self.dim:
-                raise ValueError("multi-index length mismatch")
-            if c != 0:
-                clean[alpha] = complex(c)
-        object.__setattr__(self, "terms", clean)
+        c = np.asarray(self.coeffs, dtype=complex)
+        if c.ndim == 0:
+            raise ValueError("a PolynomialND needs at least one variable")
+        nz = np.nonzero(c != 0)  # a NaN is kept, not stripped as a zero
+        if nz[0].size:
+            c = c[tuple(slice(int(i.max()) + 1) for i in nz)]
+        else:
+            c = np.zeros((1,) * c.ndim, dtype=complex)
+        object.__setattr__(self, "coeffs", c)
 
     @classmethod
-    def from_poly1d(cls, p: Polynomial1D, axis: int, dim: int) -> "PolynomialND":
-        terms = {}
-        for k, c in enumerate(p.coeffs):
-            if c != 0:
-                alpha = [0] * dim
-                alpha[axis] = k
-                terms[tuple(alpha)] = c
-        return cls(terms, dim)
+    def from_terms(cls, terms: dict, dim: int) -> "PolynomialND":
+        """The sum of c z^alpha over the items (alpha, c) of ``terms``, each alpha of length dim."""
+        if isinstance(dim, bool) or not (isinstance(dim, int) and dim >= 1):
+            raise ValueError(f"dim must be a whole number >= 1, got {dim!r}")
+        for alpha in terms:
+            if len(alpha) != dim:
+                raise ValueError("multi-index length mismatch")
+            for a in alpha:
+                if not (isinstance(a, (int, float, np.integer)) and 0 <= a <= _MAX_EXPONENT
+                        and float(a).is_integer()):
+                    raise ValueError(f"multi-index {list(alpha)!r}: entry {a!r} "
+                                     f"is not a whole number in [0, {_MAX_EXPONENT}]")
+        alphas = np.array(list(terms), dtype=int).reshape(-1, dim)
+        c = np.zeros(alphas.max(axis=0, initial=0) + 1, dtype=complex)
+        c[tuple(alphas.T)] = list(terms.values())
+        return cls(c)
+
+    @property
+    def dim(self) -> int:
+        return self.coeffs.ndim
+
+    @property
+    def terms(self) -> dict:
+        """{alpha: c} over the nonzero coefficients, alpha in lexicographic order."""
+        return {tuple(map(int, alpha)): complex(self.coeffs[tuple(alpha)])
+                for alpha in np.argwhere(self.coeffs != 0)}
 
     @property
     def total_degree(self) -> int:
-        return max((sum(a) for a in self.terms), default=0)
+        return max(map(sum, self.terms), default=0)
 
     def __call__(self, z):
-        """p at points z, coordinates on the last axis; in one variable, one point per entry too."""
+        """p at points z, coordinates on the last axis; in one variable, one point per entry too.
+
+        Nested Horner: the coefficient array is contracted one axis at a
+        time with its coordinate of every point.
+        """
         z = np.asarray(z, dtype=complex)
         if self.dim == 1 and z.ndim <= 1:
             z = z[..., None]
         if z.shape[-1:] != (self.dim,):
             raise ValueError(f"expected points with {self.dim} coordinates")
-        pts = z.reshape(-1, self.dim)
-        out = np.zeros(pts.shape[0], dtype=complex)
-        for alpha, c in self.terms.items():
-            mono = np.full(pts.shape[0], c, dtype=complex)
-            for k, a in enumerate(alpha):
-                if a:
-                    mono *= pts[:, k] ** a
-            out += mono
+        out = self.coeffs[..., None]
+        for x in z.reshape(-1, self.dim).T:
+            out = np.polynomial.polynomial.polyval(x, out, tensor=False)
         return out.reshape(z.shape[:-1])
 
-    def coefficient_array(self) -> np.ndarray:
-        """Dense coefficients: entry alpha holds the coefficient of z^alpha."""
-        shape = tuple(max((alpha[k] for alpha in self.terms), default=0) + 1
-                      for k in range(self.dim))
-        out = np.zeros(shape, dtype=complex)
-        for alpha, c in self.terms.items():
-            out[alpha] = c
-        return out
-
     def partial(self, k: int) -> "PolynomialND":
-        terms = {}
-        for alpha, c in self.terms.items():
-            if alpha[k] > 0:
-                beta = list(alpha)
-                beta[k] -= 1
-                terms[tuple(beta)] = terms.get(tuple(beta), 0.0) + c * alpha[k]
-        return PolynomialND(terms, self.dim)
+        return PolynomialND(np.polynomial.polynomial.polyder(self.coeffs, axis=k))
 
 
 # ---------------------------------------------------------------------------

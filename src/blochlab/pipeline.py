@@ -64,13 +64,6 @@ class SimulApproxResult:
     E: object
     report: dict
 
-    @property
-    def f_disc(self) -> Polynomial1D:
-        """One-variable view of f (dim 1 results only)."""
-        if self.f.dim != 1:
-            raise ValueError("result is not one-dimensional")
-        return Polynomial1D(self.f.coefficient_array())
-
 
 # ---------------------------------------------------------------------------
 # Plateau synthesis: P = 1 - exp(-S) from designed boundary data
@@ -240,7 +233,7 @@ def sup_error(f, E, phi) -> float:
         return float(np.max(_disc_residual(f, phi)(np.exp(1j * E.sample(4096)))))
     if not all(axis_set.arcs for axis_set in E):
         return float("inf")
-    c = f.coefficient_array()
+    c = f.coeffs
     z1, z2 = (np.exp(1j * axis_set.sample(512)) for axis_set in E)
     rows = np.power.outer(z1, np.arange(c.shape[0])) @ c
     best = 0.0
@@ -286,7 +279,7 @@ def _is_zero_target(phi, dim: int = 1) -> bool:
 
 
 def _zero_result(dim: int = 1) -> SimulApproxResult:
-    f = PolynomialND({(0,) * dim: 0.0}, dim)
+    f = PolynomialND(np.zeros((1,) * dim))
     report = {
         "norm": 0.0, "value_at_zero": 0.0, "sup_error": 0.0,
         "measure": 1.0, "degrees": {"f": 0}, "trivial_zero": True,
@@ -334,7 +327,7 @@ def simul_approx_disc(phi, eps: float) -> SimulApproxResult:
             break
     poly, E, contract = best
     report = {**contract, "norm_fit": trail, "degrees": {"f": poly.degree}}
-    return SimulApproxResult(PolynomialND.from_poly1d(poly, axis=0, dim=1), E, report)
+    return SimulApproxResult(PolynomialND(poly.coeffs), E, report)
 
 
 # ---------------------------------------------------------------------------
@@ -342,18 +335,16 @@ def simul_approx_disc(phi, eps: float) -> SimulApproxResult:
 
 
 def _product_polynd(terms) -> PolynomialND:
-    """Assemble sum_l p_{1,l}(z1) p_{2,l}(z2) as a sparse PolynomialND."""
-    acc = {}
+    """Assemble sum_l p_{1,l}(z1) p_{2,l}(z2) as a PolynomialND."""
+    shape = np.max([(p1.coeffs.size, p2.coeffs.size) for p1, p2 in terms], axis=0)
+    acc = np.zeros(shape, dtype=complex)
     for p1, p2 in terms:
-        for k1, c1 in enumerate(p1.coeffs):
-            if c1 == 0:
-                continue
-            for k2, c2 in enumerate(p2.coeffs):
-                if c2 == 0:
-                    continue
-                key = (k1, k2)
-                acc[key] = acc.get(key, 0.0) + c1 * c2
-    return PolynomialND(acc, 2)
+        a, b = p1.coeffs, p2.coeffs
+        # in real arithmetic, so each product rounds as a scalar complex product
+        # does; numpy's vectorised complex product may fuse its multiply-adds
+        acc.real[:a.size, :b.size] += np.outer(a.real, b.real) - np.outer(a.imag, b.imag)
+        acc.imag[:a.size, :b.size] += np.outer(a.real, b.imag) + np.outer(a.imag, b.real)
+    return PolynomialND(acc)
 
 
 def _cross_weights(p: Polynomial1D) -> tuple:

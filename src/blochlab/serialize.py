@@ -57,7 +57,7 @@ def to_document(obj) -> dict:
     if isinstance(obj, Polynomial1D):
         return {"kind": "poly1d", "coeffs": _coeff_list(obj.coeffs)}
     if isinstance(obj, PolynomialND):
-        terms = sorted((list(alpha), _cpx(c)) for alpha, c in obj.terms.items())
+        terms = [[list(alpha), _cpx(c)] for alpha, c in obj.terms.items()]
         return {"kind": "polynd", "dim": obj.dim, "terms": terms}
     if isinstance(obj, SingularMeasureSpec):
         doc = {"kind": "measure", "measure_kind": obj.kind}
@@ -104,7 +104,7 @@ def from_document(doc):
         return Polynomial1D(np.array([_uncpx(c) for c in doc["coeffs"]], dtype=complex))
     if kind == "polynd":
         terms = {tuple(alpha): _uncpx(c) for alpha, c in doc["terms"]}
-        return PolynomialND(terms, doc["dim"])
+        return PolynomialND.from_terms(terms, doc["dim"])
     if kind == "measure":
         if doc["measure_kind"] == "atomic":
             atoms = tuple((_uncpx(z), m) for z, m in doc["atoms"])

@@ -133,7 +133,7 @@ def test_criterion_05_euler_identity():
         for _ in range(4):
             alpha = rng.multinomial(deg, np.ones(dim) / dim)
             terms[tuple(int(a) for a in alpha)] = complex(rng.normal(), rng.normal())
-        p = PolynomialND(terms, dim)
+        p = PolynomialND.from_terms(terms, dim)
         z = (rng.normal(size=(1000, dim)) + 1j * rng.normal(size=(1000, dim)))
         z *= 0.4 / np.maximum(np.linalg.norm(z, axis=1, keepdims=True), 1e-12)
         radial = np.zeros(1000, dtype=complex)

@@ -67,7 +67,7 @@ def test_constant_norm_is_origin_value():
 
 def test_polydisc_norm_sum_of_slices():
     # f(z1, z2) = z1 + z2: each coordinate contributes the disc seminorm
-    p = PolynomialND({(1, 0): 1.0, (0, 1): 1.0}, 2)
+    p = PolynomialND.from_terms({(1, 0): 1.0, (0, 1): 1.0}, 2)
     rep = bloch_norm(p, domain="polydisc")
     assert rep.seminorm_sup == pytest.approx(2.0, abs=1e-2)
 
@@ -75,7 +75,7 @@ def test_polydisc_norm_sum_of_slices():
 def test_polydisc_norm_off_the_diagonal():
     # f = z1 z2^8: the seminorm (1-|z1|^2)|z2|^8 + 8|z1|(1-|z2|^2)|z2|^7 tends
     # to 1 at z1 = 0, |z2| -> 1, away from the diagonal |z1| = |z2|
-    rep = bloch_norm(PolynomialND({(1, 8): 1.0}, 2), domain="polydisc")
+    rep = bloch_norm(PolynomialND.from_terms({(1, 8): 1.0}, 2), domain="polydisc")
     assert rep.seminorm_sup == pytest.approx(1.0, abs=0.01)
     assert rep.certified is None
 
@@ -83,14 +83,14 @@ def test_polydisc_norm_off_the_diagonal():
 def test_weighted_polydisc_norm_applies_the_weight():
     # omega(t) = t cancels the factor 1 - |z_k|^2: for f = z1 z2 the
     # weighted seminorm is sup |z2| + |z1| = 2, the plain one 0.77
-    rep = weighted_bloch_norm(PolynomialND({(1, 1): 1.0}, 2),
+    rep = weighted_bloch_norm(PolynomialND.from_terms({(1, 1): 1.0}, 2),
                               WeightSpec(kind="power", parameter=1.0))
     assert rep.seminorm_sup == pytest.approx(2.0, abs=1e-3)
 
 
 def test_polydisc_norms_need_two_variable_polynomials():
     w = WeightSpec(kind="power", parameter=1.0)
-    for f in (_monomial(2), PolynomialND({(1, 1, 1): 1.0}, 3)):
+    for f in (_monomial(2), PolynomialND.from_terms({(1, 1, 1): 1.0}, 3)):
         with pytest.raises(ValueError):
             bloch_norm(f, domain="polydisc")
         if not isinstance(f, Polynomial1D):
@@ -104,14 +104,14 @@ def test_polydisc_norms_need_two_variable_polynomials():
 def test_ball_radial_derivative_norm():
     # f(z) = z1: sup (1-|z|^2) |z1| over the ball is at |z| = 1/sqrt(3)...
     # the integrand r(1-r^2) peaks at 1/sqrt(3) with value 2/(3 sqrt 3)
-    p = PolynomialND({(1, 0): 1.0}, 2)
+    p = PolynomialND.from_terms({(1, 0): 1.0}, 2)
     rep = bloch_norm(p, domain="ball")
     assert rep.seminorm_sup == pytest.approx(2.0 / (3.0 * np.sqrt(3.0)), abs=1e-5)
 
 
 def test_ball_norm_of_z1_plus_z2():
     # Rf = z1 + z2 peaks at |z1| = |z2| on each sphere: sup (1 - r^2) sqrt(2) r
-    rep = bloch_norm(PolynomialND({(1, 0): 1.0, (0, 1): 1.0}, 2), domain="ball")
+    rep = bloch_norm(PolynomialND.from_terms({(1, 0): 1.0, (0, 1): 1.0}, 2), domain="ball")
     assert rep.seminorm_sup == pytest.approx(np.sqrt(2.0) * 2.0 / (3.0 * np.sqrt(3.0)), abs=1e-5)
     assert rep.certified is None
 
@@ -121,7 +121,7 @@ def test_ball_norm_of_z1_to_the_8_z2_to_the_8():
     # the grid of radii approaches from below
     r = np.linspace(0.0, 1.0, 2_000_001)[:-1]
     exact = 16.0 * 2.0 ** -8 * float(np.max((1.0 - r * r) * r ** 16))
-    rep = bloch_norm(PolynomialND({(8, 8): 1.0}, 2), domain="ball")
+    rep = bloch_norm(PolynomialND.from_terms({(8, 8): 1.0}, 2), domain="ball")
     assert exact * 0.99 <= rep.seminorm_sup <= exact
 
 
@@ -181,12 +181,28 @@ def test_bloch_norm_of_expression():
     norms = (bloch_norm, lambda h: bloch_norm(h, "ball"), lambda h: weighted_bloch_norm(h, w),
              lambda h: little_bloch_profile(h, radii).tolist())
     for f in (_monomial(2), Polynomial1D(rng.normal(size=12) + 1j * rng.normal(size=12))):
-        g = PolynomialND.from_poly1d(f, axis=0, dim=1)
+        g = PolynomialND(f.coeffs)
         for norm in norms:
             assert repr(norm(g)) == repr(norm(f))
-    rep = bloch_norm(PolynomialND({(2,): 1.0}, 1))
+    rep = bloch_norm(PolynomialND.from_terms({(2,): 1.0}, 1))
     assert rep.norm == pytest.approx(4.0 / (3.0 * np.sqrt(3.0)), abs=1e-3)
     assert rep.certified is not None
+
+
+def test_disc_argmax_attains_the_reported_sup():
+    # each shell's argmax is the point its sample was taken at, not its
+    # conjugate: for z + 0.5i z^2 the conjugate reaches only half the sup
+    rng = np.random.default_rng(11)
+    polys = [Polynomial1D(np.array([0.0, 1.0, 0.5j]))]
+    polys += [Polynomial1D(rng.normal(size=7) + 1j * rng.normal(size=7)) for _ in range(4)]
+    for p in polys:
+        dp = p.derivative()
+        rep = bloch_norm(p)
+        a = rep.argmax[0]
+        assert (1.0 - abs(a) ** 2) * abs(dp(a)) == pytest.approx(rep.seminorm_sup, rel=1e-12)
+        rep = weighted_bloch_norm(p, WeightSpec(kind="power", parameter=1.0))
+        a = rep.argmax[0]
+        assert (1.0 + abs(a)) * abs(dp(a)) == pytest.approx(rep.seminorm_sup, rel=1e-12)
 
 
 def test_bloch_norm_of_an_object_that_is_no_function_is_a_type_error():
@@ -203,7 +219,7 @@ def test_a_one_variable_polynd_takes_the_fft_shell_scan():
     radii = dyadic_radii()[:8]
     ref = _disc_shells(_monomial(3), radii)
     assert ref[2:] == (3, angular_count(3))
-    assert repr(_disc_shells(PolynomialND({(3,): 1.0}, 1), radii)) == repr(ref)
+    assert repr(_disc_shells(PolynomialND.from_terms({(3,): 1.0}, 1), radii)) == repr(ref)
     assert _disc_shells(InnerSpec.blaschke([0.3]), radii)[2] is None
 
 
@@ -283,7 +299,7 @@ def test_early_stop_skips_every_shell_of_a_constant():
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_non_finite_coefficients_still_raise(bad):
     for coeffs in ([1.0, bad, 2.0], [1.0, bad]):
-        nd = PolynomialND({(k,): c for k, c in enumerate(coeffs)}, 1)
+        nd = PolynomialND.from_terms({(k,): c for k, c in enumerate(coeffs)}, 1)
         for f in (Polynomial1D(np.array(coeffs)), nd):
             with pytest.raises(NonFiniteSampleError), np.errstate(invalid="ignore"):
                 bloch_norm(f)
@@ -291,7 +307,7 @@ def test_non_finite_coefficients_still_raise(bad):
 
 def _full_polydisc_scan(f, weight):
     """Reference: every radius pair in row-major order, the first strict maximum wins."""
-    c = f.coefficient_array()
+    c = f.coeffs
     n1, n2 = c.shape
     d1 = c[1:] * np.arange(1, n1)[:, None]
     d2 = c[:, 1:] * np.arange(1, n2)
@@ -331,7 +347,7 @@ def _assert_polydisc_matches_full_scan(p, w=None):
 def _random_polynd(rng):
     d1, d2 = (int(d) for d in rng.integers(1, 14, size=2))
     decay = rng.uniform(0.2, 3.0)
-    return PolynomialND({(a, b): complex(rng.normal(), rng.normal()) * decay ** -(a + b)
+    return PolynomialND.from_terms({(a, b): complex(rng.normal(), rng.normal()) * decay ** -(a + b)
                          for a in range(d1 + 1) for b in range(d2 + 1) if rng.random() < 0.6}, 2)
 
 
@@ -346,15 +362,15 @@ def test_polydisc_early_stop_keeps_the_first_of_tied_maxima():
     # z1 (z2) samples 1 - |z1|^2 (1 - |z2|^2): its sup 1 ties on all 24 pairs
     # with r1 = 0 (r2 = 0), and the argmax stays the first in row-major order
     for alpha in ((1, 0), (0, 1)):
-        p = PolynomialND({alpha: 1.0}, 2)
+        p = PolynomialND.from_terms({alpha: 1.0}, 2)
         _assert_polydisc_matches_full_scan(p)
         assert len(_polydisc_sup(p, lambda r: 1.0 - r * r)[4]) == 24
-    _assert_polydisc_matches_full_scan(PolynomialND({(1, 0): 1.0, (0, 1): 1.0}, 2))
-    _assert_polydisc_matches_full_scan(PolynomialND({(1, 8): 1.0}, 2))
+    _assert_polydisc_matches_full_scan(PolynomialND.from_terms({(1, 0): 1.0, (0, 1): 1.0}, 2))
+    _assert_polydisc_matches_full_scan(PolynomialND.from_terms({(1, 8): 1.0}, 2))
 
 
 def test_polydisc_early_stop_skips_every_pair_of_a_constant():
-    for p in (PolynomialND({}, 2), PolynomialND({(0, 0): 0.7 + 0.1j}, 2)):
+    for p in (PolynomialND.from_terms({}, 2), PolynomialND.from_terms({(0, 0): 0.7 + 0.1j}, 2)):
         assert _polydisc_sup(p, lambda r: 1.0 - r * r)[4] == []
         _assert_polydisc_matches_full_scan(p)
         assert bloch_norm(p, domain="polydisc").argmax == (0.0, 0.0)
@@ -363,7 +379,7 @@ def test_polydisc_early_stop_skips_every_pair_of_a_constant():
 @pytest.mark.parametrize("parameter", [0.5, 1.0, 2.0])
 def test_weighted_polydisc_early_stop_matches_full_scan(parameter):
     w = WeightSpec(kind="power", parameter=parameter)
-    _assert_polydisc_matches_full_scan(PolynomialND({(1, 1): 1.0, (0, 2): -0.5j}, 2), w)
+    _assert_polydisc_matches_full_scan(PolynomialND.from_terms({(1, 1): 1.0, (0, 2): -0.5j}, 2), w)
     _assert_polydisc_matches_full_scan(_random_polynd(np.random.default_rng(7)), w)
 
 
@@ -375,7 +391,7 @@ def test_polydisc_early_stop_visits_only_pairs_whose_bound_reaches_the_sup():
 
     f = simul_approx_polydisc(phi, 0.5, 2).f
     _, best, _, _, visited = _polydisc_sup(f, lambda r: 1.0 - r * r)
-    c = f.coefficient_array()
+    c = f.coeffs
     d1, d2 = (np.abs(np.polynomial.polynomial.polyder(c, axis=a)) for a in (0, 1))
     radii = dyadic_radii(12, linear=16)
     reach = [(i, j) for i, r1 in enumerate(radii) for j, r2 in enumerate(radii)
@@ -390,6 +406,6 @@ def test_polydisc_early_stop_visits_only_pairs_whose_bound_reaches_the_sup():
 def test_non_finite_polydisc_coefficients_raise(coeffs):
     for domain in ("polydisc", "ball"):
         with pytest.raises(NonFiniteSampleError):
-            bloch_norm(PolynomialND(coeffs, 2), domain=domain)
+            bloch_norm(PolynomialND.from_terms(coeffs, 2), domain=domain)
     with pytest.raises(NonFiniteSampleError):
-        weighted_bloch_norm(PolynomialND(coeffs, 2), WeightSpec(kind="power", parameter=1.0))
+        weighted_bloch_norm(PolynomialND.from_terms(coeffs, 2), WeightSpec(kind="power", parameter=1.0))

@@ -11,7 +11,7 @@ import pytest
 from blochlab import serialize
 from blochlab.blochnorm import IntegralTestResult
 from blochlab.cli import main
-from blochlab.expressions import Polynomial1D
+from blochlab.expressions import Polynomial1D, PolynomialND
 from blochlab.inner import QuadratureError, TransportReport
 from blochlab.numerics import MeasureEstimate
 
@@ -388,6 +388,35 @@ def test_a_vacuous_or_unknown_spec_is_a_config_error(tmp_path, capsys, command, 
     assert capsys.readouterr().err.strip() == f"config error: {err}"
 
 
+_IMAX = np.iinfo(np.intp).max
+
+
+def _polynd(dim, *alphas):
+    return {"kind": "polynd", "dim": dim, "terms": [[alpha, [1.0, 0.0]] for alpha in alphas]}
+
+
+@pytest.mark.parametrize("command, cfg, err", [
+    ("bloch-norm", {"function": _polynd(2, [-1, 0]), "domain": "polydisc"},
+     f"multi-index [-1, 0]: entry -1 is not a whole number in [0, {_IMAX}]"),
+    ("bloch-norm", {"function": _polynd(2, [-1, 2], [1, 1]), "domain": "polydisc"},
+     f"multi-index [-1, 2]: entry -1 is not a whole number in [0, {_IMAX}]"),
+    ("bloch-norm", {"function": _polynd(2, [1.5, 0]), "domain": "polydisc"},
+     f"multi-index [1.5, 0]: entry 1.5 is not a whole number in [0, {_IMAX}]"),
+    ("certify", {"function": _polynd(1, [-2]), "target": _ZERO, "n": 3},
+     f"multi-index [-2]: entry -2 is not a whole number in [0, {_IMAX}]"),
+    ("bloch-norm", {"function": _polynd(2, [10 ** 20, 0]), "domain": "polydisc"},
+     "multi-index [100000000000000000000, 0]: entry 100000000000000000000 "
+     f"is not a whole number in [0, {_IMAX}]"),
+    ("bloch-norm", {"function": {**_polynd(1, [1]), "dim": True}},
+     "dim must be a whole number >= 1, got True"),
+], ids=["negative", "negative-beside-a-valid-term", "fractional", "certify-negative", "too-large",
+        "bool-dim"])
+def test_a_malformed_polynd_is_a_config_error(tmp_path, capsys, command, cfg, err):
+    status, doc, _ = _run(tmp_path, command, cfg)
+    assert (status, doc) == (2, None)
+    assert capsys.readouterr().err.strip() == f"config error: {err}"
+
+
 def test_a_missing_key_is_named(tmp_path, capsys):
     status, doc, _ = _run(tmp_path, "simul", {"target": {"kind": "re"}})
     assert (status, doc) == (2, None)
@@ -516,10 +545,18 @@ _RUNGE_TWO_ARCS = {"arcs": [[0.8, np.pi - 0.8], [np.pi + 0.8, 2 * np.pi - 0.8]],
                    "delta": 0.25}
 
 
+# a dense two-variable polynomial of degree (14, 11) with decaying coefficients
+_POLYND_2VAR = serialize.to_document(PolynomialND(
+    np.random.default_rng(2).normal(size=(15, 12, 2)).view(complex)[..., 0]
+    * 0.8 ** np.add.outer(np.arange(15), np.arange(12))))
+
+
 @pytest.mark.parametrize("command, cfg", [
     ("universal", _shipped("universal_two_constants.json")),
     ("runge", _RUNGE_TWO_ARCS),
-], ids=["universal", "runge"])
+    ("bloch-norm", {"function": _POLYND_2VAR, "domain": "polydisc"}),
+    ("bloch-norm", {"function": _POLYND_2VAR, "domain": "ball"}),
+], ids=["universal", "runge", "bloch-norm-polydisc", "bloch-norm-ball"])
 def test_report_does_not_depend_on_the_blas_thread_count(tmp_path, command, cfg):
     cfg_path = os.path.join(tmp_path, "cfg.json")
     with open(cfg_path, "w") as fh:
@@ -533,7 +570,7 @@ def test_report_does_not_depend_on_the_blas_thread_count(tmp_path, command, cfg)
                         "import sys; from blochlab.cli import main; sys.exit(main(sys.argv[1:]))",
                         command, "--config", cfg_path, "--out", out, "--seed", "5"],
                        env=env, check=True, capture_output=True)
-        with open(os.path.join(out, f"{command}_report.json")) as fh:
+        with open(os.path.join(out, f"{command.replace('-', '_')}_report.json")) as fh:
             reports.append(_strip_timestamp(fh.read()))
     assert reports[0] == reports[1]
 

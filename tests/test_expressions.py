@@ -80,7 +80,7 @@ def test_derivative():
 
 
 def test_polynd_partial_and_degree():
-    p = PolynomialND({(2, 1): 3.0, (0, 0): 1.0}, 2)
+    p = PolynomialND.from_terms({(2, 1): 3.0, (0, 0): 1.0}, 2)
     assert p.total_degree == 3
     dp = p.partial(0)
     z = np.array([[0.4 + 0.1j, 0.2 - 0.3j]])
@@ -91,7 +91,7 @@ def test_one_variable_polynd_takes_one_point_per_entry_of_a_flat_array():
     rng = np.random.default_rng(3)
     coeffs = rng.normal(size=9) + 1j * rng.normal(size=9)
     p = Polynomial1D(coeffs)
-    q = PolynomialND({(k,): c for k, c in enumerate(coeffs)}, 1)
+    q = PolynomialND.from_terms({(k,): c for k, c in enumerate(coeffs)}, 1)
     z = 0.9 * np.exp(2j * np.pi * np.arange(1024) / 1024)
     assert q(z).shape == (1024,)
     assert np.allclose(q(z), p(z), rtol=1e-13, atol=1e-13)
@@ -99,8 +99,60 @@ def test_one_variable_polynd_takes_one_point_per_entry_of_a_flat_array():
     assert complex(q(0.5j)) == pytest.approx(p(0.5j))
 
 
+def _random_terms(rng, dim):
+    """A random sparse {alpha: c} in ``dim`` variables, an exact zero among its values."""
+    terms = {tuple(int(a) for a in rng.integers(0, 6, size=dim)): complex(*rng.normal(size=2))
+             for _ in range(int(rng.integers(1, 9)))}
+    terms[next(iter(terms))] = 0.0
+    return terms
+
+
+def _monomial_sum(terms, z):
+    return sum((c * np.prod(z ** np.array(alpha), axis=-1) for alpha, c in terms.items()),
+               np.zeros(z.shape[:-1], dtype=complex))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_dense_polynd_matches_a_sum_of_monomials(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(20):
+        terms = _random_terms(rng, dim)
+        p = PolynomialND.from_terms(terms, dim)
+        nonzero = {alpha: c for alpha, c in terms.items() if c != 0}
+        assert list(p.terms.items()) == sorted(nonzero.items())
+        assert p.total_degree == max(map(sum, nonzero), default=0)
+        z = 0.9 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(3, 40, dim)))
+        assert np.allclose(p(z), _monomial_sum(terms, z), rtol=1e-13, atol=1e-13)
+        for k in range(dim):
+            ref = {}
+            for alpha, c in nonzero.items():
+                if alpha[k]:
+                    beta = alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]
+                    ref[beta] = ref.get(beta, 0.0) + alpha[k] * c
+            assert list(p.partial(k).terms.items()) == sorted(ref.items())
+            assert np.allclose(p.partial(k)(z), _monomial_sum(ref, z), rtol=1e-13, atol=1e-13)
+
+
+def test_polynd_trims_trailing_zeros_and_keeps_a_nan():
+    p = PolynomialND(np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]]))
+    assert p.coeffs.shape == (2, 2) and p.dim == 2
+    assert PolynomialND(np.zeros((4, 3))).coeffs.shape == (1, 1)
+    assert PolynomialND(np.array([[0.0, np.nan], [0.0, 0.0]])).coeffs.shape == (1, 2)
+    assert PolynomialND.from_terms({}, 3).coeffs.shape == (1, 1, 1)
+
+
+@pytest.mark.parametrize("alpha", [(-1, 0), (1.5, 0), (0, float("nan")), (0, "1"), (10 ** 20, 0),
+                                   (0, float("inf"))])
+def test_polynd_from_terms_rejects_an_entry_that_is_not_a_whole_number(alpha):
+    with pytest.raises(ValueError, match="is not a whole number in"):
+        PolynomialND.from_terms({alpha: 1.0, (1, 1): 2.0}, 2)
+    assert PolynomialND.from_terms({(2.0, 0): 1.0}, 2).terms == {(2, 0): 1.0}
+    with pytest.raises(ValueError, match="length mismatch"):
+        PolynomialND.from_terms({(1,): 1.0}, 2)
+
+
 def test_polynd_rejects_points_of_the_wrong_dimension():
-    p = PolynomialND({(1, 1): 1.0}, 2)
+    p = PolynomialND.from_terms({(1, 1): 1.0}, 2)
     for z in (0.5, np.zeros(4), np.zeros((3, 3))):
         with pytest.raises(ValueError, match="expected points with 2 coordinates"):
             p(z)

@@ -9,7 +9,7 @@ from blochlab.arcs import ArcSet
 from blochlab.blochnorm import bloch_norm
 from blochlab.cli import _target_from_config, main
 from blochlab.expressions import Polynomial1D, PolynomialND
-from blochlab.pipeline import (plateau_polynomial, simul_approx_disc,
+from blochlab.pipeline import (_product_polynd, plateau_polynomial, simul_approx_disc,
                                simul_approx_polydisc, sup_error)
 
 TWO_PI = 2.0 * np.pi
@@ -94,7 +94,7 @@ def test_simul_disc_real_part_meets_contract():
 def test_simul_disc_result_is_polynomial():
     res = simul_approx_disc(
         lambda z: np.ones_like(np.asarray(z, dtype=complex)), 0.5)
-    p = res.f_disc
+    p = Polynomial1D(res.f.coeffs)
     z = np.exp(1j * res.E.sample(512)) if res.E.arcs else np.zeros(1)
     assert np.all(np.isfinite(p(z)))
 
@@ -109,7 +109,7 @@ def test_simul_polydisc_n1_delegates_to_disc():
 
 
 def test_sup_error_polydisc_matches_pointwise_evaluation():
-    f = PolynomialND({(0, 0): 0.3, (1, 0): 1.0, (2, 3): -0.5j, (0, 5): 0.25}, 2)
+    f = PolynomialND.from_terms({(0, 0): 0.3, (1, 0): 1.0, (2, 3): -0.5j, (0, 5): 0.25}, 2)
     phi = lambda pts: np.asarray(pts, dtype=complex)[..., 0].real.astype(complex)
     E = (ArcSet.full_circle(), _two_arcs(0.6))
     grid = np.stack(np.meshgrid(np.exp(1j * E[0].sample(512)),
@@ -117,6 +117,25 @@ def test_sup_error_polydisc_matches_pointwise_evaluation():
     direct = float(np.max(np.abs(f(grid) - phi(grid))))
     assert sup_error(f, E, phi) == pytest.approx(direct, abs=1e-13)
     assert sup_error(f, (E[0], ArcSet.empty()), phi) == float("inf")
+
+
+def test_product_assembly_is_the_sum_of_scalar_products_bit_for_bit():
+    # reference: sum_l p_{1,l}(z1) p_{2,l}(z2) one scalar complex product at a time
+    rng = np.random.default_rng(4)
+
+    def poly(n):  # some coefficients real, so products with a zero imaginary part occur
+        return Polynomial1D(rng.normal(size=n) + 1j * rng.normal(size=n) * (rng.random(n) < 0.8))
+
+    for _ in range(10):
+        sizes = rng.integers(1, 10, size=(int(rng.integers(1, 9)), 2))
+        terms = [(poly(n1), poly(n2)) for n1, n2 in sizes]
+        ref = {}
+        for p1, p2 in terms:
+            for k1, c1 in enumerate(p1.coeffs):
+                for k2, c2 in enumerate(p2.coeffs):
+                    ref[k1, k2] = ref.get((k1, k2), 0.0) + complex(c1) * complex(c2)
+        f = _product_polynd(terms)
+        assert list(f.terms.items()) == sorted((k, c) for k, c in ref.items() if c != 0)
 
 
 def test_simul_polydisc_target_vanishing_on_the_diagonal_is_not_zero():
@@ -155,7 +174,7 @@ def test_shipped_simul_report_matches_its_own_f_and_E(tmp_path, name):
     f = serialize.from_document(doc["f"])
     if f.dim == 1:
         E = serialize.from_document(doc["E"])
-        f = Polynomial1D(f.coefficient_array())
+        f = Polynomial1D(f.coeffs)
         norm, measure = bloch_norm(f).norm, E.measure
     else:
         E = tuple(serialize.from_document(d) for d in doc["E"])

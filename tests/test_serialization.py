@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -22,9 +24,20 @@ def test_poly1d_round_trip_byte_identical():
 
 
 def test_polynd_round_trip():
-    p = PolynomialND({(2, 0): 1.0, (0, 1): -1j}, 2)
+    p = PolynomialND.from_terms({(2, 0): 1.0, (0, 1): -1j}, 2)
     a, b = _round_trip(p)
     assert a == b
+
+
+def test_a_criterion_7_f_of_the_sparse_format_reserialises_byte_for_byte():
+    # simul's f on Re z1 Re z2 as written when PolynomialND held a sparse
+    # dict: it loads into the dense array and is written back unchanged
+    path = os.path.join(os.path.dirname(__file__), "data", "criterion_07_f.json")
+    with open(path) as fh:
+        text = fh.read()
+    f = serialize.from_document(serialize.loads(text))
+    assert f.coeffs.shape == (9, 9) and len(f.terms) == 81
+    assert serialize.dumps(serialize.to_document(f)) + "\n" == text
 
 
 def test_inner_chain_round_trip():
@@ -44,7 +57,7 @@ def test_cantor_measure_round_trip():
 
 @pytest.mark.parametrize("f", [
     Polynomial1D(np.array([1.0, 0.5j])),
-    PolynomialND({(1, 1): 2.0, (0, 3): -0.5j}, 2),
+    PolynomialND.from_terms({(1, 1): 2.0, (0, 3): -0.5j}, 2),
     InnerSpec.composition([InnerSpec.atomic([(1j, 0.2)]), InnerSpec.blaschke([0.3 - 0.2j])]),
 ], ids=["poly1d", "polynd", "inner"])
 def test_expression_leaf_round_trip(f):
