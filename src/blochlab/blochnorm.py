@@ -321,7 +321,8 @@ def little_bloch_profile(f, radii) -> np.ndarray:
     Raw values; no monotonicity is enforced.  A vanishing tail is the
     numerical signature of membership in the little Bloch space.
     """
-    _dim(f)
+    if _dim(f) != 1:
+        raise ValueError("little-Bloch profiles take one-variable functions")
     radii = np.asarray(radii, dtype=float)
     if radii.size and (np.any(np.diff(radii) <= 0) or np.any(radii <= 0) or np.any(radii >= 1)):
         raise ValueError("radii must be strictly increasing inside (0, 1)")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,9 +54,10 @@ class SingularMeasureSpec:
 
     kind ``atomic``: point masses ``atoms`` = ((zeta, mass), ...).
     kind ``cantor``: self-similar measure of total mass ``mass`` on the
-    arc of length ``arc_length`` centered at ``center``; each interval
-    splits into two end pieces of relative width ``ratio`` carrying half
-    the mass; ``depth`` caps the quadrature recursion.
+    arc of length ``arc_length`` in (0, 2 pi] centered at ``center``;
+    each interval splits into two end pieces of relative width ``ratio``
+    carrying half the mass; ``depth``, a whole number >= 0, caps the
+    quadrature recursion.
     """
 
     kind: str
@@ -82,6 +84,13 @@ class SingularMeasureSpec:
                 raise ValueError("total mass must be positive")
             if abs(abs(self.center) - 1.0) > 1e-12:
                 raise ValueError("cantor center must lie on the circle")
+            if isinstance(self.depth, bool) or not isinstance(self.depth, numbers.Integral) \
+                    or self.depth < 0:
+                raise ValueError(f"cantor depth must be a whole number >= 0, got {self.depth!r}")
+            if not (isinstance(self.arc_length, numbers.Real)
+                    and 0.0 < self.arc_length <= 2.0 * np.pi):
+                raise ValueError(
+                    f"cantor arc_length must lie in (0, 2 pi], got {self.arc_length!r}")
         else:
             raise ValueError(f"unknown measure kind {self.kind!r}")
 
@@ -219,7 +228,10 @@ def _cantor_integrals(spec, z):
     truncation bound is at most its mass share QUAD_TOL m / total, or at
     the depth cap spec.depth + 4; otherwise its two sub-intervals join the next
     frontier.  A point whose summed bound exceeds QUAD_TOL raises
-    QuadratureError.
+    QuadratureError.  A pair holds its point and the index of its
+    interval among those occupied at its level, so the center e^(i mid)
+    and the node factors e^(-i(mid + w x_i)) are evaluated once per
+    occupied interval, not once per pair.
 
     Certificate.  The rule is exact on polynomials of degree <= 2K - 1 in
     the angle, K = GAUSS_POINTS, and its weights are positive and sum to m.
@@ -261,38 +273,48 @@ def _cantor_tree(spec, flat):
     A = np.zeros(n, dtype=complex)
     Ap = np.zeros(n, dtype=complex)
     err = np.zeros(n)
+    abs_flat = np.abs(flat)
+    # each pair is (point pt, interval iv); iv indexes the occupied midpoints
     pt = np.arange(n)
-    mid = np.full(n, np.angle(spec.center))
+    iv = np.zeros(n, dtype=np.intp)
+    mids = np.array([np.angle(spec.center)])
     width, mass = spec.arc_length, total
     for depth in range(cap + 1):
         zp = flat[pt]
-        absz = np.abs(zp)
-        half_d = 0.5 * np.abs(zp - np.exp(1j * mid))
+        absz = abs_flat[pt]
+        half_d = 0.5 * np.abs(zp - np.exp(1j * mids)[iv])
         R = np.minimum(1.0, np.log1p(half_d / np.maximum(absz, 1e-300)))
         t = 0.5 * width / R
         eR = np.exp(R)
         M = np.maximum((1.0 + absz * eR) / half_d, 2.0 * eR / half_d ** 2)
-        bound = np.full(pt.shape, np.inf)
         ok = t < 1.0
-        bound[ok] = 2.0 * mass * M[ok] * t[ok] ** power / (1.0 - t[ok])
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            bound = np.where(ok, 2.0 * mass * M * t ** power / (1.0 - t), np.inf)
         accept = bound <= QUAD_TOL * mass / total
         if depth == cap:
             accept[:] = True
         p = pt[accept]
-        zeta_conj = np.exp(-1j * (mid[accept, None] + width * x))
-        u = zp[accept, None] * zeta_conj
+        zeta_conj = np.exp(-1j * (mids[:, None] + width * x))
+        ia = iv[accept]
+        u = zp[accept, None] * zeta_conj[ia]
         den = 1.0 - u
         a = ((1.0 + u) / den) @ omega * mass
-        ap = (2.0 * zeta_conj / (den * den)) @ omega * mass
+        ap = ((2.0 * zeta_conj)[ia] / (den * den)) @ omega * mass
         np.add.at(A, p, a)
         np.add.at(Ap, p, ap)
         np.add.at(err, p, bound[accept])
         split = ~accept
         if not np.any(split):
             break
+        # renumber the intervals some pair splits; children are mid -+ shift
+        used = np.zeros(mids.size, dtype=bool)
+        used[iv[split]] = True
+        kept = mids[used]
+        iv = (np.cumsum(used) - 1)[iv[split]]
         shift = 0.5 * (1.0 - spec.ratio) * width
         pt = np.concatenate([pt[split], pt[split]])
-        mid = np.concatenate([mid[split] - shift, mid[split] + shift])
+        iv = np.concatenate([iv, iv + kept.size])
+        mids = np.concatenate([kept - shift, kept + shift])
         width *= spec.ratio
         mass *= 0.5
     worst = int(np.argmax(err))

@@ -361,6 +361,12 @@ def test_an_out_that_is_not_a_path_is_a_config_error(tmp_path, monkeypatch, caps
 _ZERO = {"kind": "constant", "value": 0.0}
 
 
+def _cantor(**fields):
+    measure = {"kind": "measure", "measure_kind": "cantor", "center": [1.0, 0.0],
+               "arc_length": 1.5, "ratio": 0.25, "depth": 16, "mass": 1.0}
+    return {"kind": "inner", "inner_kind": "singular", "measure": {**measure, **fields}}
+
+
 @pytest.mark.parametrize("command, cfg, err", [
     ("certify", {**_NORM_Z, "target": _ZERO, "n": 3, "anchors": []},
      "certify needs at least one anchor"),
@@ -378,9 +384,19 @@ _ZERO = {"kind": "constant", "value": 0.0}
      "unknown expression node 'compose'"),
     ("bloch-norm", {"function": {"kind": "monomial", "n": -1}},
      "monomial degree n must be >= 0, got -1"),
+    ("inner-quotient", {"inner": _cantor(depth=-5), "samples": 64},
+     "cantor depth must be a whole number >= 0, got -5"),
+    ("inner-quotient", {"inner": _cantor(depth=2.5), "samples": 64},
+     "cantor depth must be a whole number >= 0, got 2.5"),
+    ("inner-quotient", {"inner": _cantor(arc_length=7.0), "samples": 64},
+     "cantor arc_length must lie in (0, 2 pi], got 7.0"),
+    ("little-bloch", {"function": {"kind": "polynd", "dim": 2,
+                                   "terms": [[[1, 1], [1, 0]], [[2, 0], [0.5, 0]]]}},
+     "little-Bloch profiles take one-variable functions"),
 ], ids=["certify-no-anchor", "universal-no-anchor", "universal-no-eps", "universal-no-target",
         "universal-enumerate-0", "universal-enumerate-negative", "inner-quotient-no-samples",
-        "compose-node", "monomial-negative-n"])
+        "compose-node", "monomial-negative-n", "cantor-negative-depth", "cantor-fractional-depth",
+        "cantor-long-arc", "little-bloch-two-variables"])
 def test_a_vacuous_or_unknown_spec_is_a_config_error(tmp_path, capsys, command, cfg, err):
     status, doc, _ = _run(tmp_path, command, cfg)
     assert status == 2

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -145,8 +146,111 @@ def test_cantor_certificate_covers_a_finer_rule(monkeypatch):
 def test_cantor_quadrature_error_at_the_depth_cap():
     # depth 0 caps the tree at depth 4, too shallow next to the arc's center
     spec = SingularMeasureSpec(kind="cantor", depth=0)
-    with pytest.raises(QuadratureError):
-        _cantor_integrals(spec, np.array([(1.0 - 1e-6) * spec.center]))
+    z = (1.0 - 1e-6) * spec.center
+    with pytest.raises(QuadratureError) as info:
+        _cantor_integrals(spec, np.array([z]))
+    message = str(info.value)
+    assert f"at z={complex(z)}" in message
+    assert math.isfinite(float(re.search(r"distance to support (\S+)\)", message).group(1)))
+
+
+def _per_pair_tree(spec, flat):
+    """Reference for _cantor_tree: every (point, interval) pair evaluates its own exponentials."""
+    n = flat.size
+    x, omega = cantor_gauss_rule(spec.ratio)
+    total = spec.total_mass
+    cap = spec.depth + 4
+    power = 2 * inner.GAUSS_POINTS
+    A = np.zeros(n, dtype=complex)
+    Ap = np.zeros(n, dtype=complex)
+    err = np.zeros(n)
+    pt = np.arange(n)
+    mid = np.full(n, np.angle(spec.center))
+    width, mass = spec.arc_length, total
+    for depth in range(cap + 1):
+        zp = flat[pt]
+        absz = np.abs(zp)
+        half_d = 0.5 * np.abs(zp - np.exp(1j * mid))
+        R = np.minimum(1.0, np.log1p(half_d / np.maximum(absz, 1e-300)))
+        t = 0.5 * width / R
+        eR = np.exp(R)
+        M = np.maximum((1.0 + absz * eR) / half_d, 2.0 * eR / half_d ** 2)
+        bound = np.full(pt.shape, np.inf)
+        ok = t < 1.0
+        bound[ok] = 2.0 * mass * M[ok] * t[ok] ** power / (1.0 - t[ok])
+        accept = bound <= inner.QUAD_TOL * mass / total
+        if depth == cap:
+            accept[:] = True
+        p = pt[accept]
+        zeta_conj = np.exp(-1j * (mid[accept, None] + width * x))
+        u = zp[accept, None] * zeta_conj
+        den = 1.0 - u
+        np.add.at(A, p, ((1.0 + u) / den) @ omega * mass)
+        np.add.at(Ap, p, (2.0 * zeta_conj / (den * den)) @ omega * mass)
+        np.add.at(err, p, bound[accept])
+        split = ~accept
+        if not np.any(split):
+            break
+        shift = 0.5 * (1.0 - spec.ratio) * width
+        pt = np.concatenate([pt[split], pt[split]])
+        mid = np.concatenate([mid[split] - shift, mid[split] + shift])
+        width *= spec.ratio
+        mass *= 0.5
+    worst = int(np.argmax(err))
+    if err[worst] > inner.QUAD_TOL:
+        min_dist = float(np.min(2.0 * half_d[pt == worst], initial=np.inf)) - width / 2.0
+        raise QuadratureError(
+            f"cantor quadrature error bound {err[worst]:.3e} exceeds {inner.QUAD_TOL}"
+            f" at z={complex(flat[worst])} (distance to support {min_dist:.3e});"
+            " raise the depth cap")
+    return A, Ap, err
+
+
+def _near_the_circle(n, seed):
+    """Uniform draws plus n points 1e-9..1e-7 inside the circle, over the support too."""
+    rng = np.random.default_rng(seed)
+    gap = np.exp(rng.uniform(np.log(1e-9), np.log(1e-7), n))
+    angle = rng.uniform(0.0, 2 * np.pi, n)
+    near = (1.0 - gap) * np.exp(1j * angle)
+    return np.concatenate([_disc_samples(2000, seed=seed, rmax=0.99995), near])
+
+
+@pytest.mark.parametrize("spec, z, points", [
+    (SingularMeasureSpec(kind="cantor"), _near_the_circle(300, 21), 4),
+    (SingularMeasureSpec(kind="cantor"), _near_the_circle(300, 22), 4),
+    (SingularMeasureSpec(kind="cantor", ratio=1e-3, depth=10), _disc_samples(2000, seed=23), 4),
+    # depth 20 at ratio 0.49 leaves intervals of 4e-6: points 1e-7 inside raise
+    (SingularMeasureSpec(kind="cantor", ratio=0.49, arc_length=6.0),
+     _disc_samples(2000, seed=24, rmax=0.99995), 4),
+    (SingularMeasureSpec(kind="cantor"), _near_the_circle(300, 25), 8),
+], ids=["seed-21", "seed-22", "ratio-1e-3", "ratio-0.49-long-arc", "8-gauss-points"])
+def test_cantor_tree_is_bit_identical_to_the_per_pair_traversal(monkeypatch, spec, z, points):
+    monkeypatch.setattr(inner, "GAUSS_POINTS", points)
+    cantor_gauss_rule.cache_clear()
+    try:
+        for value, ref in zip(_cantor_tree(spec, z), _per_pair_tree(spec, z)):
+            assert np.array_equal(value, ref)
+    finally:
+        cantor_gauss_rule.cache_clear()
+
+
+def test_cantor_tree_raises_the_per_pair_traversal_error():
+    spec = SingularMeasureSpec(kind="cantor", depth=0)
+    z = np.concatenate([_disc_samples(50, seed=26), [(1.0 - 1e-6) * spec.center]])
+    with pytest.raises(QuadratureError) as ref:
+        _per_pair_tree(spec, z)
+    with pytest.raises(QuadratureError) as info:
+        _cantor_tree(spec, z)
+    assert str(info.value) == str(ref.value)
+
+
+def test_cantor_integrals_do_not_depend_on_the_chunking(monkeypatch):
+    spec = SingularMeasureSpec(kind="cantor")
+    z = _disc_samples(500, seed=27, rmax=0.9999)
+    A, Ap = _cantor_integrals(spec, z)
+    monkeypatch.setattr(inner, "_Z_CHUNK", 7)
+    A7, Ap7 = _cantor_integrals(spec, z)
+    assert np.array_equal(A, A7) and np.array_equal(Ap, Ap7)
 
 
 def test_cantor_points_beside_the_support_converge():
