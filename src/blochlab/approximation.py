@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from blochlab.arcs import ArcSet
-from blochlab.expressions import Polynomial1D
+from blochlab.expressions import PolynomialND
 from blochlab.numerics import dyadic_radii
 
 GAP_MIN = 2.0 * np.pi / 1000.0
@@ -91,7 +91,7 @@ def _bounded_fit(A, b, n_main, bound):
 
 @dataclass(frozen=True)
 class FitReport:
-    poly: Polynomial1D
+    poly: PolynomialND
     margin: float    # sup |poly - target| on a dense fresh sampling of F
     degree: int
     achieved: bool   # margin < delta
@@ -112,7 +112,7 @@ def _doubling_fit(F: ArcSet, phi, delta: float, degree_cap: int, lowest: int,
     if degree_cap < _FIRST_DEGREE:
         raise ValueError(f"degree cap must be >= {_FIRST_DEGREE}")
     if not F.arcs:
-        return FitReport(Polynomial1D.zero(), 0.0, 0, True)
+        return FitReport(PolynomialND.zero(), 0.0, 0, True)
     gaps = F.complement()
     if not gaps.arcs or max(e - s for s, e in gaps.arcs) < GAP_MIN:
         raise ApproxError("arc set must leave a complementary gap of length >= 2*pi/1000")
@@ -129,7 +129,7 @@ def _doubling_fit(F: ArcSet, phi, delta: float, degree_cap: int, lowest: int,
         except np.linalg.LinAlgError as exc:
             raise ApproxError(f"the Gram matrix of the degree-{degree} fit is not "
                               "numerically positive definite") from exc
-        p = Polynomial1D(np.concatenate([np.zeros(lowest), coef]))
+        p = PolynomialND(np.concatenate([np.zeros(lowest), coef]))
         zv = np.exp(1j * F.sample(max(VERIFY_FLOOR, 32 * degree)))
         margin = float(np.max(np.abs(p(zv) - np.asarray(phi(zv), dtype=complex))))
         if best is None or margin < best[1]:
@@ -248,7 +248,7 @@ def _lp_solve(A, b, c):
 
 @dataclass(frozen=True)
 class NormFitReport:
-    poly: Polynomial1D
+    poly: PolynomialND
     value: float    # optimum of the norm bound the program minimised
     excess: float   # |h - phi| <= budget + excess at the samples (0: budget met)
     degree: int
@@ -350,7 +350,7 @@ def norm_fit(F: ArcSet, phi, budget, degree: int, weights=((0.0, 1.0),),
         A, b = np.vstack([A, A_new]), np.concatenate([b, b_new])
     scalars = dict(zip(names, x[2 * nc:]))
     value = scalars["t"] + origin_weight * scalars.get("origin", 0.0)
-    return NormFitReport(Polynomial1D(coef), float(value), float(max(scalars["excess"], 0.0)),
+    return NormFitReport(PolynomialND(coef), float(value), float(max(scalars["excess"], 0.0)),
                          degree, bool(solved and violated.size == 0))
 
 

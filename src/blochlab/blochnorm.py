@@ -1,9 +1,9 @@
 """Bloch, little-Bloch and weighted-Bloch norm estimation.
 
-Every norm takes the function itself and dispatches on its type: a
-one-variable polynomial (a ``Polynomial1D``, or a ``PolynomialND`` read
-as one) is scanned by FFT and an ``InnerSpec`` pointwise.  A
-two-variable ``PolynomialND`` on the polydisc or the ball B_2 is
+Every norm takes the function itself, a polynomial (one class,
+``PolynomialND``, for any number of variables) or an ``InnerSpec``.  On
+the disc a polynomial is scanned by FFT and an ``InnerSpec`` pointwise.
+A polynomial of two variables on the polydisc or the ball B_2 is
 evaluated exactly on M x M angles for each of a list of radius pairs, M
 chosen from the largest per-axis degree by the disc rule: both partials
 on every pair of radii from ``dyadic_radii(12, linear=16)``, or Rf on
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Polynomial1D, PolynomialND
+from .expressions import PolynomialND
 from .inner import InnerSpec, inner_eval
 from .numerics import NonFiniteSampleError, angular_count, dyadic_radii
 
@@ -102,7 +102,7 @@ def _dim(f) -> int:
     """The number of variables of a polynomial or inner function."""
     if isinstance(f, PolynomialND):
         return f.dim
-    if isinstance(f, (Polynomial1D, InnerSpec)):
+    if isinstance(f, InnerSpec):
         return 1
     raise TypeError(f"cannot interpret {type(f).__name__} as a Bloch function")
 
@@ -153,9 +153,8 @@ def _disc_shells(f, radii, stop_early: bool = False):
 
     Returns (sups, argmax points, degree, m): ``degree`` is f's degree
     when f is a polynomial (else None) and m the angles per shell.  A
-    one-variable ``PolynomialND`` is read as the ``Polynomial1D`` of its
-    coefficients; a polynomial's derivative is taken once and evaluated
-    on each shell by FFT, an ``InnerSpec`` is differentiated pointwise.
+    polynomial's derivative is taken once and evaluated on each shell by
+    FFT, an ``InnerSpec`` is differentiated pointwise.
     The first shell with a non-finite sample raises.
 
     With ``stop_early`` a polynomial's shells are visited in decreasing
@@ -165,18 +164,16 @@ def _disc_shells(f, radii, stop_early: bool = False):
     the visited shells are returned, in radius order, so their first
     maximum is the full scan's.
     """
-    if isinstance(f, PolynomialND):
-        f = Polynomial1D(f.coeffs)
-    degree = f.degree if isinstance(f, Polynomial1D) else None
+    degree = f.degree if isinstance(f, PolynomialND) else None
     m = _ANGULAR_COUNT if degree is None else angular_count(degree)
-    dpoly = None if degree is None else f.derivative()
+    dpoly = None if degree is None else f.partial(0)
     theta = 2.0 * np.pi * np.arange(m) / m
     sign = 1.0 if dpoly is None else -1.0  # the FFT walks the circle clockwise
     radii = np.asarray(radii, dtype=float)
     bound = None
     if stop_early and dpoly is not None:
         with np.errstate(over="ignore", invalid="ignore"):
-            bound = (1.0 - radii * radii) * Polynomial1D(np.abs(dpoly.coeffs))(radii).real * _BOUND_GUARD
+            bound = (1.0 - radii * radii) * PolynomialND(np.abs(dpoly.coeffs))(radii).real * _BOUND_GUARD
 
     def shell(i):
         r = float(radii[i])
@@ -261,7 +258,7 @@ def _polydisc_sup(f, weight):
     visited): ``visited`` lists the (i, j) radius-index pairs sampled,
     in row-major order.
     """
-    if not isinstance(f, PolynomialND) or f.dim != 2:
+    if _dim(f) != 2:
         raise ValueError("polydisc norm needs a two-variable polynomial")
     c = f.coeffs
     n1, n2 = c.shape

@@ -26,7 +26,7 @@ from .approximation import ApproxError, runge_pair, product_decompose, decomposi
 from .arcs import ArcSet
 from .blochnorm import (WeightSpec, bloch_norm, little_bloch_profile, profile_to_csv,
                         weight_integral_test, weighted_bloch_norm)
-from .expressions import PathSpec, Polynomial1D, PolynomialND
+from .expressions import PathSpec, PolynomialND
 from .inner import (InnerSpec, QuadratureError, ShrinkFailure, compose_shrink,
                     hyperbolic_quotient, loewner_transport_check)
 from .numerics import dyadic_radii
@@ -63,26 +63,29 @@ def _complex(v) -> complex:
 
 
 def _function_from_config(spec):
-    """A Polynomial1D, PolynomialND or InnerSpec from a config function spec."""
+    """A PolynomialND or InnerSpec from a config function spec."""
     if not isinstance(spec, dict):
         raise ConfigError("function spec must be an object")
     kind = spec.get("kind")
     if kind == "coeffs":
         coeffs = [_complex(c) for c in spec["coeffs"]]
-        return Polynomial1D(np.array(coeffs, dtype=complex))
+        return PolynomialND(np.array(coeffs, dtype=complex))
     if kind == "monomial":
         n = int(spec["n"])
         if n < 0:
             raise ConfigError(f"monomial degree n must be >= 0, got {n}")
-        coeffs = np.zeros(n + 1, dtype=complex)
-        coeffs[n] = 1.0
-        return Polynomial1D(coeffs)
+        return PolynomialND.from_terms({(n,): 1.0}, 1)
     if kind == "lacunary":
         return lacunary_baseline(int(spec["K"]))
     obj = serialize.from_document(spec)
-    if isinstance(obj, (Polynomial1D, PolynomialND, InnerSpec)):
+    if isinstance(obj, (PolynomialND, InnerSpec)):
         return obj
     raise ConfigError(f"cannot interpret function spec of kind {kind!r}")
+
+
+def _function_document(spec, f) -> dict:
+    """A report's copy of the config function f: given as a ``polynd``, it is written as one."""
+    return serialize.to_document(f, polynd="polynd" in (spec.get("kind"), spec.get("node")))
 
 
 def _inner_from_config(spec) -> InnerSpec:
@@ -171,7 +174,7 @@ def _cmd_bloch_norm(cfg, seed, out):
     f = _function_from_config(cfg["function"])
     rep = bloch_norm(f, domain=cfg.get("domain", "disc"))
     return {"report": rep.to_dict(),
-            "function": serialize.to_document(f)}, 0
+            "function": _function_document(cfg["function"], f)}, 0
 
 
 def _cmd_little_bloch(cfg, seed, out):
@@ -272,7 +275,7 @@ def _simul_document(res) -> dict:
     # a polydisc E is one arc set per axis
     E = serialize.to_document(res.E) if isinstance(res.E, ArcSet) \
         else [serialize.to_document(s) for s in res.E]
-    return {"f": serialize.to_document(res.f), "E": E, "report": res.report}
+    return {"f": serialize.to_document(res.f, polynd=True), "E": E, "report": res.report}
 
 
 def _cmd_simul(cfg, seed, out):
@@ -322,7 +325,7 @@ def _cmd_certify(cfg, seed, out):
     cert = certify(f, phi, int(cfg["n"]), anchors, tol=float(cfg.get("tol", 0.25)),
                    target_id=tid)
     doc = serialize.to_document(cert)
-    doc["function"] = serialize.to_document(f)
+    doc["function"] = _function_document(cfg["function"], f)
     return doc, 0
 
 

@@ -1,10 +1,11 @@
 """The polynomials the toolkit builds, Taylor sections and boundary paths.
 
-A Bloch function here is a dense one-variable polynomial
-(``Polynomial1D``), a dense polynomial in N variables
-(``PolynomialND``) or an inner function on the disc
+A Bloch function here is a dense polynomial in N variables
+(``PolynomialND``; the disc's polynomials are its one-variable case,
+also reachable as ``Polynomial1D``) or an inner function on the disc
 (``inner.InnerSpec``).  Each evaluates itself when called and is passed
-around as is; the norms in ``blochnorm`` dispatch on its type.
+around as is; the norms in ``blochnorm`` dispatch on its number of
+variables.
 """
 
 from __future__ import annotations
@@ -17,93 +18,19 @@ import numpy as np
 # _chain_eval stays imported: the benchmark tracer patches it here
 from blochlab.inner import _chain_eval  # noqa: F401
 
-#: points per block of Polynomial1D evaluation; bounds its temporaries
+#: points per block of one-variable evaluation; bounds its temporaries
 _EVAL_CHUNK = 1024
-
-
-@dataclass(frozen=True, eq=False)
-class Polynomial1D:
-    """Dense one-variable polynomial a_0 + a_1 z + ... + a_d z^d."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
-        if c.size == 0:
-            c = np.zeros(1, dtype=complex)
-        nz = np.flatnonzero(c != 0)  # a NaN is kept, not stripped as a zero
-        c = c[: nz[-1] + 1] if nz.size else c[:1] * 0.0
-        object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def zero(cls) -> "Polynomial1D":
-        return cls(np.zeros(1, dtype=complex))
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
-    def __call__(self, z):
-        """p(z) by blocked (Paterson-Stockmeyer) evaluation; scalar in, scalar out.
-
-        With L = ceil(sqrt(d + 1)) row j of the coefficient matrix holds
-        a_{jL}, ..., a_{jL+L-1}.  For each chunk of points one matrix
-        product with the powers z^0, ..., z^(L-1) gives every row's value,
-        and Horner in z^L over the rows finishes.
-        """
-        z = np.asarray(z, dtype=complex)
-        n = self.coeffs.size
-        width = math.isqrt(n - 1) + 1
-        rows = -(-n // width)
-        blocks = np.zeros(rows * width, dtype=complex)
-        blocks[:n] = self.coeffs
-        blocks = blocks.reshape(rows, width)
-        flat = z.reshape(-1)
-        out = np.empty(flat.size, dtype=complex)
-        for start in range(0, flat.size, _EVAL_CHUNK):
-            zc = flat[start: start + _EVAL_CHUNK]
-            powers = np.empty((width + 1, zc.size), dtype=complex)
-            powers[0] = 1.0
-            powers[1:] = zc
-            np.cumprod(powers, axis=0, out=powers)
-            vals = blocks @ powers[:width]
-            acc = vals[-1]
-            for row in vals[-2::-1]:
-                acc *= powers[width]
-                acc += row
-            out[start: start + zc.size] = acc
-        return out.reshape(z.shape)[()]
-
-    def derivative(self) -> "Polynomial1D":
-        if self.degree == 0:
-            return Polynomial1D.zero()
-        k = np.arange(1, self.coeffs.size)
-        return Polynomial1D(self.coeffs[1:] * k)
-
-    def __add__(self, other: "Polynomial1D") -> "Polynomial1D":
-        n = max(self.coeffs.size, other.coeffs.size)
-        a = np.zeros(n, dtype=complex)
-        a[: self.coeffs.size] += self.coeffs
-        a[: other.coeffs.size] += other.coeffs
-        return Polynomial1D(a)
-
-    def scale(self, c: complex) -> "Polynomial1D":
-        return Polynomial1D(self.coeffs * c)
-
-    def circle_values(self, r: float, count: int) -> np.ndarray:
-        """p(r e^{i theta}) on ``count`` uniform angles via a zero-padded FFT."""
-        b = self.coeffs * r ** np.arange(self.coeffs.size)
-        if count < b.size:
-            raise ValueError("need at least degree+1 angular samples")
-        return np.fft.fft(b, n=count)
-
 
 _MAX_EXPONENT = int(np.iinfo(np.intp).max)  # the largest index of a numpy axis
 
 
 @dataclass(frozen=True, eq=False)
 class PolynomialND:
-    """Dense polynomial in coeffs.ndim variables: coeffs[alpha] is the coefficient of z^alpha."""
+    """Dense polynomial in coeffs.ndim variables: coeffs[alpha] is the coefficient of z^alpha.
+
+    Trailing zero slabs are trimmed on every axis, a NaN is kept, and an
+    empty array is the zero polynomial.
+    """
 
     coeffs: np.ndarray
 
@@ -111,12 +38,18 @@ class PolynomialND:
         c = np.asarray(self.coeffs, dtype=complex)
         if c.ndim == 0:
             raise ValueError("a PolynomialND needs at least one variable")
+        if c.size == 0:
+            c = np.zeros((1,) * c.ndim, dtype=complex)
         nz = np.nonzero(c != 0)  # a NaN is kept, not stripped as a zero
         if nz[0].size:
             c = c[tuple(slice(int(i.max()) + 1) for i in nz)]
         else:
-            c = np.zeros((1,) * c.ndim, dtype=complex)
+            c = c[(slice(1),) * c.ndim] * 0.0
         object.__setattr__(self, "coeffs", c)
+
+    @classmethod
+    def zero(cls) -> "PolynomialND":
+        return cls(np.zeros(1, dtype=complex))
 
     @classmethod
     def from_terms(cls, terms: dict, dim: int) -> "PolynomialND":
@@ -141,6 +74,11 @@ class PolynomialND:
         return self.coeffs.ndim
 
     @property
+    def degree(self) -> int:
+        """The total degree; in one variable, read off the trimmed array's length."""
+        return self.coeffs.size - 1 if self.dim == 1 else self.total_degree
+
+    @property
     def terms(self) -> dict:
         """{alpha: c} over the nonzero coefficients, alpha in lexicographic order."""
         return {tuple(map(int, alpha)): complex(self.coeffs[tuple(alpha)])
@@ -151,23 +89,74 @@ class PolynomialND:
         return max(map(sum, self.terms), default=0)
 
     def __call__(self, z):
-        """p at points z, coordinates on the last axis; in one variable, one point per entry too.
+        """p at points z.
 
-        Nested Horner: the coefficient array is contracted one axis at a
-        time with its coordinate of every point.
+        In one variable every entry of z is a point, and the result has
+        z's shape (a scalar for a scalar); only a last axis of length one
+        on two or more axes is read as the coordinate axis, as in N
+        variables, and dropped.  The evaluation is blocked
+        (Paterson-Stockmeyer): with L = ceil(sqrt(d + 1)) row j of the
+        coefficient matrix holds a_{jL}, ..., a_{jL+L-1}; for each chunk
+        of points one matrix product with the powers z^0, ..., z^(L-1)
+        gives every row's value, and Horner in z^L over the rows finishes.
+
+        In N >= 2 variables the coordinates lie on z's last axis, and
+        nested Horner contracts the coefficient array one axis at a time
+        with its coordinate of every point.
         """
         z = np.asarray(z, dtype=complex)
-        if self.dim == 1 and z.ndim <= 1:
-            z = z[..., None]
-        if z.shape[-1:] != (self.dim,):
-            raise ValueError(f"expected points with {self.dim} coordinates")
-        out = self.coeffs[..., None]
-        for x in z.reshape(-1, self.dim).T:
-            out = np.polynomial.polynomial.polyval(x, out, tensor=False)
-        return out.reshape(z.shape[:-1])
+        if self.dim == 1 and z.ndim > 1 and z.shape[-1] == 1:
+            z = z[..., 0]
+        if self.dim > 1:
+            if z.shape[-1:] != (self.dim,):
+                raise ValueError(f"expected points with {self.dim} coordinates")
+            out = self.coeffs[..., None]
+            for x in z.reshape(-1, self.dim).T:
+                out = np.polynomial.polynomial.polyval(x, out, tensor=False)
+            return out.reshape(z.shape[:-1])
+        n = self.coeffs.size
+        width = math.isqrt(n - 1) + 1
+        blocks = np.concatenate([self.coeffs, np.zeros(-n % width)]).reshape(-1, width)
+        flat = z.reshape(-1)
+        out = np.empty(flat.size, dtype=complex)
+        for start in range(0, flat.size, _EVAL_CHUNK):
+            zc = flat[start: start + _EVAL_CHUNK]
+            powers = np.empty((width + 1, zc.size), dtype=complex)
+            powers[0] = 1.0
+            powers[1:] = zc
+            np.cumprod(powers, axis=0, out=powers)
+            vals = blocks @ powers[:width]
+            acc = vals[-1]
+            for row in vals[-2::-1]:
+                acc *= powers[width]
+                acc += row
+            out[start: start + zc.size] = acc
+        return out.reshape(z.shape)[()]
 
     def partial(self, k: int) -> "PolynomialND":
-        return PolynomialND(np.polynomial.polynomial.polyder(self.coeffs, axis=k))
+        """d/dz_k: each slab along axis k times its exponent, shifted down by one."""
+        exponents = np.arange(1, self.coeffs.shape[k]).reshape((-1,) + (1,) * (self.dim - 1 - k))
+        return PolynomialND(self.coeffs[(slice(None),) * k + (slice(1, None),)] * exponents)
+
+    def __add__(self, other: "PolynomialND") -> "PolynomialND":
+        a = np.zeros(tuple(map(max, self.coeffs.shape, other.coeffs.shape)), dtype=complex)
+        for c in (self.coeffs, other.coeffs):
+            a[tuple(map(slice, c.shape))] += c
+        return PolynomialND(a)
+
+    def scale(self, c: complex) -> "PolynomialND":
+        return PolynomialND(self.coeffs * c)
+
+    def circle_values(self, r: float, count: int) -> np.ndarray:
+        """p(r e^{i theta}) on ``count`` uniform angles via a zero-padded FFT; one variable."""
+        b = self.coeffs * r ** np.arange(self.coeffs.size)
+        if count < b.size:
+            raise ValueError("need at least degree+1 angular samples")
+        return np.fft.fft(b, n=count)
+
+
+#: the one-variable name of the same class, kept for callers that use it
+Polynomial1D = PolynomialND
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +165,7 @@ class PolynomialND:
 
 @dataclass(frozen=True)
 class TruncationResult:
-    poly: Polynomial1D
+    poly: PolynomialND
     tail_bound: float
     extraction_radius: float
     sample_count: int
@@ -209,7 +198,7 @@ def taylor_truncate(f, r: float, degree: int) -> TruncationResult:
         lo, hi = t[-8:-4].sum(), t[-4:].sum()
         ratio = min(hi / lo, 0.999) if lo > 0 else 0.0
         tail += float(t[-1]) * ratio / (1.0 - ratio)
-    return TruncationResult(Polynomial1D(kept), tail, rho, m)
+    return TruncationResult(PolynomialND(kept), tail, rho, m)
 
 
 # ---------------------------------------------------------------------------

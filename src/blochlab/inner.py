@@ -73,15 +73,15 @@ class SingularMeasureSpec:
             if not self.atoms:
                 raise ValueError("atomic measure needs at least one atom")
             for zeta, m in self.atoms:
-                if m <= 0:
-                    raise ValueError("atom masses must be positive")
+                if not (isinstance(m, numbers.Real) and m > 0):
+                    raise ValueError(f"atom masses must be positive numbers, got {m!r}")
                 if abs(abs(zeta) - 1.0) > 1e-12:
                     raise ValueError("atom support must lie on the circle")
         elif self.kind == "cantor":
-            if not 0.0 < self.ratio < 0.5:
-                raise ValueError("cantor ratio must lie in (0, 1/2)")
-            if self.mass <= 0:
-                raise ValueError("total mass must be positive")
+            if not (isinstance(self.ratio, numbers.Real) and 0.0 < self.ratio < 0.5):
+                raise ValueError(f"cantor ratio must lie in (0, 1/2), got {self.ratio!r}")
+            if not (isinstance(self.mass, numbers.Real) and self.mass > 0):
+                raise ValueError(f"cantor mass must be a positive number, got {self.mass!r}")
             if abs(abs(self.center) - 1.0) > 1e-12:
                 raise ValueError("cantor center must lie on the circle")
             if isinstance(self.depth, bool) or not isinstance(self.depth, numbers.Integral) \
@@ -319,8 +319,11 @@ def _cantor_tree(spec, flat):
         mass *= 0.5
     worst = int(np.argmax(err))
     if err[worst] > QUAD_TOL:
-        # only pairs accepted at the cap exceed their share: the last level
-        min_dist = float(np.min(2.0 * half_d[pt == worst], initial=np.inf)) - width / 2.0
+        # only pairs accepted at the cap exceed their share: the last level.
+        # On each of its arcs the point nearest z is at z's angle clipped to the arc
+        mid = mids[iv[pt == worst]]
+        angle = mid + np.clip(np.angle(flat[worst] * np.exp(-1j * mid)), -width / 2.0, width / 2.0)
+        min_dist = float(np.min(np.abs(flat[worst] - np.exp(1j * angle)), initial=np.inf))
         raise QuadratureError(
             f"cantor quadrature error bound {err[worst]:.3e} exceeds {QUAD_TOL}"
             f" at z={complex(flat[worst])} (distance to support {min_dist:.3e});"

@@ -25,7 +25,7 @@ import numpy as np
 from .approximation import norm_fit, product_decompose
 from .arcs import ArcSet
 from .blochnorm import bloch_norm
-from .expressions import Polynomial1D, PolynomialND
+from .expressions import PolynomialND
 # runge_pair, uniform_fit, taylor_truncate, compose_shrink, hyperbolic_quotient and
 # indicator_measure stay imported: the benchmark tracer patches them here
 from .approximation import runge_pair, uniform_fit  # noqa: F401
@@ -89,7 +89,7 @@ def plateau_polynomial(F: ArcSet, margin: float, center_value: float,
     (or falling, for center_value near 0 the gap level exceeds 1) to a
     gap level chosen so that the harmonic mean matches the requested
     origin value; the analytic completion comes from a Hilbert transform
-    and P is the Fourier section of 1 - exp(-S).  Returns (Polynomial1D,
+    and P is the Fourier section of 1 - exp(-S).  Returns (PolynomialND,
     diagnostics dict).  No pipeline routine calls it; it serves as a dense
     high-degree test polynomial for the Bloch-norm scan.
     """
@@ -143,7 +143,7 @@ def plateau_polynomial(F: ArcSet, margin: float, center_value: float,
     keep = min(degree_cap, m // 2 - 1)
     coeffs = np.array(ck[: keep + 1])
     tail = float(np.sum(np.abs(ck[keep + 1: m // 2])))
-    poly = Polynomial1D(coeffs)
+    poly = PolynomialND(coeffs)
     diag = {
         "margin_request": margin,
         "margin_on_grid": float(np.max(np.abs(p_star[on_f] - 1.0))),
@@ -214,18 +214,19 @@ def _superlevel_arcs(score, measure: float) -> ArcSet:
     return ArcSet.from_arcs([(h * i, h * j) for i, j in _runs(ok)])
 
 
-def _disc_residual(f_poly: Polynomial1D, phi):
+def _disc_residual(f_poly: PolynomialND, phi):
     return lambda z: np.abs(f_poly(z) - np.asarray(phi(z), dtype=complex))
 
 
 def sup_error(f, E, phi) -> float:
     """Sup of |f - phi| over a fixed sampling of E (inf when E is empty).
 
-    On the disc f is a Polynomial1D, E an ArcSet and the samples are
-    4096 points of E.  On the bidisc f is a two-variable PolynomialND, E
-    one arc set per axis and the samples are the product of 512 points of
-    each; f there is V_1 C V_2^T, C its coefficient matrix and V_k the
-    Vandermonde matrix of axis k, taken 64 second-axis points at a time.
+    On the disc f is a one-variable PolynomialND, E an ArcSet and the
+    samples are 4096 points of E.  On the bidisc f is a two-variable
+    PolynomialND, E one arc set per axis and the samples are the product
+    of 512 points of each; f there is V_1 C V_2^T, C its coefficient
+    matrix and V_k the Vandermonde matrix of axis k, taken 64 second-axis
+    points at a time.
     """
     if isinstance(E, ArcSet):
         if not E.arcs:
@@ -327,7 +328,7 @@ def simul_approx_disc(phi, eps: float) -> SimulApproxResult:
             break
     poly, E, contract = best
     report = {**contract, "norm_fit": trail, "degrees": {"f": poly.degree}}
-    return SimulApproxResult(PolynomialND(poly.coeffs), E, report)
+    return SimulApproxResult(poly, E, report)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +348,7 @@ def _product_polynd(terms) -> PolynomialND:
     return PolynomialND(acc)
 
 
-def _cross_weights(p: Polynomial1D) -> tuple:
+def _cross_weights(p: PolynomialND) -> tuple:
     """Pairs (s_k, m_k) with which a second factor h enters the norm of p(z_1) h(z_2).
 
     The seminorm of p(z_1) h(z_2) is the sup over both variables of
@@ -358,7 +359,7 @@ def _cross_weights(p: Polynomial1D) -> tuple:
     33 directions are tried.
     """
     z = (np.linspace(0.0, 1.0, 65)[:, None] * np.exp(2j * np.pi * np.arange(256) / 256)).ravel()
-    sem = (1.0 - np.abs(z) ** 2) * np.abs(p.derivative()(z))
+    sem = (1.0 - np.abs(z) ** 2) * np.abs(p.partial(0)(z))
     mod = np.abs(p(z))
     picks = sorted({int(np.argmax(math.cos(a) * sem + math.sin(a) * mod))
                     for a in np.linspace(0.0, np.pi / 2.0, 33)})

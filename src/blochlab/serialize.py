@@ -7,7 +7,12 @@ timestamps, when present, live in a "timestamp" field.
 
 A function is written as its bare ``poly1d``, ``polynd`` or ``inner``
 document; the ``{"kind": "expr", "node": ...}`` envelope of older
-reports is still read, as the leaf inside it.
+reports is still read, as the leaf inside it.  Both polynomial kinds
+read into one class, ``PolynomialND``; one variable is written as a
+``poly1d`` (the coefficients), more as a ``polynd`` (terms and ``dim``).
+Two writers name ``polynd`` in one variable too: simul's f, whose
+readers take ``dim`` from it, and the ``bloch-norm`` and ``certify``
+copy of a config function given as one.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import json
 import numpy as np
 
 from .arcs import ArcSet
-from .expressions import Polynomial1D, PolynomialND
+from .expressions import PolynomialND
 from .inner import InnerSpec, SingularMeasureSpec
 from .universality import Certificate, UniversalCandidate
 
@@ -52,11 +57,11 @@ def _coeff_list(arr) -> list:
     return [_cpx(c) for c in np.asarray(arr, dtype=complex)]
 
 
-def to_document(obj) -> dict:
-    """Encode a supported object as a JSON-ready dict with a node kind."""
-    if isinstance(obj, Polynomial1D):
-        return {"kind": "poly1d", "coeffs": _coeff_list(obj.coeffs)}
+def to_document(obj, polynd: bool = False) -> dict:
+    """Encode a supported object as a JSON-ready dict; ``polynd`` asks for that kind in one variable."""
     if isinstance(obj, PolynomialND):
+        if obj.dim == 1 and not polynd:
+            return {"kind": "poly1d", "coeffs": _coeff_list(obj.coeffs)}
         terms = [[list(alpha), _cpx(c)] for alpha, c in obj.terms.items()]
         return {"kind": "polynd", "dim": obj.dim, "terms": terms}
     if isinstance(obj, SingularMeasureSpec):
@@ -101,7 +106,7 @@ def from_document(doc):
     except (TypeError, KeyError) as exc:
         raise SerializationError("document has no kind") from exc
     if kind == "poly1d":
-        return Polynomial1D(np.array([_uncpx(c) for c in doc["coeffs"]], dtype=complex))
+        return PolynomialND(np.array([_uncpx(c) for c in doc["coeffs"]], dtype=complex))
     if kind == "polynd":
         terms = {tuple(alpha): _uncpx(c) for alpha, c in doc["terms"]}
         return PolynomialND.from_terms(terms, doc["dim"])

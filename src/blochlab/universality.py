@@ -21,7 +21,7 @@ import numpy as np
 from .approximation import uniform_fit
 from .arcs import ArcSet
 from .blochnorm import bloch_norm
-from .expressions import PathSpec, Polynomial1D, path_points
+from .expressions import PathSpec, PolynomialND, path_points
 from .numerics import measure_metric, metric_points
 # indicator_measure stays imported: the benchmark tracer patches it here
 from .numerics import indicator_measure  # noqa: F401
@@ -135,7 +135,7 @@ class Certificate:
 class UniversalCandidate:
     """Blocks, budgets and certificates of a greedy universal candidate."""
 
-    blocks: tuple            # Polynomial1D per step
+    blocks: tuple            # PolynomialND per step
     budgets: tuple           # the eps schedule actually consumed
     indices: tuple           # radius index n_l per certificate
     certificates: tuple
@@ -181,7 +181,7 @@ def certify(f, target, n: int, L, radii=None, tol: float = 0.25,
                        float(np.mean(good)), block_norm, partial_index, d_sup < tol)
 
 
-def _correction_block(diff, budget: float) -> Polynomial1D:
+def _correction_block(diff, budget: float) -> PolynomialND:
     """Polynomial whose boundary values track ``diff`` outside small gaps.
 
     The best fit of degree <= 256 is used even when it misses budget / 2.
@@ -216,7 +216,7 @@ def universal_build(targets: TargetEnumeration, radii, L, eps_schedule,
     zeta = CIRCLE_POINTS
 
     blocks, budgets, indices, certs, norms, failed = [], [], [], [], [], []
-    partial = Polynomial1D.zero()
+    partial = PolynomialND.zero()
     n_prev = 0
     pairs = list(targets)
     if not pairs:
@@ -227,7 +227,7 @@ def universal_build(targets: TargetEnumeration, radii, L, eps_schedule,
 
         diff_vals = tv - partial(zeta)
         if float(np.max(np.abs(diff_vals))) < 1e-13:
-            block = Polynomial1D.zero()
+            block = PolynomialND.zero()
         else:
             block = _correction_block(lambda z, t=target: np.asarray(t(z), dtype=complex)
                                       - partial(z), eps_l)
@@ -293,14 +293,14 @@ def cluster_probe(f, path: PathSpec, values, tol: float) -> tuple:
     return tuple(out)
 
 
-def lacunary_baseline(K: int) -> Polynomial1D:
+def lacunary_baseline(K: int) -> PolynomialND:
     """Partial sum sum_{k=1..K} z^(2^k), the classical wild Bloch function."""
     if K < 1:
         raise ValueError("K must be >= 1")
     coeffs = np.zeros(2 ** K + 1, dtype=complex)
     for k in range(1, K + 1):
         coeffs[2 ** k] = 1.0
-    return Polynomial1D(coeffs)
+    return PolynomialND(coeffs)
 
 
 def certificates_csv(candidate: UniversalCandidate) -> str:

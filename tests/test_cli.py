@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from blochlab import serialize
-from blochlab.blochnorm import IntegralTestResult
+from blochlab.blochnorm import IntegralTestResult, bloch_norm
 from blochlab.cli import main
 from blochlab.expressions import Polynomial1D, PolynomialND
 from blochlab.inner import QuadratureError, TransportReport
@@ -390,13 +390,22 @@ def _cantor(**fields):
      "cantor depth must be a whole number >= 0, got 2.5"),
     ("inner-quotient", {"inner": _cantor(arc_length=7.0), "samples": 64},
      "cantor arc_length must lie in (0, 2 pi], got 7.0"),
+    ("inner-quotient", {"inner": _cantor(ratio="0.3"), "samples": 64},
+     "cantor ratio must lie in (0, 1/2), got '0.3'"),
+    ("inner-quotient", {"inner": _cantor(mass="1"), "samples": 64},
+     "cantor mass must be a positive number, got '1'"),
+    ("inner-quotient", {"inner": {"kind": "inner", "inner_kind": "singular", "measure": {
+        "kind": "measure", "measure_kind": "atomic", "atoms": [[[1.0, 0.0], "0.5"]]}},
+        "samples": 64},
+     "atom masses must be positive numbers, got '0.5'"),
     ("little-bloch", {"function": {"kind": "polynd", "dim": 2,
                                    "terms": [[[1, 1], [1, 0]], [[2, 0], [0.5, 0]]]}},
      "little-Bloch profiles take one-variable functions"),
 ], ids=["certify-no-anchor", "universal-no-anchor", "universal-no-eps", "universal-no-target",
         "universal-enumerate-0", "universal-enumerate-negative", "inner-quotient-no-samples",
         "compose-node", "monomial-negative-n", "cantor-negative-depth", "cantor-fractional-depth",
-        "cantor-long-arc", "little-bloch-two-variables"])
+        "cantor-long-arc", "cantor-text-ratio", "cantor-text-mass", "atomic-text-mass",
+        "little-bloch-two-variables"])
 def test_a_vacuous_or_unknown_spec_is_a_config_error(tmp_path, capsys, command, cfg, err):
     status, doc, _ = _run(tmp_path, command, cfg)
     assert status == 2
@@ -441,15 +450,23 @@ def test_a_missing_key_is_named(tmp_path, capsys):
 
 def test_bloch_norm_of_a_simul_f_reproduces_its_norms(tmp_path):
     # simul writes its f as a one-variable polynd; bloch-norm reads it as the
-    # Polynomial1D it was fitted as, certified bound included
+    # polynomial it was fitted as, certified bound included
     (tmp_path / "simul").mkdir()
     _, simul, _ = _run(tmp_path / "simul", "simul", {"target": {"kind": "re"}, "eps": 0.5})
     status, doc, _ = _run(tmp_path, "bloch-norm", {"function": simul["f"]})
     assert status == 0
-    assert simul["f"]["kind"] == "polynd"
+    assert (simul["f"]["kind"], simul["f"]["dim"]) == ("polynd", 1)
     rep = doc["report"]
     assert rep["norm"] == simul["report"]["norm"]
     assert rep["value_at_zero"] + rep["certified"] == simul["report"]["certified_norm"]
+    # what the benchmark's quality check reads: the coefficients rebuilt from
+    # terms and total_degree certify the same norm as a one-variable polynomial
+    f = serialize.from_document(simul["f"])
+    coeffs = np.zeros(f.total_degree + 1, dtype=complex)
+    for alpha, c in f.terms.items():
+        coeffs[alpha[0]] = c
+    assert np.array_equal(coeffs, f.coeffs)
+    assert bloch_norm(Polynomial1D(coeffs)).certified_norm == simul["report"]["certified_norm"]
 
 
 # records, after each run, whether scipy has been imported

@@ -154,6 +154,17 @@ def test_cantor_quadrature_error_at_the_depth_cap():
     assert math.isfinite(float(re.search(r"distance to support (\S+)\)", message).group(1)))
 
 
+def test_cantor_quadrature_error_reports_the_distance_to_the_last_level_arcs():
+    # a point 6.5e-9 inside the circle over the support: the distance to the
+    # nearest arc of the last level is radial, 1 - |z|, never negative
+    spec = SingularMeasureSpec(kind="cantor", ratio=0.49, arc_length=6.0)
+    z = (1.0 - 6.5e-9) * np.exp(1j * np.angle(0.42162 - 0.90677j))
+    with pytest.raises(QuadratureError) as info:
+        _cantor_tree(spec, np.array([z]))
+    distance = float(re.search(r"distance to support (\S+)\)", str(info.value)).group(1))
+    assert distance == pytest.approx(1.0 - abs(z), rel=1e-3)
+
+
 def _per_pair_tree(spec, flat):
     """Reference for _cantor_tree: every (point, interval) pair evaluates its own exponentials."""
     n = flat.size
@@ -198,7 +209,9 @@ def _per_pair_tree(spec, flat):
         mass *= 0.5
     worst = int(np.argmax(err))
     if err[worst] > inner.QUAD_TOL:
-        min_dist = float(np.min(2.0 * half_d[pt == worst], initial=np.inf)) - width / 2.0
+        near = mid[pt == worst]
+        near = near + np.clip(np.angle(flat[worst] * np.exp(-1j * near)), -width / 2.0, width / 2.0)
+        min_dist = float(np.min(np.abs(flat[worst] - np.exp(1j * near)), initial=np.inf))
         raise QuadratureError(
             f"cantor quadrature error bound {err[worst]:.3e} exceeds {inner.QUAD_TOL}"
             f" at z={complex(flat[worst])} (distance to support {min_dist:.3e});"

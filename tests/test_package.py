@@ -54,3 +54,20 @@ def test_only_the_two_monte_carlo_draws_seed_a_generator():
                 names = [n.name for n in defs if n.lineno <= lineno <= n.end_lineno]
                 owners.add(f"{path.stem}.{names[-1] if names else '<module>'}")
     assert owners == {"numerics.sample_torus", "cli._cmd_inner_quotient"}
+
+
+def _calls_isinstance_with(tree, name):
+    """Whether any isinstance call in ``tree`` names ``name`` in its second argument."""
+    return any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+               and any(getattr(n, "id", None) == name for n in ast.walk(node.args[1]))
+               for node in ast.walk(tree))
+
+
+def test_one_polynomial_class_serves_every_number_of_variables():
+    from blochlab import expressions
+    tree = ast.parse(pathlib.Path(expressions.__file__).read_text())
+    classes = [n.name for n in tree.body if isinstance(n, ast.ClassDef)]
+    assert [c for c in classes if c.startswith("Polynomial")] == ["PolynomialND"]
+    assert expressions.Polynomial1D is expressions.PolynomialND
+    for path in sorted(pathlib.Path(blochlab.__file__).parent.glob("*.py")):
+        assert not _calls_isinstance_with(ast.parse(path.read_text()), "Polynomial1D"), path.name

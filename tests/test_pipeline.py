@@ -94,7 +94,8 @@ def test_simul_disc_real_part_meets_contract():
 def test_simul_disc_result_is_polynomial():
     res = simul_approx_disc(
         lambda z: np.ones_like(np.asarray(z, dtype=complex)), 0.5)
-    p = Polynomial1D(res.f.coeffs)
+    p = res.f
+    assert p.dim == 1
     z = np.exp(1j * res.E.sample(512)) if res.E.arcs else np.zeros(1)
     assert np.all(np.isfinite(p(z)))
 
@@ -174,7 +175,6 @@ def test_shipped_simul_report_matches_its_own_f_and_E(tmp_path, name):
     f = serialize.from_document(doc["f"])
     if f.dim == 1:
         E = serialize.from_document(doc["E"])
-        f = Polynomial1D(f.coeffs)
         norm, measure = bloch_norm(f).norm, E.measure
     else:
         E = tuple(serialize.from_document(d) for d in doc["E"])

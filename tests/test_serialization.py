@@ -27,6 +27,12 @@ def test_polynd_round_trip():
     p = PolynomialND.from_terms({(2, 0): 1.0, (0, 1): -1j}, 2)
     a, b = _round_trip(p)
     assert a == b
+    # one variable is a poly1d unless the writer names polynd; both read back alike
+    q = Polynomial1D(np.array([0.5, 0.0, 1j]))
+    doc = serialize.to_document(q, polynd=True)
+    assert (doc["kind"], doc["dim"]) == ("polynd", 1)
+    assert serialize.to_document(q)["kind"] == "poly1d"
+    assert np.array_equal(serialize.from_document(doc).coeffs, q.coeffs)
 
 
 def test_a_criterion_7_f_of_the_sparse_format_reserialises_byte_for_byte():
