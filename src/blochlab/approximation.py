@@ -13,6 +13,7 @@ products of one-variable trigonometric polynomials.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,9 @@ def _bounded_fit(A, b, n_main, bound):
     """Weighted least squares on the first ``n_main`` rows, anchors on the rest.
 
     Row i of A is z_i^lowest .. z_i^d at a point z_i of the unit circle,
-    samples of F first, then of its gaps.  Main-row weights follow Lawson
+    samples of F first, then of its gaps, as ``_powers`` builds them: each
+    entry lies within about ulp(d theta_i) of the exact power, so the rows
+    are unimodular to rounding.  Main-row weights follow Lawson
     reweighting (trading mean-square error for near-uniform error).  Gap
     rows are soft anchors of weight ``_GAP_WEIGHT`` whose targets are
     re-clamped each pass to the current fit value, capped at ``bound`` in
@@ -97,17 +100,41 @@ class FitReport:
     achieved: bool   # margin < delta
 
 
+def _powers(theta, lowest: int, degree: int) -> np.ndarray:
+    """C-contiguous e^(i k theta) for k = lowest .. degree, one row per angle.
+
+    Paterson-Stockmeyer split: with n = degree + 1 - lowest columns and
+    L = isqrt(n - 1) + 1, only the L small powers e^(i k theta), k < L,
+    and the ceil(n / L) block powers e^(i (lowest + jL) theta) are
+    exponentials; the power lowest + jL + k is one complex product of the
+    two.  Each entry is off from the exact power by about ulp(degree
+    theta), as one exponential per entry is, at a fraction of the cost.
+    """
+    n = degree + 1 - lowest
+    L = math.isqrt(n - 1) + 1
+    small = np.exp(np.outer(1j * theta, np.arange(L)))
+    A = np.empty((theta.size, n), dtype=complex)
+    for start in range(0, n, L):
+        width = min(L, n - start)
+        np.multiply(np.exp(1j * (lowest + start) * theta)[:, None], small[:, :width],
+                    out=A[:, start:start + width])
+    return A
+
+
 def _doubling_fit(F: ArcSet, phi, delta: float, degree_cap: int, lowest: int,
                   bound) -> FitReport:
     """Best fit of ``phi`` on F by z^lowest .. z^degree, degree doubling from 8.
 
     Each degree solves ``_bounded_fit`` on samples of F, with anchors on
     the complement that start from phi's own values there and are capped
-    in modulus at ``bound(target samples)``; its margin is measured on a
-    dense fresh sampling of F.  The loop stops at the first margin below
-    ``delta`` or at ``degree_cap``, and returns the fit of least margin
-    (``achieved`` False when even that misses ``delta``).  ``lowest = 1``
-    drops the constant term, so the fit vanishes at 0 exactly.
+    in modulus at ``bound(target samples)``; A's rows come from
+    ``_powers``.  Its margin is measured on a dense sampling of F,
+    max(``VERIFY_FLOOR``, 32 degree) points, whose values of phi are
+    computed once per count, so once per fit up to degree 312.  The loop
+    stops at the first margin below ``delta`` or at ``degree_cap``, and
+    returns the fit of least margin (``achieved`` False when even that
+    misses ``delta``).  ``lowest = 1`` drops the constant term, so the
+    fit vanishes at 0 exactly.
     """
     if degree_cap < _FIRST_DEGREE:
         raise ValueError(f"degree cap must be >= {_FIRST_DEGREE}")
@@ -117,21 +144,25 @@ def _doubling_fit(F: ArcSet, phi, delta: float, degree_cap: int, lowest: int,
     if not gaps.arcs or max(e - s for s, e in gaps.arcs) < GAP_MIN:
         raise ApproxError("arc set must leave a complementary gap of length >= 2*pi/1000")
     best = None
+    verify_count = None
     degree = _FIRST_DEGREE
     while degree <= degree_cap:
         theta_main = F.sample(max(4 * degree + 16, 256))
         n_main = theta_main.size
         theta = np.concatenate([theta_main, gaps.sample(max(degree // 2, 64))])
         target = np.asarray(phi(np.exp(1j * theta)), dtype=complex)
-        A = np.exp(np.outer(1j * theta, np.arange(lowest, degree + 1)))
+        A = _powers(theta, lowest, degree)
         try:
             coef = _bounded_fit(A, target, n_main, bound(target[:n_main]))
         except np.linalg.LinAlgError as exc:
             raise ApproxError(f"the Gram matrix of the degree-{degree} fit is not "
                               "numerically positive definite") from exc
         p = PolynomialND(np.concatenate([np.zeros(lowest), coef]))
-        zv = np.exp(1j * F.sample(max(VERIFY_FLOOR, 32 * degree)))
-        margin = float(np.max(np.abs(p(zv) - np.asarray(phi(zv), dtype=complex))))
+        count = max(VERIFY_FLOOR, 32 * degree)
+        if count != verify_count:
+            verify_count, zv = count, np.exp(1j * F.sample(count))
+            phi_v = np.asarray(phi(zv), dtype=complex)
+        margin = float(np.max(np.abs(p(zv) - phi_v)))
         if best is None or margin < best[1]:
             best = (p, margin, degree)
         if margin < delta:
@@ -157,6 +188,22 @@ def runge_pair(F: ArcSet, delta: float, degree_cap: int = 4096) -> FitReport:
         raise ValueError("delta must lie in (0, 1)")
     cap = 1.3 * max(1.0, F.measure / max(1.0 - F.measure, 1e-3))
     return _doubling_fit(F, np.ones_like, delta, degree_cap, 1, lambda target: cap)
+
+
+def jensen_gap_floor(F: ArcSet, margin: float) -> float:
+    """log10 of the least sup of |P - 1| over F's gaps that ``margin`` forces.
+
+    For P with P(0) = 0, Jensen's inequality for P - 1 gives 0 =
+    log|P(0) - 1| <= the circle mean of log|P - 1|.  So a margin delta < 1
+    on F forces the gap sup of |P - 1| to be at least
+    delta^(-m(F)/m(gaps)), m the normalised measure.  Returned as the
+    log10 (m(F)/m(gaps)) (-log10 delta), which does not overflow; 0 when
+    delta >= 1 or F is empty.  With a sampled margin, which can fall below
+    the sup over F, the floor is an estimate, not a certificate.
+    """
+    if margin >= 1.0 or F.measure == 0.0:
+        return 0.0
+    return F.measure / (1.0 - F.measure) * -math.log10(margin)
 
 
 def uniform_fit(F: ArcSet, phi, delta: float, degree_cap: int = 4096) -> FitReport:

@@ -22,7 +22,8 @@ import time
 import numpy as np
 
 from . import serialize
-from .approximation import ApproxError, runge_pair, product_decompose, decomposition_csv
+from .approximation import (ApproxError, decomposition_csv, jensen_gap_floor, product_decompose,
+                            runge_pair)
 from .arcs import ArcSet
 from .blochnorm import (WeightSpec, bloch_norm, little_bloch_profile, profile_to_csv,
                         weight_integral_test, weighted_bloch_norm)
@@ -255,6 +256,7 @@ def _cmd_runge(cfg, seed, out):
     return {"poly": serialize.to_document(rep.poly),
             "margin_at_zero": float(abs(rep.poly(0.0))),
             "margin_on_set": rep.margin,
+            "gap_floor_log10": jensen_gap_floor(F, rep.margin),
             "degree": rep.degree, "achieved": rep.achieved}, 0 if rep.achieved else 1
 
 

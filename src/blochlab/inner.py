@@ -48,6 +48,11 @@ class ShrinkFailure(RuntimeError):
     """Composition iteration cannot reduce the quotient supremum."""
 
 
+def _is_real(x) -> bool:
+    """A real number; a bool (a JSON ``true``) is not one."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SingularMeasureSpec:
     """A positive singular measure on the circle.
@@ -73,21 +78,21 @@ class SingularMeasureSpec:
             if not self.atoms:
                 raise ValueError("atomic measure needs at least one atom")
             for zeta, m in self.atoms:
-                if not (isinstance(m, numbers.Real) and m > 0):
+                if not (_is_real(m) and m > 0):
                     raise ValueError(f"atom masses must be positive numbers, got {m!r}")
                 if abs(abs(zeta) - 1.0) > 1e-12:
                     raise ValueError("atom support must lie on the circle")
         elif self.kind == "cantor":
-            if not (isinstance(self.ratio, numbers.Real) and 0.0 < self.ratio < 0.5):
+            if not (_is_real(self.ratio) and 0.0 < self.ratio < 0.5):
                 raise ValueError(f"cantor ratio must lie in (0, 1/2), got {self.ratio!r}")
-            if not (isinstance(self.mass, numbers.Real) and self.mass > 0):
+            if not (_is_real(self.mass) and self.mass > 0):
                 raise ValueError(f"cantor mass must be a positive number, got {self.mass!r}")
             if abs(abs(self.center) - 1.0) > 1e-12:
                 raise ValueError("cantor center must lie on the circle")
             if isinstance(self.depth, bool) or not isinstance(self.depth, numbers.Integral) \
                     or self.depth < 0:
                 raise ValueError(f"cantor depth must be a whole number >= 0, got {self.depth!r}")
-            if not (isinstance(self.arc_length, numbers.Real)
+            if not (_is_real(self.arc_length)
                     and 0.0 < self.arc_length <= 2.0 * np.pi):
                 raise ValueError(
                     f"cantor arc_length must lie in (0, 2 pi], got {self.arc_length!r}")

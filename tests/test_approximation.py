@@ -170,6 +170,53 @@ def test_numerically_singular_gram_still_gives_a_fit(monkeypatch):
     assert rep.margin < 1e-6
 
 
+@pytest.mark.parametrize("name", sorted(_FIT_SETS))
+@pytest.mark.parametrize("kind", ["uniform", "runge"])
+def test_blocked_powers_match_one_exponential_per_entry(monkeypatch, kind, name):
+    # the fits' own samples at degrees 8 .. 1024; the solve is skipped, so no
+    # degree meets the tolerance
+    eps = np.finfo(float).eps
+    powers = approximation._powers
+    seen = []
+
+    def check(theta, lowest, degree):
+        A = powers(theta, lowest, degree)
+        assert A.flags.c_contiguous and A.shape == (theta.size, degree + 1 - lowest)
+        tol = 8.0 * eps * (1.0 + np.max(np.abs(theta)) * degree)
+        for rows in np.array_split(np.arange(theta.size), 8):
+            reference = np.exp(np.outer(1j * theta[rows], np.arange(lowest, degree + 1)))
+            assert np.max(np.abs(A[rows] - reference)) <= tol
+        seen.append((lowest, degree))
+        return A
+
+    monkeypatch.setattr(approximation, "_powers", check)
+    monkeypatch.setattr(approximation, "_bounded_fit",
+                        lambda A, b, n_main, bound: np.zeros(A.shape[1], dtype=complex))
+    _fit(kind, _FIT_SETS[name], 1024)
+    lowest = 1 if kind == "runge" else 0
+    assert seen == [(lowest, 8 * 2 ** k) for k in range(8)]
+
+
+def test_verification_sample_and_its_target_values_are_computed_once_per_fit():
+    # the count max(VERIFY_FLOOR, 32 d) is the same at every degree up to 312
+    def phi(z):
+        return z.real.astype(complex)
+
+    sizes = []
+
+    def counted(z):
+        sizes.append(np.size(z))
+        return phi(z)
+
+    plain = uniform_fit(_two_arcs(), phi, 1e-12, degree_cap=256)
+    fit = uniform_fit(_two_arcs(), counted, 1e-12, degree_cap=256)
+    # one call on the fit samples of each degree 8 .. 256, one on the verification sample
+    assert len(sizes) == 6 + 1
+    assert sum(size >= approximation.VERIFY_FLOOR for size in sizes) == 1
+    assert np.array_equal(fit.poly.coeffs, plain.poly.coeffs)
+    assert (fit.margin, fit.degree) == (plain.margin, plain.degree)
+
+
 def test_a_target_that_is_not_finite_on_the_samples_is_an_approx_error():
     # NaN coefficients of the first pass make every weight NaN, and the
     # second pass's Gram row is rejected

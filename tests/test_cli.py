@@ -398,6 +398,16 @@ def _cantor(**fields):
         "kind": "measure", "measure_kind": "atomic", "atoms": [[[1.0, 0.0], "0.5"]]}},
         "samples": 64},
      "atom masses must be positive numbers, got '0.5'"),
+    ("inner-quotient", {"inner": _cantor(arc_length=True), "samples": 64},
+     "cantor arc_length must lie in (0, 2 pi], got True"),
+    ("inner-quotient", {"inner": _cantor(mass=True), "samples": 64},
+     "cantor mass must be a positive number, got True"),
+    ("inner-quotient", {"inner": _cantor(ratio=True), "samples": 64},
+     "cantor ratio must lie in (0, 1/2), got True"),
+    ("inner-quotient", {"inner": {"kind": "inner", "inner_kind": "singular", "measure": {
+        "kind": "measure", "measure_kind": "atomic", "atoms": [[[1.0, 0.0], True]]}},
+        "samples": 64},
+     "atom masses must be positive numbers, got True"),
     ("little-bloch", {"function": {"kind": "polynd", "dim": 2,
                                    "terms": [[[1, 1], [1, 0]], [[2, 0], [0.5, 0]]]}},
      "little-Bloch profiles take one-variable functions"),
@@ -405,6 +415,7 @@ def _cantor(**fields):
         "universal-enumerate-0", "universal-enumerate-negative", "inner-quotient-no-samples",
         "compose-node", "monomial-negative-n", "cantor-negative-depth", "cantor-fractional-depth",
         "cantor-long-arc", "cantor-text-ratio", "cantor-text-mass", "atomic-text-mass",
+        "cantor-bool-arc-length", "cantor-bool-mass", "cantor-bool-ratio", "atomic-bool-mass",
         "little-bloch-two-variables"])
 def test_a_vacuous_or_unknown_spec_is_a_config_error(tmp_path, capsys, command, cfg, err):
     status, doc, _ = _run(tmp_path, command, cfg)
@@ -519,6 +530,22 @@ def test_runge_miss_writes_its_best_fit_and_exits_1(tmp_path):
     assert doc["achieved"] is False
     assert doc["margin_on_set"] >= 0.01
     assert _verify(tmp_path, report) == (1, ["status"])
+
+
+def test_runge_gap_floor_is_below_the_gap_sup_of_its_fit(tmp_path):
+    # Jensen's inequality for P - 1 with P(0) = 0: a margin delta on F forces
+    # sup over the gaps of |P - 1| >= delta^(-m(F)/m(gaps))
+    arcs = [[0.8, np.pi - 0.8], [np.pi + 0.8, 2 * np.pi - 0.8]]
+    status, doc, _ = _run(tmp_path, "runge", {"arcs": arcs, "delta": 1e-3, "degree_cap": 32})
+    assert status == 1
+    m_F = (2 * np.pi - 3.2) / (2 * np.pi)
+    floor = m_F / (1 - m_F) * -np.log10(doc["margin_on_set"])
+    assert doc["gap_floor_log10"] == pytest.approx(floor, rel=1e-12)
+    assert doc["gap_floor_log10"] > 0.3
+    P = serialize.from_document(doc["poly"])
+    gaps = np.concatenate([np.linspace(np.pi - 0.8, np.pi + 0.8, 2 ** 14),
+                           np.linspace(2 * np.pi - 0.8, 2 * np.pi + 0.8, 2 ** 14)])
+    assert np.max(np.abs(P(np.exp(1j * gaps)) - 1.0)) >= 10.0 ** doc["gap_floor_log10"]
 
 
 def test_decompose_miss_writes_its_best_sum_and_exits_1(tmp_path):
