@@ -235,50 +235,138 @@ _LP_MAX_ITER = 100
 _CUT_ROUNDS = 40
 
 
+def _polygon():
+    """(rho, e^(-2 pi i j / S) for j < S): the inscribed S-gon, S = ``_POLYGON_SIDES``.
+
+    Side j of the S-gon inscribed in |w| <= R is Re(e^(-2 pi i j / S) w) <= rho R.
+    """
+    return (np.cos(np.pi / _POLYGON_SIDES),
+            np.exp(-2j * np.pi * np.arange(_POLYGON_SIDES) / _POLYGON_SIDES))
+
+
+class _PolygonRows:
+    """Constraint matrix A of the norm-fit LP, kept per sample point.
+
+    The unknowns are x = (Re c, Im c, s) for nc coefficients c and
+    ns scalar variables s.  Row k < len(pts) is side ``side[k]`` of the
+    polygon at sample point p = ``pts[k]``: Re(w_k (G c)_p) - rho s_var[p]
+    with w_k = e^(-2 pi i side[k] / S); the full-width ``dense`` rows
+    follow.  The polygon rows are never built.  With P the distinct
+    points of the cut set, A x is one complex product G_P c and a gather,
+    and A'y a per-point sum of y w and one product with G_P'.  Writing
+    w = cos - i sin, row k is cos_k U_p + sin_k V_p - rho e_var[p], where
+    U_p and V_p are the rows of Re G_P c and Im G_P c as functionals of
+    (Re c, Im c); so A'DA comes from the per-point sums of d cos^2,
+    d sin^2, d cos sin, d cos and d sin on the 2|P| rows (U, V).  The
+    per-point sums are bincounts, which add in row order, and the
+    matrix-vector products take row-wise dot products of a contiguous
+    matrix, so neither depends on the BLAS thread count; the one
+    matrix-matrix product of A'DA still does, by rounding.
+    """
+
+    def __init__(self, G, var, pts, side, dense):
+        self.G, self.var, self.pts, self.side, self.dense = G, var, pts, side, dense
+        self.rho, sides = _polygon()
+        self.nc = G.shape[1]
+        self.ns = dense.shape[1] - 2 * self.nc
+        self.shape = (pts.size + dense.shape[0], dense.shape[1])
+        P, self.inv = np.unique(pts, return_inverse=True)
+        self.var_pair = var[pts]
+        self.GP = G[P]
+        self.GPT = np.ascontiguousarray(self.GP.T)
+        # (U, V)' as one contiguous 2 nc x 2|P| matrix
+        self.WT = np.block([[self.GPT.real, self.GPT.imag], [-self.GPT.imag, self.GPT.real]])
+        self.w = sides[side]
+        self.cos, self.sin = cos, sin = self.w.real.copy(), -self.w.imag
+        self.moments = (cos * cos, sin * sin, cos * sin, cos, sin)
+        # (diag(d) A)' on the rows (U, V), rewritten in place by each
+        # ``gram``; its scalar rows hold one entry per column
+        self.ST = np.zeros((self.shape[1], 2 * P.size))
+        self.ST_index = (2 * self.nc + var[P], np.arange(P.size))
+
+    def __matmul__(self, x):
+        nc, m = self.nc, self.pts.size
+        u = self.GP @ (x[:nc] + 1j * x[nc:2 * nc])
+        out = np.empty(self.shape[0])
+        out[:m] = (self.w * u[self.inv]).real - self.rho * x[2 * nc:][self.var_pair]
+        out[m:] = self.dense @ x
+        return out
+
+    def rmatvec(self, y):
+        m, nP = self.pts.size, self.GP.shape[0]
+        t = self.GPT @ (np.bincount(self.inv, y[:m] * self.cos, nP)
+                        - 1j * np.bincount(self.inv, y[:m] * self.sin, nP))
+        out = np.concatenate([t.real, -t.imag,
+                              -self.rho * np.bincount(self.var_pair, y[:m], self.ns)])
+        return out + y[m:] @ self.dense
+
+    def gram(self, d):
+        nc, m, nP = self.nc, self.pts.size, self.GP.shape[0]
+        cc, ss, cs, c1, s1 = (np.bincount(self.inv, d[:m] * mom, nP) for mom in self.moments)
+        UT, VT = self.WT[:, :nP], self.WT[:, nP:]
+        top, bottom = self.ST[:2 * nc, :nP], self.ST[:2 * nc, nP:]
+        np.multiply(cc, UT, out=top)
+        top += cs * VT
+        np.multiply(cs, UT, out=bottom)
+        bottom += ss * VT
+        rows, cols = self.ST_index
+        self.ST[rows, cols] = -self.rho * c1
+        self.ST[rows, nP + cols] = -self.rho * s1
+        H = np.zeros((self.shape[1], self.shape[1]))
+        H[:2 * nc] = self.WT @ self.ST.T
+        H[2 * nc:, :2 * nc] = H[:2 * nc, 2 * nc:].T
+        H[2 * nc:, 2 * nc:] += np.diag(self.rho ** 2 * np.bincount(self.var_pair, d[:m], self.ns))
+        return H + self.dense.T @ (d[m:, None] * self.dense)
+
+
 def _lp_solve(A, b, c):
     """(x, converged): x minimises c.x subject to A x <= b (Mehrotra).
 
-    ``converged`` is False when the iteration cap is reached before the
-    residuals and the duality gap fall below ``_LP_TOL``; x is then the
-    last iterate.
+    A is a ``_PolygonRows``.  ``converged`` is False when the iteration
+    cap is reached before the residuals and the duality gap fall below
+    ``_LP_TOL``; x is then the last iterate.
 
-    Dense normal equations A' (z/s) A are fine here: the programs have a
-    few dozen columns, so numpy's Cholesky and two solves on its factor
-    serve.  The tiny diagonal shift keeps the factor defined once inactive
-    rows stop contributing.
+    Primal and dual take one common step length, 0.99 min(alpha_primal,
+    alpha_dual).  With separate lengths the method was fragile: a
+    relative 1e-15 perturbation of the normal matrix, the size of a
+    reordered sum, drove degree-16 solves on the step target to the
+    iteration cap; with one length their iteration counts do not move.
+    The normal matrix A' (z/s) A has a few dozen columns, so each one is
+    solved through the inverse of its Cholesky factor; the tiny diagonal
+    shift keeps the factor defined once inactive rows stop contributing.
     """
     m, n = A.shape
 
     def factor(d):
-        H = A.T @ (d[:, None] * A)
+        H = A.gram(d)
         H[np.diag_indices(n)] += 1e-14 * np.trace(H) / n
-        return np.linalg.cholesky(H)
+        return np.linalg.inv(np.linalg.cholesky(H))
 
-    def solve(L, r):
-        return np.linalg.solve(L.T, np.linalg.solve(L, r))
+    def solve(Li, r):
+        return Li.T @ (Li @ r)
 
     def max_step(v, dv):
         neg = dv < 0.0
         return min(1.0, float(np.min(-v[neg] / dv[neg]))) if np.any(neg) else 1.0
 
     start = factor(np.ones(m))
-    x = solve(start, A.T @ b)
+    x = solve(start, A.rmatvec(b))
     s = b - A @ x
-    z = -A @ solve(start, c)
+    z = -(A @ solve(start, c))
     s += max(0.0, 1.0 - float(np.min(s)))
     z += max(0.0, 1.0 - float(np.min(z)))
     for _ in range(_LP_MAX_ITER):
-        rd = A.T @ z + c
+        rd = A.rmatvec(z) + c
         rp = A @ x + s - b
         gap = float(s @ z)
         if (np.max(np.abs(rp)) <= _LP_TOL * (1.0 + np.max(np.abs(b)))
                 and np.max(np.abs(rd)) <= 10.0 * _LP_TOL * (1.0 + np.max(np.abs(c)))
                 and gap <= _LP_TOL * (1.0 + abs(float(c @ x)))):
             return x, True
-        cho = factor(z / s)
+        Li = factor(z / s)
 
         def direction(rc):
-            dx = solve(cho, -rd - A.T @ ((z * rp - rc) / s))
+            dx = solve(Li, -rd - A.rmatvec((z * rp - rc) / s))
             ds = -rp - A @ dx
             return dx, ds, (-rc - z * ds) / s
 
@@ -286,10 +374,10 @@ def _lp_solve(A, b, c):
         ap, ad = max_step(s, ds), max_step(z, dz)
         sigma = (float((s + ap * ds) @ (z + ad * dz)) / gap) ** 3
         dx, ds, dz = direction(s * z + ds * dz - sigma * gap / m)
-        ap, ad = 0.99 * max_step(s, ds), 0.99 * max_step(z, dz)
-        x += ap * dx
-        s += ap * ds
-        z += ad * dz
+        alpha = 0.99 * min(max_step(s, ds), max_step(z, dz))
+        x += alpha * dx
+        s += alpha * ds
+        z += alpha * dz
     return x, False
 
 
@@ -370,21 +458,19 @@ def norm_fit(F: ArcSet, phi, budget, degree: int, weights=((0.0, 1.0),),
     if origin_weight > 0.0:
         cost[2 * nc + names.index("origin")] = origin_weight
 
-    rho = np.cos(np.pi / _POLYGON_SIDES)
-    sides = np.exp(-2j * np.pi * np.arange(_POLYGON_SIDES) / _POLYGON_SIDES)
+    rho, sides = _polygon()
 
-    def polygon_rows(pts, side):
-        # Re(e^{-i a}(G c + g0)) <= rho (rhs + s_var), c split as (Re, Im)
-        R = sides[side][:, None] * G[pts]
-        A = np.zeros((pts.size, 2 * nc + ns))
-        A[:, :nc], A[:, nc:2 * nc] = R.real, -R.imag
-        A[np.arange(pts.size), 2 * nc + var[pts]] = -rho
-        return A, rho * rhs[pts] - (sides[side] * g0[pts]).real
+    def offset(p, j):
+        # side j at point p: Re(e^{-2 pi i j / S}(G_p c + g0_p)) - rho s_var <= rho rhs_p
+        return rho * rhs[p] - (sides[j] * g0[p]).real
 
+    # the cut set: polygon side cut_side[k] at sample point pts[k]
     step = _POLYGON_SIDES // 8
-    A, b = polygon_rows(np.repeat(seed, 8), np.tile(np.arange(0, _POLYGON_SIDES, step), seed.size))
+    pts = np.repeat(seed, 8)
+    cut_side = np.tile(np.arange(0, _POLYGON_SIDES, step), seed.size)
+    b = offset(pts, cut_side)
     for _ in range(_CUT_ROUNDS):
-        x, solved = _lp_solve(np.vstack([A, A_scalar]),
+        x, solved = _lp_solve(_PolygonRows(G, var, pts, cut_side, A_scalar),
                               np.concatenate([b, np.zeros(len(scalar_rows))]), cost)
         coef = x[:nc] + 1j * x[nc:2 * nc]
         v = G @ coef + g0
@@ -393,8 +479,8 @@ def norm_fit(F: ArcSet, phi, budget, degree: int, weights=((0.0, 1.0),),
         violated = np.flatnonzero((sides[side] * v).real - bound > 1e-9 * (1.0 + np.abs(bound)))
         if violated.size == 0:
             break
-        A_new, b_new = polygon_rows(violated, side[violated])
-        A, b = np.vstack([A, A_new]), np.concatenate([b, b_new])
+        pts, cut_side = np.concatenate([pts, violated]), np.concatenate([cut_side, side[violated]])
+        b = np.concatenate([b, offset(violated, side[violated])])
     scalars = dict(zip(names, x[2 * nc:]))
     value = scalars["t"] + origin_weight * scalars.get("origin", 0.0)
     return NormFitReport(PolynomialND(coef), float(value), float(max(scalars["excess"], 0.0)),

@@ -11,6 +11,7 @@ from blochlab.approximation import (ApproxError, norm_fit, product_decompose, ru
                                     uniform_fit)
 from blochlab.arcs import ArcSet
 from blochlab.blochnorm import bloch_norm
+from blochlab.pipeline import _BUDGET_SHARE, _default_arcs, _target_measure
 
 TWO_PI = 2.0 * np.pi
 
@@ -329,9 +330,79 @@ def test_norm_fit_meets_budget_and_bounds_the_norm():
     assert bloch_norm(rep.poly).norm == pytest.approx(rep.value, rel=0.05)
 
 
+def _polygon_rows(A):
+    """The norm-fit LP's constraint matrix built densely, one row per (point, side) pair.
+
+    The reference for ``_PolygonRows``: side j at point p is the row
+    Re(e^(-2 pi i j / S) G_p) on Re c, -Im of it on Im c and -rho on the
+    scalar s_var(p); the dense rows follow.
+    """
+    rho, sides = approximation._polygon()
+    R = sides[A.side][:, None] * A.G[A.pts]
+    rows = np.zeros((A.pts.size, A.shape[1]))
+    rows[:, :A.nc], rows[:, A.nc:2 * A.nc] = R.real, -R.imag
+    rows[np.arange(A.pts.size), 2 * A.nc + A.var[A.pts]] = -rho
+    return np.vstack([rows, A.dense])
+
+
+def _step(z):
+    th = np.angle(np.asarray(z, dtype=complex)) % TWO_PI
+    return ((0.37 <= th) & (th < 2.77)).astype(complex)
+
+
+def _programs(monkeypatch, *args, **kwargs):
+    """The constraint matrices of the solves one ``norm_fit`` call makes."""
+    seen = []
+    solve = approximation._lp_solve
+
+    def record(A, b, c):
+        seen.append(A)
+        return solve(A, b, c)
+
+    monkeypatch.setattr(approximation, "_lp_solve", record)
+    norm_fit(*args, **kwargs)
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("case, families", [("step-16", 3), ("sup-and-seminorm", 4)])
+def test_polygon_rows_match_the_dense_constraint_matrix(monkeypatch, case, families):
+    if case == "step-16":
+        # step's degree-16 program of simul_approx_disc after its cut rounds
+        programs = _programs(monkeypatch, _default_arcs(_target_measure(0.5)), _step,
+                             _BUDGET_SHARE * 0.5, 16)
+        assert len(programs) > 1
+    else:
+        # weights with s_k and m_k > 0, as the polydisc factors use: the
+        # sup family and the origin row enter too
+        programs = _programs(monkeypatch, _two_arcs(0.77), _re, 0.3, 8,
+                             weights=((0.4, 0.9), (1.2, 0.1)), origin_weight=0.6)
+    A = programs[-1]
+    # every family (excess, origin, then sup and seminorm as present) is cut
+    assert set(A.var[A.pts].tolist()) == set(range(families))
+    dense = _polygon_rows(A)
+    m, n = dense.shape
+    assert A.shape == (m, n) and m > 1000
+    rng = np.random.default_rng(3)
+    x, y, d = rng.normal(size=n), rng.normal(size=m), rng.uniform(1e-3, 1e3, size=m)
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    assert close(A @ x, dense @ x)
+    assert close(A.rmatvec(y), dense.T @ y)
+    assert close(A.gram(d), dense.T @ (d[:, None] * dense))
+
+
+def _dense_rows(A):
+    """``_PolygonRows`` of the full-width rows A alone, with no polygon points."""
+    none = np.zeros(0, dtype=int)
+    return approximation._PolygonRows(np.zeros((0, 0), dtype=complex), none, none, none, A)
+
+
 # minimise -x1 - x2 subject to x1 + 2 x2 <= 4, 3 x1 + x2 <= 6, x >= 0;
 # the optimum is the vertex (1.6, 1.2)
-_LP = (np.array([[1.0, 2.0], [3.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+_LP = (_dense_rows(np.array([[1.0, 2.0], [3.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])),
        np.array([4.0, 6.0, 0.0, 0.0]), np.array([-1.0, -1.0]))
 
 

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from blochlab import serialize
+from blochlab import approximation, serialize
 from blochlab.arcs import ArcSet
 from blochlab.blochnorm import bloch_norm
 from blochlab.cli import _target_from_config, main
@@ -79,6 +79,25 @@ def test_every_step_norm_fit_converges():
     # a solve stopped at the LP's iteration cap shows only as this field
     trail = simul_approx_disc(_step_target, 0.5).report["norm_fit"]
     assert [t["converged"] for t in trail] == [True] * len(trail)
+
+
+def test_step_norm_fits_do_not_depend_on_rounding_in_the_normal_matrix(monkeypatch):
+    # a relative 1e-15 perturbation of each normal matrix, the size of a
+    # reordered sum, must neither stall a solve nor move a certified norm
+    trail = simul_approx_disc(_step_target, 0.5).report["norm_fit"]
+    rng = np.random.default_rng(11)
+    gram = approximation._PolygonRows.gram
+
+    def perturbed(self, d):
+        H = gram(self, d)
+        E = rng.uniform(-1.0, 1.0, size=H.shape)
+        return H * (1.0 + 1e-15 * (E + E.T) / 2.0)
+
+    monkeypatch.setattr(approximation._PolygonRows, "gram", perturbed)
+    moved = simul_approx_disc(_step_target, 0.5).report["norm_fit"]
+    assert [t["converged"] for t in moved] == [True] * len(trail)
+    for a, b in zip(trail, moved):
+        assert abs(a["certified_norm"] - b["certified_norm"]) < 1e-8
 
 
 def test_simul_disc_real_part_meets_contract():
