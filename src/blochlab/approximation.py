@@ -233,6 +233,8 @@ _LP_TOL = 1e-8
 _LP_MAX_ITER = 100
 #: cap on the cutting-plane rounds of one fit
 _CUT_ROUNDS = 40
+#: point columns per Gram block, summed in order: 256, not 512, rounds alike at any thread count
+_GRAM_BLOCK = 256
 
 
 def _polygon():
@@ -258,10 +260,10 @@ class _PolygonRows:
     U_p and V_p are the rows of Re G_P c and Im G_P c as functionals of
     (Re c, Im c); so A'DA comes from the per-point sums of d cos^2,
     d sin^2, d cos sin, d cos and d sin on the 2|P| rows (U, V).  The
-    per-point sums are bincounts, which add in row order, and the
+    per-point sums are bincounts, which add in row order, the
     matrix-vector products take row-wise dot products of a contiguous
-    matrix, so neither depends on the BLAS thread count; the one
-    matrix-matrix product of A'DA still does, by rounding.
+    matrix, and the matrix product of A'DA adds fixed blocks of point
+    columns in order, so none depends on the BLAS thread count.
     """
 
     def __init__(self, G, var, pts, side, dense):
@@ -313,7 +315,8 @@ class _PolygonRows:
         self.ST[rows, cols] = -self.rho * c1
         self.ST[rows, nP + cols] = -self.rho * s1
         H = np.zeros((self.shape[1], self.shape[1]))
-        H[:2 * nc] = self.WT @ self.ST.T
+        for k in range(0, 2 * nP, _GRAM_BLOCK):
+            H[:2 * nc] += self.WT[:, k:k + _GRAM_BLOCK] @ self.ST[:, k:k + _GRAM_BLOCK].T
         H[2 * nc:, :2 * nc] = H[:2 * nc, 2 * nc:].T
         H[2 * nc:, 2 * nc:] += np.diag(self.rho ** 2 * np.bincount(self.var_pair, d[:m], self.ns))
         return H + self.dense.T @ (d[m:, None] * self.dense)

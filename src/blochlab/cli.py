@@ -8,9 +8,8 @@ only field excluded from byte-level determinism, which is what lets
 ``verify`` re-run a report and compare.
 """
 
-from __future__ import annotations
-
 import argparse
+import inspect
 import json
 import math
 import os
@@ -24,7 +23,7 @@ import numpy as np
 from . import serialize
 from .approximation import (ApproxError, decomposition_csv, jensen_gap_floor, product_decompose,
                             runge_pair)
-from .arcs import ArcSet
+from .arcs import TWO_PI, ArcSet
 from .blochnorm import (WeightSpec, bloch_norm, little_bloch_profile, profile_to_csv,
                         weight_integral_test, weighted_bloch_norm)
 from .expressions import PathSpec, PolynomialND
@@ -32,324 +31,277 @@ from .inner import (InnerSpec, QuadratureError, ShrinkFailure, compose_shrink,
                     hyperbolic_quotient, loewner_transport_check)
 from .numerics import dyadic_radii
 from .pipeline import simul_approx_disc, simul_approx_polydisc
+from .serialize import SerializationError, each, field
 from .universality import (TargetEnumeration, certificates_csv, certify,
                            cluster_probe, default_radii, lacunary_baseline,
                            universal_build)
 
-TWO_PI = 2.0 * np.pi
 
-
-class ConfigError(ValueError):
-    pass
-
-
-# ---------------------------------------------------------------------------
-# config -> objects
+class ConfigError(Exception):
+    """A config its subcommand's table rejects; the message starts with the key's dotted path."""
 
 
 def _check_finite(v) -> None:
-    """ConfigError at the first number of a config, at any depth, that is not finite."""
-    if isinstance(v, dict):
-        v = list(v.values())
-    if isinstance(v, list):
-        for item in v:
-            _check_finite(item)
-    elif isinstance(v, float) and not math.isfinite(v):
-        raise ConfigError(f"config number {v!r} is not finite")
+    """An error at the first number of a config, at any depth, that is not finite."""
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError(f"config number {v!r} is not finite")
+    for k, x in v.items() if isinstance(v, dict) else enumerate(v) if isinstance(v, list) else ():
+        serialize.at(k if isinstance(k, str) else f"[{k}]", _check_finite, x)
+
+
+def _checked(read, ok, message: str):
+    """A reader: read(v), which ``ok`` must accept; ``message`` may show the value as {v!r}."""
+    def check(v):
+        if not ok(w := read(v)):
+            raise ValueError(message.format(v=v))
+        return w
+    return check
+
+
+_number = _checked(lambda v: v, lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+                   "expected a number, got {v!r}")
+_int = _checked(_number, lambda v: isinstance(v, int), "expected a whole number, got {v!r}")
+_pair = _checked(lambda v: tuple(float(_number(x)) for x in v), lambda p: len(p) == 2,
+                 "expected an [a, b] pair, got {v!r}")
+
+
+def _real(name, lo=-math.inf, hi=math.inf):
+    return _checked(lambda v: float(_number(v)), lambda x: lo < x < hi,
+                    f"{name} must lie in ({lo:g}, {hi:g}), got {{v!r}}")
+
+
+def _whole(name, lo=-math.inf, hi=math.inf):
+    return _checked(_int, lambda n: lo <= n <= hi, f"{name} must be >= {lo}, got {{v!r}}"
+                    if hi == math.inf else f"{name} must lie in [{lo}, {hi}], got {{v!r}}")
 
 
 def _complex(v) -> complex:
-    """A complex number from a config value: [re, im] or a real number."""
-    return complex(v[0], v[1]) if isinstance(v, list) else complex(v)
+    """A complex number from a config value: a real number or an [re, im] pair."""
+    return complex(*map(_number, v if isinstance(v, list) and len(v) == 2 else [v]))
 
 
-def _function_from_config(spec):
-    """A PolynomialND or InnerSpec from a config function spec."""
-    if not isinstance(spec, dict):
-        raise ConfigError("function spec must be an object")
-    kind = spec.get("kind")
+def _function_from_config(spec) -> tuple:
+    """A PolynomialND or InnerSpec from a config function spec, and whether it is a ``polynd``."""
+    kind = field(spec, "kind")
     if kind == "coeffs":
-        coeffs = [_complex(c) for c in spec["coeffs"]]
-        return PolynomialND(np.array(coeffs, dtype=complex))
-    if kind == "monomial":
-        n = int(spec["n"])
-        if n < 0:
-            raise ConfigError(f"monomial degree n must be >= 0, got {n}")
-        return PolynomialND.from_terms({(n,): 1.0}, 1)
-    if kind == "lacunary":
-        return lacunary_baseline(int(spec["K"]))
-    obj = serialize.from_document(spec)
-    if isinstance(obj, (PolynomialND, InnerSpec)):
-        return obj
-    raise ConfigError(f"cannot interpret function spec of kind {kind!r}")
-
-
-def _function_document(spec, f) -> dict:
-    """A report's copy of the config function f: given as a ``polynd``, it is written as one."""
-    return serialize.to_document(f, polynd="polynd" in (spec.get("kind"), spec.get("node")))
+        f = PolynomialND(np.array(field(spec, "coeffs", each(_complex)), dtype=complex))
+    elif kind == "monomial":
+        f = PolynomialND.from_terms({(field(spec, "n", _whole("monomial degree n", 0)),): 1.0}, 1)
+    elif kind == "lacunary":
+        f = lacunary_baseline(field(spec, "K", _whole("K", 1)))
+    elif not isinstance(f := serialize.from_document(spec), (PolynomialND, InnerSpec)):
+        raise ValueError(f"cannot interpret function spec of kind {kind!r}")
+    return f, "polynd" in (kind, spec.get("node"))
 
 
 def _inner_from_config(spec) -> InnerSpec:
-    if not isinstance(spec, dict):
-        raise ConfigError("inner spec must be an object")
-    kind = spec.get("kind")
+    kind = field(spec, "kind")
     if kind == "atomic":
-        atoms = [(np.exp(1j * float(theta)), float(mass))
-                 for theta, mass in spec["atoms"]]
-        return InnerSpec.atomic(atoms)
+        return field(spec, "atoms", lambda atoms: InnerSpec.atomic(
+            (np.exp(1j * theta), mass) for theta, mass in each(_pair)(atoms)))
     if kind == "blaschke":
-        return InnerSpec.blaschke([complex(z[0], z[1]) for z in spec["zeros"]])
-    obj = serialize.from_document(spec)
-    if not isinstance(obj, InnerSpec):
-        raise ConfigError("spec does not describe an inner function")
+        return field(spec, "zeros", lambda zeros: InnerSpec.blaschke(each(_complex)(zeros)))
+    if not isinstance(obj := serialize.from_document(spec), InnerSpec):
+        raise ValueError("spec does not describe an inner function")
     return obj
 
 
 def _arcs_from_config(spec) -> ArcSet:
-    if not isinstance(spec, list) or not spec:
-        raise ConfigError("arcs must be a non-empty list of [a, b] pairs")
-    return ArcSet.from_arcs([(float(a), float(b)) for a, b in spec])
+    return ArcSet.from_arcs(each(_pair, "arcs must be a non-empty list of [a, b] pairs")(spec))
 
 
 def _weight_from_config(spec) -> WeightSpec:
-    if not isinstance(spec, dict):
-        raise ConfigError("weight spec must be an object")
-    kw = {"kind": spec["kind"]}
-    if "parameter" in spec:
-        kw["parameter"] = float(spec["parameter"])
-    if "table" in spec:
-        kw["table"] = tuple((float(t), float(v)) for t, v in spec["table"])
-    return WeightSpec(**kw)
+    return WeightSpec(field(spec, "kind"), float(field(spec, "parameter", _number, 1.0)),
+                      tuple(field(spec, "table", each(_pair), ())))
 
 
 def _target_from_config(spec):
     """Boundary target as a vectorized callable plus a stable id string."""
-    if not isinstance(spec, dict):
-        raise ConfigError("target spec must be an object")
-    kind = spec.get("kind")
+    kind = field(spec, "kind")
     if kind == "constant":
-        c = _complex(spec.get("value", 0.0))
-
-        def fn(z, c=c):
-            return np.full(np.shape(z), c, dtype=complex)
-
-        return fn, f"constant[{c.real:g}{c.imag:+g}j]"
+        c = field(spec, "value", _complex, 0j)
+        return (lambda z: np.full(np.shape(z), c, dtype=complex)), \
+            f"constant[{c.real:g}{c.imag:+g}j]"
     if kind == "re":
         return (lambda z: np.asarray(z, dtype=complex).real.astype(complex)), "re"
     if kind == "monomial":
-        k = int(spec.get("n", 1))
-        c = _complex(spec.get("scale", 1.0))
-
-        def fn(z, k=k, c=c):
-            z = np.asarray(z, dtype=complex)
-            return c * (z ** k if k >= 0 else np.conj(z) ** (-k))
-
-        return fn, f"monomial[{k}]"
+        k, c = field(spec, "n", _int, 1), field(spec, "scale", _complex, 1 + 0j)
+        return (lambda z: c * (np.asarray(z, dtype=complex) ** k if k >= 0 else
+                               np.conj(np.asarray(z, dtype=complex)) ** -k)), f"monomial[{k}]"
     if kind == "step":
-        jumps = [float(t) for t in spec["jumps"]]
-        values = [_complex(v) for v in spec["values"]]
+        jumps = np.array(field(spec, "jumps", _checked(
+            each(lambda t: float(_number(t))), lambda t: t and 0.0 <= t[0] < TWO_PI
+            and all(a < b for a, b in zip(t, t[1:] + [TWO_PI])),
+            "step jumps must increase strictly inside [0, 2 pi), got {v!r}")))
+        values = np.array(field(spec, "values", each(_complex)), dtype=complex)
         if len(values) != len(jumps):
-            raise ConfigError("step target needs one value per jump")
-
-        def fn(z, jumps=np.asarray(jumps), values=np.asarray(values, dtype=complex)):
-            th = np.angle(np.asarray(z, dtype=complex)) % TWO_PI
-            idx = np.searchsorted(jumps, th, side="right") % len(values)
-            return values[idx]
-
-        return fn, "step"
+            raise SerializationError("step target needs one value per jump", "values")
+        return (lambda z: values[np.searchsorted(jumps, np.angle(np.asarray(z, dtype=complex))
+                                                 % TWO_PI, side="right") % len(values)]), "step"
     if kind == "product_re":
-        def fn(pts):
-            pts = np.asarray(pts, dtype=complex)
-            return (pts[..., 0].real * pts[..., 1].real).astype(complex)
+        return (lambda p: (np.asarray(p, dtype=complex)[..., 0].real
+                           * np.asarray(p, dtype=complex)[..., 1].real).astype(complex)), kind
+    raise SerializationError(f"unknown target kind {kind!r}", "kind")
 
-        return fn, "product_re"
-    raise ConfigError(f"unknown target kind {kind!r}")
+
+def _variables(n: tuple, message: str, domain=None) -> tuple:
+    return ("function", lambda a: a.get("domain") != domain
+            or getattr(a["function"][0], "dim", 1) in n, message)
+
+
+_NO_TARGET = "universal build needs at least one target"
+_ANCHOR = _checked(_complex, lambda w: abs(w) < 1.0, "anchor must be interior, got {v!r}")
+_CIRCLE_TARGET = _checked(_target_from_config, lambda t: t[1] != "product_re",
+                          "a target on the circle takes one variable, got {v!r}")
+_DIM = ("dim", lambda a: (2 if a["target"][1] == "product_re" else 1) == a["dim"],
+        "dim must equal the target's arity: 2 for product_re, 1 for every other kind")
+# rules that span keys: (key to name, test of the typed keys, message)
+_RULES = {
+    "bloch-norm": [_variables((1,), "disc norm needs a one-variable function", "disc"),
+                   _variables((1, 2), "ball norm needs at most two variables", "ball"),
+                   _variables((2,), "polydisc norm needs a two-variable polynomial", "polydisc")],
+    "little-bloch": [_variables((1,), "little-Bloch profiles take one-variable functions")],
+    "weighted": [_variables((1, 2), "weighted norms take functions of one or two variables")],
+    "certify": [_variables((1,), "certify takes one-variable functions")],
+    "cluster": [_variables((1,), "cluster probes take one-variable functions")],
+    "decompose": [_DIM], "simul": [_DIM],
+    "universal": [("targets", lambda a: a["enumerate"] is not None or a["targets"], _NO_TARGET),
+                  ("eps_schedule", lambda a: sum(a["eps_schedule"]) < a["total_budget"],
+                   "eps schedule exceeds the total Bloch budget")],
+}
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: (config, seed, out) -> (document, exit status), side
-# files in out.  A handler exits 1 when its run breaks its report's contract.
+# subcommand handlers: (seed, out, typed keys) -> (document, exit status),
+# side files in out.  A handler exits 1 when its run breaks its report's contract.
 
 
-def _cmd_bloch_norm(cfg, seed, out):
-    f = _function_from_config(cfg["function"])
-    rep = bloch_norm(f, domain=cfg.get("domain", "disc"))
-    return {"report": rep.to_dict(),
-            "function": _function_document(cfg["function"], f)}, 0
+def _cmd_bloch_norm(seed, out, *, function: _function_from_config, domain: _checked(
+        str, ("disc", "ball", "polydisc").__contains__, "unknown domain {v!r}") = "disc"):
+    return {"report": bloch_norm(function[0], domain=domain).to_dict(),
+            "function": serialize.to_document(*function)}, 0
 
 
-def _cmd_little_bloch(cfg, seed, out):
-    f = _function_from_config(cfg["function"])
-    radii = tuple(r for r in dyadic_radii(int(cfg.get("j_max", 16)), linear=32)
-                  if r > 0.0)
-    prof = little_bloch_profile(f, radii)
-    path = os.path.join(out, "little_bloch_profile.csv")
-    profile_to_csv(radii, prof, path)
+def _cmd_little_bloch(seed, out, *, function: _function_from_config,
+                      j_max: _whole("j_max", 0) = 16):
+    radii = tuple(r for r in dyadic_radii(j_max, linear=32) if r > 0.0)
+    prof = little_bloch_profile(function[0], radii)
+    profile_to_csv(radii, prof, os.path.join(out, "little_bloch_profile.csv"))
     tail = prof[-5:]
-    return {"profile_csv": os.path.basename(path),
-            "outer_shell_sups": [float(v) for v in tail],
+    return {"profile_csv": "little_bloch_profile.csv", "outer_shell_sups": [float(v) for v in tail],
             "vanishing_trend": bool(np.all(np.diff(tail) <= 1e-3))}, 0
 
 
-def _cmd_weighted(cfg, seed, out):
-    f = _function_from_config(cfg["function"])
-    w = _weight_from_config(cfg["weight"])
-    rep = weighted_bloch_norm(f, w)
-    return {"report": rep.to_dict()}, 0
+def _cmd_weighted(seed, out, *, function: _function_from_config, weight: _weight_from_config):
+    return {"report": weighted_bloch_norm(function[0], weight).to_dict()}, 0
 
 
-def _cmd_weight_test(cfg, seed, out):
-    w = _weight_from_config(cfg["weight"])
-    res = weight_integral_test(w, float(cfg.get("x", 0.5)),
-                               tolerance=float(cfg.get("tolerance", 2e-3)))
+def _cmd_weight_test(seed, out, *, weight: _weight_from_config, x: _real("x", 0.0, 1.0) = 0.5,
+                     tolerance: _real("tolerance", 0.0) = 2e-3):
+    res = weight_integral_test(weight, x, tolerance=tolerance)
     partials = np.asarray(res.partials, dtype=float)
     monotone = bool(np.all(np.diff(partials) >= -1e-15))
     consistent = res.verdict != "diverges" or partials[-1] > partials[0]
     return {"report": res.to_dict()}, 0 if monotone and consistent else 1
 
 
-def _cmd_inner_quotient(cfg, seed, out):
-    spec = _inner_from_config(cfg["inner"])
-    count = int(cfg.get("samples", 100_000))
-    if count < 1:
-        raise ConfigError(f"samples must be >= 1, got {count}")
+def _cmd_inner_quotient(seed, out, *, inner: _inner_from_config,
+                        samples: _whole("samples", 1) = 100_000):
     rng = np.random.default_rng(seed)
-    z = np.sqrt(rng.uniform(0.0, 0.9999, count)) \
-        * np.exp(1j * rng.uniform(0.0, TWO_PI, count))
-    q = hyperbolic_quotient(spec, z)
+    z = np.sqrt(rng.uniform(0.0, 0.9999, samples)) * np.exp(1j * rng.uniform(0.0, TWO_PI, samples))
+    q = hyperbolic_quotient(inner, z)
     q = q[np.isfinite(q)]
     ok = bool(np.max(q) <= 1.0 + 1e-9)
     return {"samples": int(q.size), "max_quotient": float(np.max(q)),
-            "mean_quotient": float(np.mean(q)),
-            "schwarz_pick_ok": ok}, 0 if ok else 1
+            "mean_quotient": float(np.mean(q)), "schwarz_pick_ok": ok}, 0 if ok else 1
 
 
-def _cmd_shrink(cfg, seed, out):
-    spec = _inner_from_config(cfg["inner"])
+def _cmd_shrink(seed, out, *, inner: _inner_from_config, eta: _real("eta", 0.0, 1.0),
+                max_chain: _whole("max_chain", 1) = 64):
     try:
-        res = compose_shrink(spec, float(cfg["eta"]),
-                             max_chain=int(cfg.get("max_chain", 64)))
+        res = compose_shrink(inner, eta, max_chain=max_chain)
     except ShrinkFailure as exc:
         return {"error": str(exc), "stage": "shrink"}, 1
     return {"achieved_sup": res.achieved_sup, "target_met": res.target_met,
-            "chain_length": res.chain_length,
-            "spec": serialize.to_document(res.spec)}, 0
+            "chain_length": res.chain_length, "spec": serialize.to_document(res.spec)}, 0
 
 
-def _cmd_transport(cfg, seed, out):
-    spec = _inner_from_config(cfg["inner"])
-    F = _arcs_from_config(cfg["arcs"])
-    rep = loewner_transport_check(spec, F, int(cfg.get("samples", 1_000_000)), seed)
+def _cmd_transport(seed, out, *, inner: _inner_from_config, arcs: _arcs_from_config,
+                   samples: _whole("samples", 1) = 1_000_000):
+    rep = loewner_transport_check(inner, arcs, samples, seed)
     ok = rep.deviation < 0.02 and not rep.inconclusive
-    return {"arc_measure": rep.arc_measure,
-            "preimage": rep.preimage.value,
-            "preimage_ci": rep.preimage.half_width,
-            "deviation": rep.deviation,
+    return {"arc_measure": rep.arc_measure, "preimage": rep.preimage.value,
+            "preimage_ci": rep.preimage.half_width, "deviation": rep.deviation,
             "stabilized_fraction": rep.stabilized_fraction,
             "inconclusive": rep.inconclusive}, 0 if ok else 1
 
 
-def _cmd_runge(cfg, seed, out):
-    F = _arcs_from_config(cfg["arcs"])
-    rep = runge_pair(F, float(cfg["delta"]),
-                     degree_cap=int(cfg.get("degree_cap", 4096)))
-    return {"poly": serialize.to_document(rep.poly),
-            "margin_at_zero": float(abs(rep.poly(0.0))),
-            "margin_on_set": rep.margin,
-            "gap_floor_log10": jensen_gap_floor(F, rep.margin),
+def _cmd_runge(seed, out, *, arcs: _arcs_from_config, delta: _real("delta", 0.0, 1.0),
+               degree_cap: _whole("degree_cap", 8) = 4096):
+    rep = runge_pair(arcs, delta, degree_cap=degree_cap)
+    return {"poly": serialize.to_document(rep.poly), "margin_at_zero": float(abs(rep.poly(0.0))),
+            "margin_on_set": rep.margin, "gap_floor_log10": jensen_gap_floor(arcs, rep.margin),
             "degree": rep.degree, "achieved": rep.achieved}, 0 if rep.achieved else 1
 
 
-def _cmd_decompose(cfg, seed, out):
-    phi, tid = _target_from_config(cfg["target"])
-    dim = int(cfg.get("dim", 2))
-    eps = float(cfg["eps"])
-    dec = product_decompose(phi, dim, eps, m_cap=int(cfg.get("m_cap", 64)))
-    path = os.path.join(out, "decomposition.csv")
-    with open(path, "w") as fh:
-        fh.write(decomposition_csv(dec))
+def _cmd_decompose(seed, out, *, target: _target_from_config, eps: _real("eps", 0.0),
+                   dim: _whole("dim", 1, 2) = 2, m_cap: _whole("m_cap", 1) = 64):
+    dec = product_decompose(target[0], dim, eps, m_cap=m_cap)
+    pathlib.Path(out, "decomposition.csv").write_text(decomposition_csv(dec))
     achieved = dec.error < eps
-    return {"target": tid, "terms": len(dec.terms), "error": dec.error, "achieved": achieved,
-            "csv": os.path.basename(path)}, 0 if achieved else 1
+    return {"target": target[1], "terms": len(dec.terms), "error": dec.error,
+            "achieved": achieved, "csv": "decomposition.csv"}, 0 if achieved else 1
 
 
-def _simul_document(res) -> dict:
+def _cmd_simul(seed, out, *, target: _target_from_config, eps: _real("eps", 0.0, 1.0),
+               dim: _whole("dim", 1, 2) = 1):
+    phi, tid = target
+    res = simul_approx_disc(phi, eps) if dim == 1 else simul_approx_polydisc(phi, eps, dim)
     # a polydisc E is one arc set per axis
     E = serialize.to_document(res.E) if isinstance(res.E, ArcSet) \
         else [serialize.to_document(s) for s in res.E]
-    return {"f": serialize.to_document(res.f, polynd=True), "E": E, "report": res.report}
+    return {"f": serialize.to_document(res.f, polynd=True), "E": E, "report": res.report,
+            "target": tid}, 0
 
 
-def _cmd_simul(cfg, seed, out):
-    phi, tid = _target_from_config(cfg["target"])
-    eps = float(cfg["eps"])
-    dim = int(cfg.get("dim", 1))
-    res = simul_approx_disc(phi, eps) if dim == 1 else simul_approx_polydisc(phi, eps, dim)
-    doc = _simul_document(res)
-    doc["target"] = tid
-    return doc, 0
-
-
-def _targets_from_config(cfg) -> TargetEnumeration:
-    if "enumerate" in cfg:
-        return TargetEnumeration(int(cfg["enumerate"]))
-    specs = cfg.get("targets", [])
-    explicit = []
-    for t in specs:
-        fn, tid = _target_from_config(t)
-        explicit.append((tid, fn))
-    return TargetEnumeration(len(explicit), tuple(explicit))
-
-
-def _cmd_universal(cfg, seed, out):
-    targets = _targets_from_config(cfg)
-    radii = default_radii(int(cfg.get("n_max", 20)))
-    anchors = [_complex(w) for w in cfg.get("anchors", [0.0])]
-    eps = [float(e) for e in cfg.get("eps_schedule", [0.3])]
-    cand = universal_build(targets, radii, anchors, eps,
-                           total_budget=float(cfg.get("total_budget", 16.0)))
-    path = os.path.join(out, "certificates.csv")
-    with open(path, "w") as fh:
-        fh.write(certificates_csv(cand))
-    doc = serialize.to_document(cand)
-    doc["certificates_csv"] = os.path.basename(path)
-    doc["anchors"] = [[w.real, w.imag] for w in anchors]
-    doc["verified_count"] = sum(c.verified for c in cand.certificates)
-    doc["failed_count"] = len(cand.failed)
+def _cmd_universal(seed, out, *, targets: each(_CIRCLE_TARGET, _NO_TARGET) = (),
+                   enumerate: _checked(_int, lambda n: n >= 1, _NO_TARGET) = None,
+                   n_max: _whole("n_max", 1, 53) = 20,
+                   anchors: each(_ANCHOR, "universal build needs at least one anchor") = (0j,),
+                   eps_schedule: each(_real("eps", 0.0), "eps schedule must not be empty") = (0.3,),
+                   total_budget: _real("total_budget") = 16.0):
+    cand = universal_build([(tid, fn) for fn, tid in targets] if enumerate is None
+                           else TargetEnumeration(enumerate), default_radii(n_max), anchors,
+                           eps_schedule, total_budget=total_budget)
+    pathlib.Path(out, "certificates.csv").write_text(certificates_csv(cand))
     # failed certificates are data; the run itself succeeded
-    return doc, 0
+    return {**serialize.to_document(cand), "certificates_csv": "certificates.csv",
+            "anchors": [[w.real, w.imag] for w in anchors], "failed_count": len(cand.failed),
+            "verified_count": sum(c.verified for c in cand.certificates)}, 0
 
 
-def _cmd_certify(cfg, seed, out):
-    f = _function_from_config(cfg["function"])
-    phi, tid = _target_from_config(cfg["target"])
-    anchors = [_complex(w) for w in cfg.get("anchors", [0.0])]
-    cert = certify(f, phi, int(cfg["n"]), anchors, tol=float(cfg.get("tol", 0.25)),
-                   target_id=tid)
-    doc = serialize.to_document(cert)
-    doc["function"] = _function_document(cfg["function"], f)
-    return doc, 0
+def _cmd_certify(seed, out, *, function: _function_from_config, target: _CIRCLE_TARGET,
+                 n: _whole("n", 1, 20), tol: _real("tol") = 0.25,
+                 anchors: each(_ANCHOR, "certify needs at least one anchor") = (0j,)):
+    return {**serialize.to_document(certify(function[0], target[0], n, anchors, tol=tol,
+                                            target_id=target[1])),
+            "function": serialize.to_document(*function)}, 0
 
 
-def _cmd_cluster(cfg, seed, out):
-    f = _function_from_config(cfg["function"])
-    zeta = _complex(cfg.get("zeta", [1.0, 0.0]))
-    schedule = default_radii(int(cfg.get("n_max", 16)))
-    path = PathSpec(zeta=zeta, anchor=0.0, schedule=schedule)
-    values = [_complex(v) for v in cfg["values"]]
-    hits = cluster_probe(f, path, values, float(cfg.get("tol", 0.25)))
+def _cmd_cluster(seed, out, *, function: _function_from_config, values: each(_complex),
+                 zeta: _checked(_complex, lambda z: abs(abs(z) - 1.0) <= 1e-12,
+                                "path endpoint must lie on the circle, got {v!r}") = 1 + 0j,
+                 n_max: _whole("n_max", 1, 39) = 16, tol: _real("tol", 0.0) = 0.25):
+    # zeta lies within 1e-12 of the circle: r_n (1 + 1e-12) < 1 needs n <= 39
+    hits = cluster_probe(function[0], PathSpec(zeta, 0.0, default_radii(n_max)), values, tol)
     return {"hits": [{"value": [h.value.real, h.value.imag], "hit": h.hit,
-                      "distance": h.distance, "parameter": h.parameter}
-                     for h in hits],
+                      "distance": h.distance, "parameter": h.parameter} for h in hits],
             "hit_count": sum(h.hit for h in hits)}, 0
 
 
-def _cmd_lacunary(cfg, seed, out):
-    K = int(cfg.get("K", 8))
+def _cmd_lacunary(seed, out, *, K: _whole("K", 1) = 8):
     f = lacunary_baseline(K)
-    rep = bloch_norm(f)
-    return {"K": K, "function": serialize.to_document(f),
-            "report": rep.to_dict()}, 0
+    return {"K": K, "function": serialize.to_document(f), "report": bloch_norm(f).to_dict()}, 0
 
 
 # ---------------------------------------------------------------------------
@@ -376,20 +328,27 @@ def _differences(stored, fresh, key=""):
         yield key, stored, fresh
 
 
-def _cmd_verify(cfg, seed, out):
-    path = cfg["artifact"]
-    stored = serialize.load(path)
+def _artifact(path) -> tuple:
+    """(path, the stored report, its config's typed keys: None without a known command's)."""
+    stored = serialize.load(pathlib.Path(path))  # a path: not an int, which open() reads as a fd
     stored.pop("timestamp", None)
+    if stored.get("command") not in _HANDLERS or "config" not in stored:
+        return path, stored, None
+    field(stored, "seed", _int)
+    return path, stored, field(stored, "config", lambda cfg: _parse(stored["command"], cfg, None))
+
+
+def _cmd_verify(seed, out, *, artifact: _artifact):
+    path, stored, keys = artifact
     command = stored.get("command")
     result = {"artifact": os.path.basename(path), "verified_command": command}
-    if command not in _HANDLERS or "config" not in stored:
+    if keys is None:
         check = {"check": "config", "passed": False,
                  "note": "the artifact stores no config of a known command"}
         return {**result, "checks": [check], "passed": False}, 1
-    _check_finite(stored["config"])
     # a fresh directory: the artifact's own may hold the side files it names
     with tempfile.TemporaryDirectory() as tmp:
-        fresh, status = _HANDLERS[command](stored["config"], stored["seed"], tmp)
+        fresh, status = _HANDLERS[command](stored["seed"], tmp, **keys)
         fresh = serialize.loads(serialize.dumps(
             _finish(fresh, command, stored["config"], stored["seed"])))
         checks = [{"check": "status", "passed": status == 0, "recomputed": status}]
@@ -403,23 +362,33 @@ def _cmd_verify(cfg, seed, out):
     return {**result, "checks": checks, "passed": passed}, 0 if passed else 1
 
 
-_HANDLERS = {
-    "bloch-norm": _cmd_bloch_norm,
-    "little-bloch": _cmd_little_bloch,
-    "weighted": _cmd_weighted,
-    "weight-test": _cmd_weight_test,
-    "inner-quotient": _cmd_inner_quotient,
-    "shrink": _cmd_shrink,
-    "transport": _cmd_transport,
-    "runge": _cmd_runge,
-    "decompose": _cmd_decompose,
-    "simul": _cmd_simul,
-    "universal": _cmd_universal,
-    "certify": _cmd_certify,
-    "cluster": _cmd_cluster,
-    "lacunary": _cmd_lacunary,
-    "verify": _cmd_verify,
-}
+# the subcommands: handler ``_cmd_<name>`` runs command <name>, its "_" read as "-"
+_HANDLERS = {name[5:].replace("_", "-"): fn for name, fn in list(globals().items())
+             if name.startswith("_cmd_")}
+
+
+def _parse(command: str, cfg, error=ConfigError) -> dict:
+    """The typed keyword arguments of ``command``'s handler, read from ``cfg`` once.
+
+    The handler's keyword-only signature is the table: an annotation reads its
+    key, a default stands for an absent key; ``_RULES`` span keys, other keys
+    are ignored.  ``error`` (None: SerializationError) names a bad key's path.
+    """
+    try:
+        if not isinstance(cfg, dict):
+            raise SerializationError(f"config must be a JSON object, not {type(cfg).__name__}")
+        _check_finite(cfg)
+        keys = {name: field(cfg, name, p.annotation, p.default)
+                for name, p in inspect.signature(_HANDLERS[command]).parameters.items()
+                if p.kind is p.KEYWORD_ONLY}
+        for key, ok, message in _RULES.get(command, ()):
+            if not ok(keys):
+                raise SerializationError(message, key)
+    except SerializationError as exc:
+        if error is None:
+            raise
+        raise error(str(exc)) from exc
+    return keys
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -438,51 +407,42 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _finish(doc: dict, command: str, cfg: dict, seed: int) -> dict:
     """Stamp a handler's document with what re-runs it: command, seed, config."""
-    doc["command"] = command
-    doc["seed"] = seed
-    doc["config"] = {k: v for k, v in cfg.items() if k != "out"}
-    return doc
+    return {**doc, "command": command, "seed": seed,
+            "config": {k: v for k, v in cfg.items() if k != "out"}}
 
 
-def run_scenario(command: str, cfg: dict, out: str, seed: int) -> int:
-    """Execute one subcommand; write the report document; return exit status."""
-    _check_finite(cfg)
-    doc, status = _HANDLERS[command](cfg, seed, out)
-    doc = _finish(doc, command, cfg, seed)
-    doc["timestamp"] = time.time()
+def _report(command: str, keys: dict, cfg: dict, out: str, seed: int) -> int:
+    """Run ``command``'s handler on its typed keys, write the report; return the exit status."""
+    doc, status = _HANDLERS[command](seed, out, **keys)
+    doc = {**_finish(doc, command, cfg, seed), "timestamp": time.time()}
     path = os.path.join(out, f"{command.replace('-', '_')}_report.json")
     serialize.save(path, doc)
     print(f"{command}: wrote {path}" + ("" if status == 0 else " (FAILED)"))
     return status
 
 
+def run_scenario(command: str, cfg: dict, out: str, seed: int) -> int:
+    """Exit status of one subcommand run on ``cfg``; a config its table rejects is a ValueError."""
+    return _report(command, _parse(command, cfg, ValueError), cfg, out, seed)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
     try:
-        if not isinstance(cfg, dict):
-            raise ConfigError(f"config must be a JSON object, not {type(cfg).__name__}")
-        _check_finite(cfg)
+        try:
+            cfg = json.loads(pathlib.Path(args.config).read_text()) if args.config else {}
+        except (OSError, json.JSONDecodeError) as exc:  # the file itself: no key to name
+            raise ConfigError(str(exc)) from exc
+        keys = _parse(args.command, cfg)
         out = args.out or cfg.get("out") or os.environ.get("BLOCHLAB_OUT", ".")
         if not isinstance(out, str):
-            raise ConfigError(f"out must be a directory path, not {type(out).__name__}")
-        os.makedirs(out, exist_ok=True)
+            raise ConfigError(f"out: out must be a directory path, not {type(out).__name__}")
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-        if not isinstance(seed, (int, float, str)):
-            raise ConfigError(f"seed must be a number, not {type(seed).__name__}")
-        seed = int(seed)
-        return run_scenario(args.command, cfg, out, seed)
-    except KeyError as exc:
-        print(f"config error: missing key {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        if isinstance(seed, bool) or not isinstance(seed, (int, float)):
+            raise ConfigError(f"seed: seed must be a number, not {type(seed).__name__}")
+        os.makedirs(out, exist_ok=True)
+        return _report(args.command, keys, cfg, out, int(seed))
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ApproxError, QuadratureError) as exc:

@@ -24,6 +24,18 @@ _EVAL_CHUNK = 1024
 _MAX_EXPONENT = int(np.iinfo(np.intp).max)  # the largest index of a numpy axis
 
 
+def multi_index(alpha, dim: int) -> tuple:
+    """alpha as a tuple, when it holds dim whole numbers in [0, _MAX_EXPONENT]; else ValueError."""
+    if len(alpha) != dim:
+        raise ValueError("multi-index length mismatch")
+    for a in alpha:
+        if not (isinstance(a, (int, float, np.integer)) and 0 <= a <= _MAX_EXPONENT
+                and float(a).is_integer()):
+            raise ValueError(f"multi-index {list(alpha)!r}: entry {a!r} "
+                             f"is not a whole number in [0, {_MAX_EXPONENT}]")
+    return tuple(alpha)
+
+
 @dataclass(frozen=True, eq=False)
 class PolynomialND:
     """Dense polynomial in coeffs.ndim variables: coeffs[alpha] is the coefficient of z^alpha.
@@ -56,15 +68,7 @@ class PolynomialND:
         """The sum of c z^alpha over the items (alpha, c) of ``terms``, each alpha of length dim."""
         if isinstance(dim, bool) or not (isinstance(dim, int) and dim >= 1):
             raise ValueError(f"dim must be a whole number >= 1, got {dim!r}")
-        for alpha in terms:
-            if len(alpha) != dim:
-                raise ValueError("multi-index length mismatch")
-            for a in alpha:
-                if not (isinstance(a, (int, float, np.integer)) and 0 <= a <= _MAX_EXPONENT
-                        and float(a).is_integer()):
-                    raise ValueError(f"multi-index {list(alpha)!r}: entry {a!r} "
-                                     f"is not a whole number in [0, {_MAX_EXPONENT}]")
-        alphas = np.array(list(terms), dtype=int).reshape(-1, dim)
+        alphas = np.array([multi_index(alpha, dim) for alpha in terms], dtype=int).reshape(-1, dim)
         c = np.zeros(alphas.max(axis=0, initial=0) + 1, dtype=complex)
         c[tuple(alphas.T)] = list(terms.values())
         return cls(c)

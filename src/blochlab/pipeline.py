@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approximation import norm_fit, product_decompose
-from .arcs import ArcSet
+from .arcs import TWO_PI, ArcSet
 from .blochnorm import bloch_norm
 from .expressions import PolynomialND
 # runge_pair, uniform_fit, taylor_truncate, compose_shrink, hyperbolic_quotient and
@@ -40,8 +40,6 @@ __all__ = [
     "simul_approx_polydisc",
     "sup_error",
 ]
-
-TWO_PI = 2.0 * np.pi
 
 # polydisc: at most this many product terms in the decomposition of phi
 _FACTOR_TERM_CAP = 8

@@ -17,12 +17,14 @@ copy of a config function given as one.
 
 from __future__ import annotations
 
+import inspect
 import json
+from dataclasses import replace
 
 import numpy as np
 
 from .arcs import ArcSet
-from .expressions import PolynomialND
+from .expressions import PolynomialND, multi_index
 from .inner import InnerSpec, SingularMeasureSpec
 from .universality import Certificate, UniversalCandidate
 
@@ -41,7 +43,39 @@ SCHEMA_VERSION = 1
 
 
 class SerializationError(ValueError):
-    """Unknown node kind or malformed document."""
+    """Unknown node kind or malformed document; ``path`` is the dotted key at fault."""
+
+    def __init__(self, message: str, path: str = ""):
+        super().__init__(f"{path}: {message}" if path else message)
+        self.message, self.path = message, path
+
+
+def at(key: str, read, value):
+    """read(value); an error it raises is named by ``key`` (a name or "[i]") ahead of its path."""
+    try:
+        return read(value)
+    except (ArithmeticError, LookupError, OSError, TypeError, ValueError) as exc:
+        msg, path = (exc.message, exc.path) if isinstance(exc, SerializationError) else (exc, "")
+        raise SerializationError(str(msg), key + ("." if path[:1] not in ("", "[") else "")
+                                 + path) from exc
+
+
+def field(doc, key: str, read=lambda v: v, default=inspect.Parameter.empty):
+    """read(doc[key]) with errors named by ``key``; an absent key is ``default``, or an error."""
+    if not isinstance(doc, dict):
+        raise SerializationError(f"expected an object, got {doc!r}")
+    if key not in doc and default is inspect.Parameter.empty:
+        raise SerializationError(f"missing key {key!r}", key)
+    return at(key, read, doc[key]) if key in doc else default
+
+
+def each(read, empty: str = ""):
+    """A reader of a JSON list that reads each item at its index; ``empty`` rejects []."""
+    def read_list(items):
+        if not isinstance(items, list) or (empty and not items):
+            raise SerializationError(empty if items == [] else f"expected a list, got {items!r}")
+        return [at(f"[{i}]", read, v) for i, v in enumerate(items)]
+    return read_list
 
 
 def _cpx(c) -> list:
@@ -100,35 +134,36 @@ def to_document(obj, polynd: bool = False) -> dict:
 
 
 def from_document(doc):
-    """Decode a document produced by to_document."""
-    try:
-        kind = doc["kind"]
-    except (TypeError, KeyError) as exc:
-        raise SerializationError("document has no kind") from exc
+    """Decode a document produced by to_document; an error names its dotted key."""
+    kind = field(doc, "kind")
     if kind == "poly1d":
-        return PolynomialND(np.array([_uncpx(c) for c in doc["coeffs"]], dtype=complex))
+        return PolynomialND(np.array(field(doc, "coeffs", each(_uncpx)), dtype=complex))
     if kind == "polynd":
-        terms = {tuple(alpha): _uncpx(c) for alpha, c in doc["terms"]}
-        return PolynomialND.from_terms(terms, doc["dim"])
+        dim = field(doc, "dim", lambda d: PolynomialND.from_terms({}, d).dim)
+        return field(doc, "terms", lambda ts: PolynomialND.from_terms(
+            dict(each(lambda t: (multi_index(t[0], dim), _uncpx(t[1])))(ts)), dim))
     if kind == "measure":
-        if doc["measure_kind"] == "atomic":
-            atoms = tuple((_uncpx(z), m) for z, m in doc["atoms"])
-            return SingularMeasureSpec(kind="atomic", atoms=atoms)
-        return SingularMeasureSpec(kind=doc["measure_kind"], center=_uncpx(doc["center"]),
-                                   arc_length=doc["arc_length"], ratio=doc["ratio"],
-                                   depth=doc["depth"], mass=doc["mass"])
+        mk = field(doc, "measure_kind")
+        if mk == "atomic":
+            return field(doc, "atoms", lambda atoms: SingularMeasureSpec(
+                kind="atomic", atoms=tuple(each(lambda a: (_uncpx(a[0]), a[1]))(atoms))))
+        # set field by field from valid defaults, so a field's error names it
+        spec = SingularMeasureSpec(kind=mk)
+        for k in ("center", "arc_length", "ratio", "depth", "mass"):
+            spec = field(doc, k, lambda v: replace(spec, **{k: _uncpx(v) if k == "center" else v}))
+        return spec
     if kind == "inner":
-        ik = doc["inner_kind"]
+        ik = field(doc, "inner_kind")
         if ik == "singular":
-            return InnerSpec.singular(from_document(doc["measure"]))
+            return InnerSpec.singular(field(doc, "measure", from_document))
         if ik == "blaschke":
-            return InnerSpec.blaschke([_uncpx(a) for a in doc["zeros"]])
-        return InnerSpec.composition([from_document(s) for s in doc["chain"]])
+            return field(doc, "zeros", lambda zs: InnerSpec.blaschke(each(_uncpx)(zs)))
+        return field(doc, "chain", lambda ch: InnerSpec.composition(each(from_document)(ch)))
     if kind == "expr":
-        node = doc["node"]
+        node = field(doc, "node")
         if node not in ("poly1d", "polynd", "inner"):
-            raise SerializationError(f"unknown expression node {node!r}")
-        return from_document(doc["inner" if node == "inner" else "poly"])
+            raise SerializationError(f"unknown expression node {node!r}", "node")
+        return field(doc, "inner" if node == "inner" else "poly", from_document)
     if kind == "arcs":
         return ArcSet.from_json(doc["arcs"])
     if kind == "certificate":
@@ -142,7 +177,7 @@ def from_document(doc):
             tuple(doc["budgets"]), tuple(doc["indices"]),
             tuple(from_document(c) for c in doc["certificates"]),
             tuple(doc["partial_norms"]), tuple(doc["failed"]))
-    raise SerializationError(f"unknown document kind {kind!r}")
+    raise SerializationError(f"unknown document kind {kind!r}", "kind")
 
 
 def _plain(obj):

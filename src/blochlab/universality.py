@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .approximation import uniform_fit
-from .arcs import ArcSet
+from .arcs import TWO_PI, ArcSet
 from .blochnorm import bloch_norm
 from .expressions import PathSpec, PolynomialND, path_points
 from .numerics import measure_metric, metric_points
@@ -38,8 +38,6 @@ __all__ = [
     "lacunary_baseline",
     "certificates_csv",
 ]
-
-TWO_PI = 2.0 * np.pi
 
 #: the boundary points of every certificate and stability check
 CIRCLE_POINTS = metric_points(1024)
@@ -191,9 +189,9 @@ def _correction_block(diff, budget: float) -> PolynomialND:
     return uniform_fit(F, diff, budget / 2.0, degree_cap=256).poly
 
 
-def universal_build(targets: TargetEnumeration, radii, L, eps_schedule,
+def universal_build(targets, radii, L, eps_schedule,
                     total_budget: float = 16.0) -> UniversalCandidate:
-    """Greedy assembly: per target, a correction block plus a certificate.
+    """Greedy assembly: per (target_id, callable) pair of ``targets``, a block and a certificate.
 
     For each target y_l the loop finds the smallest radius index past
     stabilization at which the corrected partial sum certifies
