@@ -285,6 +285,10 @@ class _PolygonRows:
         # ``gram``; its scalar rows hold one entry per column
         self.ST = np.zeros((self.shape[1], 2 * P.size))
         self.ST_index = (2 * self.nc + var[P], np.arange(P.size))
+        # views of (U, V)', (V, U)' and the (U, V) columns of ST, split by half
+        self.UV = self.WT.reshape(2 * self.nc, 2, P.size)
+        self.VU = self.UV[:, ::-1]
+        self.ST_UV = self.ST[:2 * self.nc].reshape(self.UV.shape)
 
     def __matmul__(self, x):
         nc, m = self.nc, self.pts.size
@@ -305,12 +309,9 @@ class _PolygonRows:
     def gram(self, d):
         nc, m, nP = self.nc, self.pts.size, self.GP.shape[0]
         cc, ss, cs, c1, s1 = (np.bincount(self.inv, d[:m] * mom, nP) for mom in self.moments)
-        UT, VT = self.WT[:, :nP], self.WT[:, nP:]
-        top, bottom = self.ST[:2 * nc, :nP], self.ST[:2 * nc, nP:]
-        np.multiply(cc, UT, out=top)
-        top += cs * VT
-        np.multiply(cs, UT, out=bottom)
-        bottom += ss * VT
+        # (U, V) columns: cc U + cs V and ss V + cs U, as two flat products
+        np.multiply(self.UV, np.stack([cc, ss]), out=self.ST_UV)
+        self.ST_UV += self.VU * cs
         rows, cols = self.ST_index
         self.ST[rows, cols] = -self.rho * c1
         self.ST[rows, nP + cols] = -self.rho * s1
@@ -349,8 +350,8 @@ def _lp_solve(A, b, c):
         return Li.T @ (Li @ r)
 
     def max_step(v, dv):
-        neg = dv < 0.0
-        return min(1.0, float(np.min(-v[neg] / dv[neg]))) if np.any(neg) else 1.0
+        neg = np.flatnonzero(dv < 0.0)
+        return min(1.0, float(np.min(-v.take(neg) / dv.take(neg)))) if neg.size else 1.0
 
     start = factor(np.ones(m))
     x = solve(start, A.rmatvec(b))
@@ -358,12 +359,13 @@ def _lp_solve(A, b, c):
     z = -(A @ solve(start, c))
     s += max(0.0, 1.0 - float(np.min(s)))
     z += max(0.0, 1.0 - float(np.min(z)))
+    tol_p = _LP_TOL * (1.0 + np.max(np.abs(b)))
+    tol_d = 10.0 * _LP_TOL * (1.0 + np.max(np.abs(c)))
     for _ in range(_LP_MAX_ITER):
         rd = A.rmatvec(z) + c
         rp = A @ x + s - b
         gap = float(s @ z)
-        if (np.max(np.abs(rp)) <= _LP_TOL * (1.0 + np.max(np.abs(b)))
-                and np.max(np.abs(rd)) <= 10.0 * _LP_TOL * (1.0 + np.max(np.abs(c)))
+        if (np.max(np.abs(rp)) <= tol_p and np.max(np.abs(rd)) <= tol_d
                 and gap <= _LP_TOL * (1.0 + abs(float(c @ x)))):
             return x, True
         Li = factor(z / s)
@@ -411,8 +413,10 @@ def norm_fit(F: ArcSet, phi, budget, degree: int, weights=((0.0, 1.0),),
     With a zero budget the fit minimises the sup error on F.  The program
     is solved by cutting planes: it starts from a few polygon sides per
     sample and adds, for each sample whose bound is violated, the side
-    facing its current value.  ``converged`` is False when a solve hits
-    its iteration cap or bounds are still violated after the last round.
+    facing its current value and that side's two neighbours, less the
+    (sample, side) pairs already cut.  ``converged`` is False when a
+    solve hits its iteration cap or bounds are still violated after the
+    last round, also when every side to add is already cut.
     """
     k = np.arange(degree + 1)
     theta = F.sample(max(16 * (degree + 1), 256))
@@ -482,8 +486,15 @@ def norm_fit(F: ArcSet, phi, budget, degree: int, weights=((0.0, 1.0),),
         violated = np.flatnonzero((sides[side] * v).real - bound > 1e-9 * (1.0 + np.abs(bound)))
         if violated.size == 0:
             break
-        pts, cut_side = np.concatenate([pts, violated]), np.concatenate([cut_side, side[violated]])
-        b = np.concatenate([b, offset(violated, side[violated])])
+        # the facing side and its two neighbours, less the pairs already cut
+        key = (violated[:, None] * _POLYGON_SIDES
+               + (side[violated, None] + np.arange(-1, 2)) % _POLYGON_SIDES).ravel()
+        new_pts, new_side = np.divmod(np.setdiff1d(key, pts * _POLYGON_SIDES + cut_side),
+                                      _POLYGON_SIDES)
+        if new_pts.size == 0:
+            break
+        pts, cut_side = np.concatenate([pts, new_pts]), np.concatenate([cut_side, new_side])
+        b = np.concatenate([b, offset(new_pts, new_side)])
     scalars = dict(zip(names, x[2 * nc:]))
     value = scalars["t"] + origin_weight * scalars.get("origin", 0.0)
     return NormFitReport(PolynomialND(coef), float(value), float(max(scalars["excess"], 0.0)),

@@ -110,9 +110,16 @@ def _arcs_from_config(spec) -> ArcSet:
     return ArcSet.from_arcs(each(_pair, "arcs must be a non-empty list of [a, b] pairs")(spec))
 
 
+# a custom weight table: a row of t values, then a row of omega values
+_table_row = _checked(each(lambda v: float(_number(v))), lambda r: len(r) >= 2,
+                      "expected a row of at least two numbers, got {v!r}")
+_table = _checked(each(_table_row), lambda t: len(t) == 2 and len(t[0]) == len(t[1]),
+                  "expected two rows of equal length, t values then omega values, got {v!r}")
+
+
 def _weight_from_config(spec) -> WeightSpec:
     return WeightSpec(field(spec, "kind"), float(field(spec, "parameter", _number, 1.0)),
-                      tuple(field(spec, "table", each(_pair), ())))
+                      tuple(map(tuple, field(spec, "table", _table, ()))))
 
 
 def _target_from_config(spec):

@@ -11,7 +11,8 @@ from blochlab.approximation import (ApproxError, norm_fit, product_decompose, ru
                                     uniform_fit)
 from blochlab.arcs import ArcSet
 from blochlab.blochnorm import bloch_norm
-from blochlab.pipeline import _BUDGET_SHARE, _default_arcs, _target_measure
+from blochlab.pipeline import (_BUDGET_SHARE, _default_arcs, _target_measure,
+                               simul_approx_disc)
 
 TWO_PI = 2.0 * np.pi
 
@@ -392,6 +393,54 @@ def test_polygon_rows_match_the_dense_constraint_matrix(monkeypatch, case, famil
     assert close(A @ x, dense @ x)
     assert close(A.rmatvec(y), dense.T @ y)
     assert close(A.gram(d), dense.T @ (d[:, None] * dense))
+
+
+def test_each_cut_round_adds_whole_side_neighbourhoods_once(monkeypatch):
+    # a violated side j at a point comes with j - 1 and j + 1, and no
+    # (point, side) pair is cut twice
+    S = approximation._POLYGON_SIDES
+    programs = _programs(monkeypatch, _default_arcs(_target_measure(0.5)), _step,
+                         _BUDGET_SHARE * 0.5, 16)
+    assert len(programs) > 1
+    for before, after in zip(programs, programs[1:]):
+        m = before.pts.size
+        assert np.array_equal(after.pts[:m], before.pts)
+        assert np.array_equal(after.side[:m], before.side)
+        key = after.pts * S + after.side
+        assert np.unique(key).size == key.size > m
+        cut = set(key.tolist())
+        for p, j in zip(after.pts[m:], after.side[m:]):
+            assert any({p * S + (c + k) % S for k in (-1, 0, 1)} <= cut for c in (j - 1, j, j + 1))
+
+
+def test_a_round_with_nothing_new_to_cut_ends_the_fit_unconverged(monkeypatch):
+    # an LP that ignores its rows returns the same violations each round:
+    # the second round finds every side it would add already cut
+    shapes = []
+
+    def stuck(A, b, c):
+        shapes.append(A.shape)
+        return np.zeros(A.shape[1]), True
+
+    monkeypatch.setattr(approximation, "_lp_solve", stuck)
+    rep = norm_fit(_two_arcs(0.77), lambda z: np.full(np.shape(z), 2.0 + 0j), 0.1, 8)
+    assert not rep.converged
+    assert len(shapes) == 2 and shapes[1][0] > shapes[0][0]
+
+
+def test_step_disc_fits_stay_within_a_factorization_budget(monkeypatch):
+    # step's simul_approx_disc factors 218 normal matrices, 264 when each
+    # round cut only the facing side of a violated point
+    calls = []
+    gram = approximation._PolygonRows.gram
+
+    def counted(self, d):
+        calls.append(d.size)
+        return gram(self, d)
+
+    monkeypatch.setattr(approximation._PolygonRows, "gram", counted)
+    simul_approx_disc(_step, 0.5)
+    assert len(calls) <= 230
 
 
 def _dense_rows(A):

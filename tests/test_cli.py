@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from blochlab import cli, serialize
-from blochlab.blochnorm import IntegralTestResult, bloch_norm
+from blochlab.blochnorm import (IntegralTestResult, WeightSpec, bloch_norm,
+                                weight_integral_test, weighted_bloch_norm)
 from blochlab.cli import main
 from blochlab.expressions import Polynomial1D, PolynomialND
 from blochlab.inner import QuadratureError, TransportReport
@@ -73,6 +74,21 @@ def test_weight_test_verdict(tmp_path):
                            "x": 0.5})
     assert status == 0
     assert doc["report"]["verdict"] == "diverges"
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("weight-test", {"x": 0.5}), ("weighted", {"function": {"kind": "monomial", "n": 2}}),
+], ids=["weight-test", "weighted"])
+def test_a_custom_weight_table_takes_more_than_two_points(tmp_path, command, extra):
+    # a table is a row of t values, then a row of omega values
+    table = [[0.0, 0.25, 1.0], [0.0, 0.5, 1.0]]
+    status, doc, _ = _run(tmp_path, command,
+                          {"weight": {"kind": "custom-table", "table": table}, **extra})
+    assert status == 0
+    w = WeightSpec("custom-table", table=tuple(map(tuple, table)))
+    want = (weight_integral_test(w, 0.5) if command == "weight-test"
+            else weighted_bloch_norm(PolynomialND.from_terms({(2,): 1.0}, 1), w))
+    assert doc["report"] == json.loads(json.dumps(want.to_dict()))
 
 
 def test_inner_quotient_schwarz_pick(tmp_path):
@@ -439,6 +455,17 @@ def _cantor(**fields):
      "target: a target on the circle takes one variable, got {'kind': 'product_re'}"),
     ("universal", {"targets": [_ZERO, {"kind": "product_re"}]},
      "targets[1]: a target on the circle takes one variable, got {'kind': 'product_re'}"),
+    ("weight-test", {"weight": {"kind": "custom-table", "table": [[0.0, 1.0], [0.5]]}},
+     "weight.table[1]: expected a row of at least two numbers, got [0.5]"),
+    ("weight-test", {"weight": {"kind": "custom-table", "table": [[0.0, "1"], [0.0, 1.0]]}},
+     "weight.table[0][1]: expected a number, got '1'"),
+    ("weight-test", {"weight": {"kind": "custom-table",
+                                "table": [[0.0, 0.5, 1.0], [0.0, 1.0]]}},
+     "weight.table: expected two rows of equal length, t values then omega values, "
+     "got [[0.0, 0.5, 1.0], [0.0, 1.0]]"),
+    ("weight-test", {"weight": {"kind": "custom-table", "table": [[0.0, 1.0]] * 3}},
+     "weight.table: expected two rows of equal length, t values then omega values, "
+     "got [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]"),
 ], ids=["certify-no-anchor", "universal-no-anchor", "universal-no-eps", "universal-no-target",
         "universal-enumerate-0", "universal-enumerate-negative", "inner-quotient-no-samples",
         "compose-node", "monomial-negative-n", "cantor-negative-depth", "cantor-fractional-depth",
@@ -447,7 +474,8 @@ def _cantor(**fields):
         "little-bloch-two-variables", "simul-eps-list", "universal-anchor-one-entry",
         "runge-fractional-degree-cap", "universal-text-n-max", "simul-product-re-without-dim",
         "step-unsorted-jumps", "step-jump-past-2-pi", "step-no-jumps", "certify-product-re-target",
-        "universal-product-re-target"])
+        "universal-product-re-target", "weight-table-short-row", "weight-table-text-entry",
+        "weight-table-unequal-rows", "weight-table-three-rows"])
 def test_a_vacuous_or_unknown_spec_is_a_config_error(tmp_path, capsys, command, cfg, err):
     status, doc, _ = _run(tmp_path, command, cfg)
     assert status == 2

@@ -81,6 +81,22 @@ def test_every_step_norm_fit_converges():
     assert [t["converged"] for t in trail] == [True] * len(trail)
 
 
+@pytest.mark.parametrize("spec, dim", [({"kind": "constant", "value": 1.0}, 1),
+                                       ({"kind": "re"}, 1), ({"kind": "product_re"}, 2)],
+                         ids=["const", "re", "product-re"])
+def test_every_norm_fit_of_the_other_simul_targets_converges(spec, dim):
+    # with step above, every norm_fit of the shipped simul targets; on
+    # product_re, both axes' fits of every term
+    phi, _ = _target_from_config(spec)
+    if dim == 1:
+        flags = [t["converged"] for t in simul_approx_disc(phi, 0.5).report["norm_fit"]]
+    else:
+        factors = simul_approx_polydisc(phi, 0.5, 2).report["factors"]
+        assert {f["axis"] for f in factors} == {0, 1}
+        flags = [f["fit_converged"] for f in factors]
+    assert flags and flags == [True] * len(flags)
+
+
 def test_step_norm_fits_do_not_depend_on_rounding_in_the_normal_matrix(monkeypatch):
     # a relative 1e-15 perturbation of each normal matrix, the size of a
     # reordered sum, must neither stall a solve nor move a certified norm
