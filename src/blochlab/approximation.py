@@ -6,7 +6,7 @@ Lawson passes of least squares, whose Toeplitz normal equations scipy's
 Levinson-Durbin solver solves, at degrees doubling until the tolerance is
 met; the best fit is returned, with ``achieved`` saying whether it met
 the tolerance), a norm-aware fit that minimises a Bloch-norm bound within
-a pointwise error budget on an arc set (a linear program), and a
+a pointwise error budget on an arc set (a second-order cone program), and a
 decomposition of a continuous function on the N-torus into a short sum of
 products of one-variable trigonometric polynomials.
 """
@@ -222,167 +222,182 @@ def uniform_fit(F: ArcSet, phi, delta: float, degree_cap: int = 4096) -> FitRepo
 
 
 # ---------------------------------------------------------------------------
-# Norm-aware fit: a linear program over polygonal modulus bounds
+# Norm-aware fit: a second-order cone program over exact modulus discs
 
-#: sides of the regular polygon inscribed in each modulus bound |w| <= R
-_POLYGON_SIDES = 32
 #: objective cost of one unit of error-budget excess per unit of norm
 _EXCESS_WEIGHT = 100.0
 #: interior-point stopping tolerance and iteration cap
-_LP_TOL = 1e-8
-_LP_MAX_ITER = 100
-#: cap on the cutting-plane rounds of one fit
-_CUT_ROUNDS = 40
-#: point columns per Gram block, summed in order: 256, not 512, rounds alike at any thread count
+_CONE_TOL = 1e-8
+_CONE_MAX_ITER = 100
+#: cones per normal-matrix block; the blocks are summed in order at any BLAS thread count
 _GRAM_BLOCK = 256
 
 
-def _polygon():
-    """(rho, e^(-2 pi i j / S) for j < S): the inscribed S-gon, S = ``_POLYGON_SIDES``.
+class _ConeRows:
+    """Rows of a program over M cones {(a, w) : |w| <= a}, a real, w complex.
 
-    Side j of the S-gon inscribed in |w| <= R is Re(e^(-2 pi i j / S) w) <= rho R.
-    """
-    return (np.cos(np.pi / _POLYGON_SIDES),
-            np.exp(-2j * np.pi * np.arange(_POLYGON_SIDES) / _POLYGON_SIDES))
-
-
-class _PolygonRows:
-    """Constraint matrix A of the norm-fit LP, kept per sample point.
-
-    The unknowns are x = (Re c, Im c, s) for nc coefficients c and
-    ns scalar variables s.  Row k < len(pts) is side ``side[k]`` of the
-    polygon at sample point p = ``pts[k]``: Re(w_k (G c)_p) - rho s_var[p]
-    with w_k = e^(-2 pi i side[k] / S); the full-width ``dense`` rows
-    follow.  The polygon rows are never built.  With P the distinct
-    points of the cut set, A x is one complex product G_P c and a gather,
-    and A'y a per-point sum of y w and one product with G_P'.  Writing
-    w = cos - i sin, row k is cos_k U_p + sin_k V_p - rho e_var[p], where
-    U_p and V_p are the rows of Re G_P c and Im G_P c as functionals of
-    (Re c, Im c); so A'DA comes from the per-point sums of d cos^2,
-    d sin^2, d cos sin, d cos and d sin on the 2|P| rows (U, V).  The
-    per-point sums are bincounts, which add in row order, the
-    matrix-vector products take row-wise dot products of a contiguous
-    matrix, and the matrix product of A'DA adds fixed blocks of point
-    columns in order, so none depends on the BLAS thread count.
+    x = (Re c, Im c, s); cone i holds (ha_i - Ga_i s, hw_i - Gw_i c), as
+    column i of a complex (2, M) array, and is a linear row when Gw_i and
+    hw_i are zero.  The products take row-wise dot products of contiguous
+    matrices, and ``normal`` adds fixed blocks of cones in order, so none
+    depends on the BLAS thread count.
     """
 
-    def __init__(self, G, var, pts, side, dense):
-        self.G, self.var, self.pts, self.side, self.dense = G, var, pts, side, dense
-        self.rho, sides = _polygon()
-        self.nc = G.shape[1]
-        self.ns = dense.shape[1] - 2 * self.nc
-        self.shape = (pts.size + dense.shape[0], dense.shape[1])
-        P, self.inv = np.unique(pts, return_inverse=True)
-        self.var_pair = var[pts]
-        self.GP = G[P]
-        self.GPT = np.ascontiguousarray(self.GP.T)
-        # (U, V)' as one contiguous 2 nc x 2|P| matrix
-        self.WT = np.block([[self.GPT.real, self.GPT.imag], [-self.GPT.imag, self.GPT.real]])
-        self.w = sides[side]
-        self.cos, self.sin = cos, sin = self.w.real.copy(), -self.w.imag
-        self.moments = (cos * cos, sin * sin, cos * sin, cos, sin)
-        # (diag(d) A)' on the rows (U, V), rewritten in place by each
-        # ``gram``; its scalar rows hold one entry per column
-        self.ST = np.zeros((self.shape[1], 2 * P.size))
-        self.ST_index = (2 * self.nc + var[P], np.arange(P.size))
-        # views of (U, V)', (V, U)' and the (U, V) columns of ST, split by half
-        self.UV = self.WT.reshape(2 * self.nc, 2, P.size)
-        self.VU = self.UV[:, ::-1]
-        self.ST_UV = self.ST[:2 * self.nc].reshape(self.UV.shape)
+    def __init__(self, Ga, Gw):
+        self.Ga, self.Gw, self.nc = Ga, Gw, Gw.shape[1]
+        self.GaT, self.GwT = np.ascontiguousarray(Ga.T), np.ascontiguousarray(Gw.T)
+        self.GwH = np.conj(self.GwT)
 
     def __matmul__(self, x):
-        nc, m = self.nc, self.pts.size
-        u = self.GP @ (x[:nc] + 1j * x[nc:2 * nc])
-        out = np.empty(self.shape[0])
-        out[:m] = (self.w * u[self.inv]).real - self.rho * x[2 * nc:][self.var_pair]
-        out[m:] = self.dense @ x
-        return out
+        nc = self.nc
+        return np.array([self.Ga @ x[2 * nc:], self.Gw @ (x[:nc] + 1j * x[nc:2 * nc])])
 
-    def rmatvec(self, y):
-        m, nP = self.pts.size, self.GP.shape[0]
-        t = self.GPT @ (np.bincount(self.inv, y[:m] * self.cos, nP)
-                        - 1j * np.bincount(self.inv, y[:m] * self.sin, nP))
-        out = np.concatenate([t.real, -t.imag,
-                              -self.rho * np.bincount(self.var_pair, y[:m], self.ns)])
-        return out + y[m:] @ self.dense
+    def rmatvec(self, v):
+        y = self.GwH @ v[1]
+        return np.concatenate([y.real, y.imag, self.GaT @ v[0].real])
 
-    def gram(self, d):
-        nc, m, nP = self.nc, self.pts.size, self.GP.shape[0]
-        cc, ss, cs, c1, s1 = (np.bincount(self.inv, d[:m] * mom, nP) for mom in self.moments)
-        # (U, V) columns: cc U + cs V and ss V + cs U, as two flat products
-        np.multiply(self.UV, np.stack([cc, ss]), out=self.ST_UV)
-        self.ST_UV += self.VU * cs
-        rows, cols = self.ST_index
-        self.ST[rows, cols] = -self.rho * c1
-        self.ST[rows, nP + cols] = -self.rho * s1
-        H = np.zeros((self.shape[1], self.shape[1]))
-        for k in range(0, 2 * nP, _GRAM_BLOCK):
-            H[:2 * nc] += self.WT[:, k:k + _GRAM_BLOCK] @ self.ST[:, k:k + _GRAM_BLOCK].T
-        H[2 * nc:, :2 * nc] = H[:2 * nc, 2 * nc:].T
-        H[2 * nc:, 2 * nc:] += np.diag(self.rho ** 2 * np.bincount(self.var_pair, d[:m], self.ns))
-        return H + self.dense.T @ (d[m:, None] * self.dense)
+    def normal(self, beta, w0, w1):
+        """G' W^-2 G for the cones' NT scalings, each beta and NT point (w0, w1).
+
+        With (a, w) = (Ga s, Gw c) a cone adds beta^-2 ((2 w0^2 - 1) a^2 - 4 w0
+        a Re(conj(w1) w) + w0^2 |w|^2 + Re(conj(w1)^2 w^2)), written out on
+        (Re c, Im c, s) from Gw^H diag(.) Gw, Gw^T diag(.) Gw, Ga^T diag(.) Gw
+        and Ga^T diag(.) Ga.
+        """
+        nc, ns, ib2, cw1 = self.nc, self.Ga.shape[1], beta ** -2.0, np.conj(w1)
+        dh, ds = ib2 * w0 ** 2, ib2 * cw1 ** 2
+        # Ga^T carrying the cross weight relative to dh, and the scalar weight
+        cross, scalar = self.GaT * (-2.0 * cw1 / w0), self.GaT * (ib2 * (2.0 * w0 ** 2 - 1.0))
+        Hh, Hs, X = (np.zeros((m, nc), dtype=complex) for m in (nc, nc, ns))
+        S = np.zeros((ns, ns))
+        for k in range(0, w0.size, _GRAM_BLOCK):
+            b = slice(k, k + _GRAM_BLOCK)
+            hg = dh[b, None] * self.Gw[b]
+            Hh += self.GwH[:, b] @ hg
+            X += cross[:, b] @ hg
+            Hs += self.GwT[:, b] @ (ds[b, None] * self.Gw[b])
+            S += scalar[:, b] @ self.Ga[b]
+        H = np.empty((2 * nc + ns,) * 2)
+        H[:nc, :nc], H[:nc, nc:2 * nc] = Hh.real + Hs.real, -Hh.imag - Hs.imag
+        H[nc:2 * nc, :nc], H[nc:2 * nc, nc:2 * nc] = Hh.imag - Hs.imag, Hh.real - Hs.real
+        H[2 * nc:, :nc], H[2 * nc:, nc:2 * nc], H[2 * nc:, 2 * nc:] = X.real, -X.imag, S
+        H[:2 * nc, 2 * nc:] = H[2 * nc:, :2 * nc].T
+        return H
 
 
-def _lp_solve(A, b, c):
-    """(x, converged): x minimises c.x subject to A x <= b (Mehrotra).
+def _jordan(u, v):
+    """The cone product u o v = (u_a v_a + Re(conj(u_w) v_w), u_a v_w + v_a u_w)."""
+    ua, va = u[0].real, v[0].real
+    return np.array([ua * va + (np.conj(u[1]) * v[1]).real, ua * v[1] + va * u[1]])
 
-    A is a ``_PolygonRows``.  ``converged`` is False when the iteration
-    cap is reached before the residuals and the duality gap fall below
-    ``_LP_TOL``; x is then the last iterate.
 
-    Primal and dual take one common step length, 0.99 min(alpha_primal,
-    alpha_dual).  With separate lengths the method was fragile: a
-    relative 1e-15 perturbation of the normal matrix, the size of a
-    reordered sum, drove degree-16 solves on the step target to the
-    iteration cap; with one length their iteration counts do not move.
-    The normal matrix A' (z/s) A has a few dozen columns, so each one is
-    solved through the inverse of its Cholesky factor; the tiny diagonal
-    shift keeps the factor defined once inactive rows stop contributing.
+def _max_step(lam, det, *steps):
+    """For each step d, the largest alpha <= 1 with lam + alpha d in every cone.
+
+    A cone's exit is the least positive root of A alpha^2 + 2 B alpha + det,
+    det = lam_a^2 - |lam_w|^2 > 0, by the root formula that does not cancel;
+    B^2 >= A det wherever a root is positive, so a negative discriminant is rounding.
     """
-    m, n = A.shape
+    d = np.array(steps)
+    da, dw = d[:, 0].real, d[:, 1]
+    A = (da - np.abs(dw)) * (da + np.abs(dw))
+    B = lam[0].real * da - (np.conj(lam[1]) * dw).real
+    q = -(B + np.copysign(np.sqrt(np.maximum(B * B - A * det, 0.0)), B))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = np.concatenate([q / A, det / q], axis=1)
+    roots[~(roots > 0.0)] = np.inf
+    return np.minimum(1.0, roots.min(axis=1))
 
-    def factor(d):
-        H = A.gram(d)
+
+def _cone_solve(G, ha, hw, cost):
+    """(x, converged): x minimises cost.x subject to h - G x in every cone, h = (ha, hw).
+
+    G is a ``_ConeRows``.  Primal-dual interior point with Nesterov-Todd
+    scaling and Mehrotra's predictor-corrector (Vandenberghe, "The CVXOPT
+    linear and quadratic cone program solvers", 2010), from the
+    least-squares x and z with s and z shifted to at least 1 inside their
+    cones.  W (W z = W^-1 s = lambda) is applied in the frame of the NT
+    point (w0, w1): rotated by conj(w1 / |w1|), on (a + Re w, a - Re w,
+    Im w) it is beta diag(e^psi, e^-psi, 1), e^psi = w0 + |w1|, with no
+    cancellation (beta^-2 (2 J w w' J - J) for W^-2 drove a perturbed fit
+    to NaN).  ds comes from the primal equation; primal and dual take one
+    step, 0.99 min(alpha_p, alpha_d).  The tiny diagonal shift keeps each
+    Cholesky factor defined once inactive cones stop contributing.
+    ``converged`` is False at the iteration cap, or at an iterate that is
+    not finite or not interior; x is then the last finite iterate.
+    LinAlgError: a normal matrix that is not numerically positive definite.
+    """
+    M, n = ha.size, cost.size
+    h = np.array([ha, hw])
+
+    def factor(*scaling):
+        H = G.normal(*scaling)
         H[np.diag_indices(n)] += 1e-14 * np.trace(H) / n
         return np.linalg.inv(np.linalg.cholesky(H))
 
     def solve(Li, r):
         return Li.T @ (Li @ r)
 
-    def max_step(v, dv):
-        neg = np.flatnonzero(dv < 0.0)
-        return min(1.0, float(np.min(-v.take(neg) / dv.take(neg)))) if neg.size else 1.0
+    def shift(v):
+        v[0] += max(0.0, 1.0 - float(np.min(v[0].real - np.abs(v[1]))))
+        return v
 
-    start = factor(np.ones(m))
-    x = solve(start, A.rmatvec(b))
-    s = b - A @ x
-    z = -(A @ solve(start, c))
-    s += max(0.0, 1.0 - float(np.min(s)))
-    z += max(0.0, 1.0 - float(np.min(z)))
-    tol_p = _LP_TOL * (1.0 + np.max(np.abs(b)))
-    tol_d = 10.0 * _LP_TOL * (1.0 + np.max(np.abs(c)))
-    for _ in range(_LP_MAX_ITER):
-        rd = A.rmatvec(z) + c
-        rp = A @ x + s - b
-        gap = float(s @ z)
-        if (np.max(np.abs(rp)) <= tol_p and np.max(np.abs(rd)) <= tol_d
-                and gap <= _LP_TOL * (1.0 + abs(float(c @ x)))):
+    start = factor(np.ones(M), np.ones(M), np.zeros(M))
+    x = solve(start, G.rmatvec(h))
+    s, z = shift(h - G @ x), shift(-(G @ solve(start, cost)))
+    tol_p = _CONE_TOL * (1.0 + np.max(np.abs(h)))
+    tol_d = 10.0 * _CONE_TOL * (1.0 + np.max(np.abs(cost)))
+    for _ in range(_CONE_MAX_ITER):
+        rz, rx, gap = G @ x + s - h, G.rmatvec(z) + cost, float(np.sum((np.conj(s) * z).real))
+        if (np.max(np.abs(rz)) <= tol_p and np.max(np.abs(rx)) <= tol_d
+                and gap <= _CONE_TOL * (1.0 + abs(float(cost @ x)))):
             return x, True
-        Li = factor(z / s)
+        lo = [v[0].real - np.abs(v[1]) for v in (s, z)]
+        if not (np.all(lo[0] > 0.0) and np.all(lo[1] > 0.0) and np.isfinite(gap)):
+            return x, False
+        sr, zr = (np.sqrt(l * (v[0].real + np.abs(v[1]))) for l, v in zip(lo, (s, z)))
+        sn, zn, det, beta = s / sr, z / zr, sr * zr, np.sqrt(sr / zr)
+        sa, za = sn[0].real, zn[0].real
+        gamma = np.sqrt((1.0 + sa * za + (np.conj(sn[1]) * zn[1]).real) / 2.0)
+        w0, w1 = (sa + za) / (2.0 * gamma), (sn[1] - zn[1]) / (2.0 * gamma)
+        mod = np.abs(w1)
+        rot, ep = np.divide(w1, mod, out=np.ones_like(w1), where=mod > 0.0), w0 + mod
+        lam = np.sqrt(det) * np.array([gamma, ((gamma + za) * sn[1] + (gamma + sa) * zn[1])
+                                       / (sa + za + 2.0 * gamma)])
+        Li = factor(beta, w0, w1)
+
+        crot, fp, fq, fo = np.conj(rot), 1.0 / (beta * ep), ep / beta, 1j / beta
+
+        def scale_inv(v):
+            # W^-1 v in the frame of the NT point
+            u = crot * v[1]
+            p, q = (v[0].real + u.real) * fp, (v[0].real - u.real) * fq
+            return np.array([(p + q) / 2.0, rot * ((p - q) / 2.0 + fo * u.imag)])
+
+        vr = scale_inv(rz)
 
         def direction(rc):
-            dx = solve(Li, -rd - A.rmatvec((z * rp - rc) / s))
-            ds = -rp - A @ dx
-            return dx, ds, (-rc - z * ds) / s
+            # lambda o (W dz + W^-1 ds) = rc, G dx + ds = -rz, G' dz = -rx:
+            # dx, ds, W^-1 ds and W dz
+            ua = (lam[0].real * rc[0].real - (np.conj(lam[1]) * rc[1]).real) / det
+            u = np.array([ua, (rc[1] - ua * lam[1]) / lam[0].real])
+            dx = solve(Li, -rx - G.rmatvec(scale_inv(u + vr)))
+            Gdx = G @ dx
+            vg = scale_inv(Gdx)
+            return dx, -rz - Gdx, -vr - vg, vr + vg + u
 
-        dx, ds, dz = direction(s * z)
-        ap, ad = max_step(s, ds), max_step(z, dz)
-        sigma = (float((s + ap * ds) @ (z + ad * dz)) / gap) ** 3
-        dx, ds, dz = direction(s * z + ds * dz - sigma * gap / m)
-        alpha = 0.99 * min(max_step(s, ds), max_step(z, dz))
-        x += alpha * dx
-        s += alpha * ds
-        z += alpha * dz
+        rc = -_jordan(lam, lam)
+        _, _, vs, vz = direction(rc)
+        ap, ad = _max_step(lam, det, vs, vz)
+        sigma = (np.sum((np.conj(lam + ap * vs) * (lam + ad * vz)).real) / gap) ** 3
+        rc -= _jordan(vs, vz)
+        rc[0] += sigma * gap / M
+        dx, ds, vs, vz = direction(rc)
+        alpha = 0.99 * float(np.min(_max_step(lam, det, vs, vz)))
+        step = (x + alpha * dx, s + alpha * ds, z + alpha * scale_inv(vz))
+        if not all(np.isfinite(np.sum(v)) for v in step):
+            return x, False
+        x, s, z = step
     return x, False
 
 
@@ -405,18 +420,15 @@ def norm_fit(F: ArcSet, phi, budget, degree: int, weights=((0.0, 1.0),),
     The default weights give the disc Bloch norm |h(0)| + sup (1 - |z|^2)
     |h'|.  ``budget`` is a number or a callable on angles.
 
-    Every modulus bound |w| <= R is imposed as a regular polygon inscribed
-    in the disc of radius R, so the sampled bounds hold exactly; suprema
-    are taken on a grid of the closed disc.  The error budget is elastic:
-    when the degree cannot meet it, the least uniform excess (at a cost
-    of ``_EXCESS_WEIGHT`` per unit of norm) is reported as ``excess``.
-    With a zero budget the fit minimises the sup error on F.  The program
-    is solved by cutting planes: it starts from a few polygon sides per
-    sample and adds, for each sample whose bound is violated, the side
-    facing its current value and that side's two neighbours, less the
-    (sample, side) pairs already cut.  ``converged`` is False when a
-    solve hits its iteration cap or bounds are still violated after the
-    last round, also when every side to add is already cut.
+    Every sampled modulus bound |w| <= R is one second-order cone, so the
+    bounds are imposed exactly, all of them in one ``_cone_solve``;
+    suprema are taken on a grid of the closed disc.  The error budget is
+    elastic: when the degree cannot meet it, the least uniform excess (at
+    a cost of ``_EXCESS_WEIGHT`` per unit of norm) is reported as
+    ``excess``.  With a zero budget the fit minimises the sup error on F.
+    ``converged`` is False when the solve stopped at its iteration cap or
+    on an iterate that was not finite.  ``ApproxError``: a normal matrix
+    of the solve is not numerically positive definite.
     """
     k = np.arange(degree + 1)
     theta = F.sample(max(16 * (degree + 1), 256))
@@ -424,81 +436,45 @@ def norm_fit(F: ArcSet, phi, budget, degree: int, weights=((0.0, 1.0),),
     slack = budget(theta) if callable(budget) else np.full(theta.size, float(budget))
     m = int(2 ** np.ceil(np.log2(4 * (degree + 1))))
     circle = np.exp(2j * np.pi * np.arange(m) / m)
-    # families of modulus bounds |G c + g0| <= rhs + s[var] on coefficients
-    # c; seed rows keep every family bounded in the first round
-    fam = [(zeta[:, None] ** k, -np.asarray(phi(zeta), dtype=complex), slack, "excess",
-            np.arange(theta.size))]
+    # families of modulus bounds |G c + g0| <= rhs + s[var] on coefficients c
+    fam = [(zeta[:, None] ** k, -np.asarray(phi(zeta), dtype=complex), slack, "excess")]
     if origin_weight > 0.0:
-        fam.append((np.eye(1, degree + 1), np.zeros(1), np.zeros(1), "origin", np.arange(1)))
+        fam.append((np.eye(1, degree + 1), np.zeros(1), np.zeros(1), "origin"))
     if any(s > 0.0 for s, _ in weights):
-        fam.append((circle[:, None] ** k, np.zeros(m), np.zeros(m), "sup", np.arange(0, m, 4)))
+        fam.append((circle[:, None] ** k, np.zeros(m), np.zeros(m), "sup"))
     if any(mu > 0.0 for _, mu in weights):
         radii = np.array([r for r in dyadic_radii(8, linear=16) if r > 0.0])
         z = (radii[:, None] * circle).ravel()
         G = np.zeros((z.size, degree + 1), dtype=complex)
         G[:, 1:] = ((1.0 - np.abs(z) ** 2)[:, None] * k[1:]) * z[:, None] ** (k[1:] - 1)
-        fam.append((G, np.zeros(z.size), np.zeros(z.size), "seminorm", np.arange(0, z.size, 8)))
+        fam.append((G, np.zeros(z.size), np.zeros(z.size), "seminorm"))
     names = [f[3] for f in fam] + ["t"]
-    G = np.vstack([f[0] for f in fam])
-    g0 = np.concatenate([f[1] for f in fam]).astype(complex)
-    rhs = np.concatenate([f[2] for f in fam])
-    var = np.concatenate([np.full(f[0].shape[0], i) for i, f in enumerate(fam)])
-    offsets = np.cumsum([0] + [f[0].shape[0] for f in fam])
-    seed = np.concatenate([o + f[4] for o, f in zip(offsets, fam)])
-
-    # scalar rows: s_k sup + m_k seminorm <= t, excess >= 0
     nc, ns = degree + 1, len(names)
-    scalar_rows = []
-    for s_k, m_k in weights:
-        row = np.zeros(ns)
-        row[-1] = -1.0
-        if s_k > 0.0:
-            row[names.index("sup")] = s_k
-        if m_k > 0.0:
-            row[names.index("seminorm")] = m_k
-        scalar_rows.append(row)
-    scalar_rows.append(-np.eye(1, ns, 0)[0])
-    A_scalar = np.hstack([np.zeros((len(scalar_rows), 2 * nc)), np.array(scalar_rows)])
+    var = np.concatenate([np.full(f[0].shape[0], i) for i, f in enumerate(fam)])
+    # linear rows, cones with no modulus part: s_k sup + m_k seminorm <= t, excess >= 0
+    linear = np.zeros((len(weights) + 1, ns))
+    linear[:-1, -1] = linear[-1, 0] = -1.0
+    for row, pair in zip(linear, weights):
+        for name, v in zip(("sup", "seminorm"), pair):
+            if v > 0.0:
+                row[names.index(name)] = v
+    zeros = np.zeros(len(linear))
+    rows = _ConeRows(np.vstack([-np.eye(ns)[var], linear]),
+                     np.vstack([-f[0] for f in fam] + [np.zeros((zeros.size, nc))]))
     cost = np.zeros(2 * nc + ns)
-    cost[2 * nc + ns - 1] = 1.0
-    cost[2 * nc] = _EXCESS_WEIGHT
+    cost[[2 * nc, -1]] = _EXCESS_WEIGHT, 1.0
     if origin_weight > 0.0:
         cost[2 * nc + names.index("origin")] = origin_weight
-
-    rho, sides = _polygon()
-
-    def offset(p, j):
-        # side j at point p: Re(e^{-2 pi i j / S}(G_p c + g0_p)) - rho s_var <= rho rhs_p
-        return rho * rhs[p] - (sides[j] * g0[p]).real
-
-    # the cut set: polygon side cut_side[k] at sample point pts[k]
-    step = _POLYGON_SIDES // 8
-    pts = np.repeat(seed, 8)
-    cut_side = np.tile(np.arange(0, _POLYGON_SIDES, step), seed.size)
-    b = offset(pts, cut_side)
-    for _ in range(_CUT_ROUNDS):
-        x, solved = _lp_solve(_PolygonRows(G, var, pts, cut_side, A_scalar),
-                              np.concatenate([b, np.zeros(len(scalar_rows))]), cost)
-        coef = x[:nc] + 1j * x[nc:2 * nc]
-        v = G @ coef + g0
-        bound = rho * (rhs + x[2 * nc:][var])
-        side = np.round(np.angle(v) * _POLYGON_SIDES / (2.0 * np.pi)).astype(int) % _POLYGON_SIDES
-        violated = np.flatnonzero((sides[side] * v).real - bound > 1e-9 * (1.0 + np.abs(bound)))
-        if violated.size == 0:
-            break
-        # the facing side and its two neighbours, less the pairs already cut
-        key = (violated[:, None] * _POLYGON_SIDES
-               + (side[violated, None] + np.arange(-1, 2)) % _POLYGON_SIDES).ravel()
-        new_pts, new_side = np.divmod(np.setdiff1d(key, pts * _POLYGON_SIDES + cut_side),
-                                      _POLYGON_SIDES)
-        if new_pts.size == 0:
-            break
-        pts, cut_side = np.concatenate([pts, new_pts]), np.concatenate([cut_side, new_side])
-        b = np.concatenate([b, offset(new_pts, new_side)])
+    try:
+        x, converged = _cone_solve(rows, np.concatenate([f[2] for f in fam] + [zeros]),
+                                   np.concatenate([f[1] for f in fam] + [zeros]), cost)
+    except np.linalg.LinAlgError as exc:
+        raise ApproxError(f"the normal matrix of the degree-{degree} norm fit is not "
+                          "numerically positive definite") from exc
     scalars = dict(zip(names, x[2 * nc:]))
     value = scalars["t"] + origin_weight * scalars.get("origin", 0.0)
-    return NormFitReport(PolynomialND(coef), float(value), float(max(scalars["excess"], 0.0)),
-                         degree, bool(solved and violated.size == 0))
+    return NormFitReport(PolynomialND(x[:nc] + 1j * x[nc:2 * nc]), float(value),
+                         float(max(scalars["excess"], 0.0)), degree, converged)
 
 
 # ---------------------------------------------------------------------------

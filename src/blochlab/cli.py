@@ -61,8 +61,8 @@ def _checked(read, ok, message: str):
 _number = _checked(lambda v: v, lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
                    "expected a number, got {v!r}")
 _int = _checked(_number, lambda v: isinstance(v, int), "expected a whole number, got {v!r}")
-_pair = _checked(lambda v: tuple(float(_number(x)) for x in v), lambda p: len(p) == 2,
-                 "expected an [a, b] pair, got {v!r}")
+_pair = _checked(lambda v: tuple(float(_number(x)) for x in v) if isinstance(v, list) else (),
+                 lambda p: len(p) == 2, "expected an [a, b] pair, got {v!r}")
 
 
 def _real(name, lo=-math.inf, hi=math.inf):

@@ -51,10 +51,13 @@ class SerializationError(ValueError):
 
 
 def at(key: str, read, value):
-    """read(value); an error it raises is named by ``key`` (a name or "[i]") ahead of its path."""
+    """read(value); a ValueError it raises is named by ``key`` (a name or "[i]") ahead of its path.
+
+    Readers raise ValueError for bad input; any other error is a reader's own fault.
+    """
     try:
         return read(value)
-    except (ArithmeticError, LookupError, OSError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         msg, path = (exc.message, exc.path) if isinstance(exc, SerializationError) else (exc, "")
         raise SerializationError(str(msg), key + ("." if path[:1] not in ("", "[") else "")
                                  + path) from exc
@@ -83,8 +86,19 @@ def _cpx(c) -> list:
     return [c.real, c.imag]
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _items(v, n: int, what: str, item=lambda x: True) -> list:
+    """v, when it is a JSON list of n items that ``item`` accepts; else an error naming what."""
+    if not (isinstance(v, list) and len(v) == n and all(map(item, v))):
+        raise SerializationError(f"expected {what}, got {v!r}")
+    return v
+
+
 def _uncpx(v) -> complex:
-    return complex(v[0], v[1])
+    return complex(*_items(v, 2, "an [re, im] pair of numbers", _is_number))
 
 
 def _coeff_list(arr) -> list:
@@ -140,13 +154,19 @@ def from_document(doc):
         return PolynomialND(np.array(field(doc, "coeffs", each(_uncpx)), dtype=complex))
     if kind == "polynd":
         dim = field(doc, "dim", lambda d: PolynomialND.from_terms({}, d).dim)
-        return field(doc, "terms", lambda ts: PolynomialND.from_terms(
-            dict(each(lambda t: (multi_index(t[0], dim), _uncpx(t[1])))(ts)), dim))
+
+        def term(t):
+            alpha, c = _items(t, 2, "a term [multi-index, [re, im]]")
+            alpha = _items(alpha, dim, f"a multi-index of length {dim}")
+            return multi_index(alpha, dim), _uncpx(c)
+
+        return field(doc, "terms", lambda ts: PolynomialND.from_terms(dict(each(term)(ts)), dim))
     if kind == "measure":
         mk = field(doc, "measure_kind")
         if mk == "atomic":
             return field(doc, "atoms", lambda atoms: SingularMeasureSpec(
-                kind="atomic", atoms=tuple(each(lambda a: (_uncpx(a[0]), a[1]))(atoms))))
+                kind="atomic", atoms=tuple(each(lambda a: (
+                    _uncpx(_items(a, 2, "an atom [[re, im], mass]")[0]), a[1]))(atoms))))
         # set field by field from valid defaults, so a field's error names it
         spec = SingularMeasureSpec(kind=mk)
         for k in ("center", "arc_length", "ratio", "depth", "mass"):
@@ -165,18 +185,20 @@ def from_document(doc):
             raise SerializationError(f"unknown expression node {node!r}", "node")
         return field(doc, "inner" if node == "inner" else "poly", from_document)
     if kind == "arcs":
-        return ArcSet.from_json(doc["arcs"])
+        return field(doc, "arcs", lambda arcs: ArcSet.from_json(
+            each(lambda a: _items(a, 2, "an [a, b] pair of numbers", _is_number))(arcs)))
     if kind == "certificate":
-        return Certificate(doc["target_id"], doc["n"], doc["radius"],
-                           tuple(_uncpx(a) for a in doc["anchors"]),
-                           doc["d_sup"], doc["good_measure"],
-                           doc["block_norm"], doc["partial_index"], doc["verified"])
+        return Certificate(*(field(doc, k) for k in ("target_id", "n", "radius")),
+                           tuple(field(doc, "anchors", each(_uncpx))),
+                           *(field(doc, k) for k in ("d_sup", "good_measure", "block_norm",
+                                                     "partial_index", "verified")))
     if kind == "candidate":
-        return UniversalCandidate(
-            tuple(from_document(b) for b in doc["blocks"]),
-            tuple(doc["budgets"]), tuple(doc["indices"]),
-            tuple(from_document(c) for c in doc["certificates"]),
-            tuple(doc["partial_norms"]), tuple(doc["failed"]))
+        def items(key, read=lambda v: v):
+            return tuple(field(doc, key, each(read)))
+
+        return UniversalCandidate(items("blocks", from_document), items("budgets"),
+                                  items("indices"), items("certificates", from_document),
+                                  items("partial_norms"), items("failed"))
     raise SerializationError(f"unknown document kind {kind!r}", "kind")
 
 

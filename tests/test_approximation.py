@@ -11,8 +11,9 @@ from blochlab.approximation import (ApproxError, norm_fit, product_decompose, ru
                                     uniform_fit)
 from blochlab.arcs import ArcSet
 from blochlab.blochnorm import bloch_norm
+from blochlab.cli import _target_from_config
 from blochlab.pipeline import (_BUDGET_SHARE, _default_arcs, _target_measure,
-                               simul_approx_disc)
+                               simul_approx_disc, simul_approx_polydisc)
 
 TWO_PI = 2.0 * np.pi
 
@@ -311,7 +312,7 @@ def test_norm_fit_zero_budget_is_best_analytic_approximation():
     z = np.exp(1j * np.linspace(0.0, TWO_PI, 4097))
     sup_error = float(np.max(np.abs(rep.poly(z) - _re(z))))
     assert sup_error == pytest.approx(0.5, abs=1e-4)
-    # the excess bounds the error through the inscribed polygon
+    # the excess bounds the error off the samples too: the optimal error is 1/2 everywhere
     assert sup_error <= rep.excess + 1e-9
     expected = np.zeros(rep.poly.coeffs.size, dtype=complex)
     expected[1] = 0.5
@@ -331,137 +332,115 @@ def test_norm_fit_meets_budget_and_bounds_the_norm():
     assert bloch_norm(rep.poly).norm == pytest.approx(rep.value, rel=0.05)
 
 
-def _polygon_rows(A):
-    """The norm-fit LP's constraint matrix built densely, one row per (point, side) pair.
-
-    The reference for ``_PolygonRows``: side j at point p is the row
-    Re(e^(-2 pi i j / S) G_p) on Re c, -Im of it on Im c and -rho on the
-    scalar s_var(p); the dense rows follow.
-    """
-    rho, sides = approximation._polygon()
-    R = sides[A.side][:, None] * A.G[A.pts]
-    rows = np.zeros((A.pts.size, A.shape[1]))
-    rows[:, :A.nc], rows[:, A.nc:2 * A.nc] = R.real, -R.imag
-    rows[np.arange(A.pts.size), 2 * A.nc + A.var[A.pts]] = -rho
-    return np.vstack([rows, A.dense])
-
-
 def _step(z):
     th = np.angle(np.asarray(z, dtype=complex)) % TWO_PI
     return ((0.37 <= th) & (th < 2.77)).astype(complex)
 
 
-def _programs(monkeypatch, *args, **kwargs):
-    """The constraint matrices of the solves one ``norm_fit`` call makes."""
-    seen = []
-    solve = approximation._lp_solve
-
-    def record(A, b, c):
-        seen.append(A)
-        return solve(A, b, c)
-
-    monkeypatch.setattr(approximation, "_lp_solve", record)
-    norm_fit(*args, **kwargs)
-    monkeypatch.undo()
-    return seen
+def _const(z):
+    return np.ones_like(np.asarray(z, dtype=complex))
 
 
-@pytest.mark.parametrize("case, families", [("step-16", 3), ("sup-and-seminorm", 4)])
-def test_polygon_rows_match_the_dense_constraint_matrix(monkeypatch, case, families):
-    if case == "step-16":
-        # step's degree-16 program of simul_approx_disc after its cut rounds
-        programs = _programs(monkeypatch, _default_arcs(_target_measure(0.5)), _step,
-                             _BUDGET_SHARE * 0.5, 16)
-        assert len(programs) > 1
-    else:
-        # weights with s_k and m_k > 0, as the polydisc factors use: the
-        # sup family and the origin row enter too
-        programs = _programs(monkeypatch, _two_arcs(0.77), _re, 0.3, 8,
-                             weights=((0.4, 0.9), (1.2, 0.1)), origin_weight=0.6)
-    A = programs[-1]
-    # every family (excess, origin, then sup and seminorm as present) is cut
-    assert set(A.var[A.pts].tolist()) == set(range(families))
-    dense = _polygon_rows(A)
-    m, n = dense.shape
-    assert A.shape == (m, n) and m > 1000
-    rng = np.random.default_rng(3)
-    x, y, d = rng.normal(size=n), rng.normal(size=m), rng.uniform(1e-3, 1e3, size=m)
-
-    def close(got, want):
-        return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-    assert close(A @ x, dense @ x)
-    assert close(A.rmatvec(y), dense.T @ y)
-    assert close(A.gram(d), dense.T @ (d[:, None] * dense))
+@pytest.mark.parametrize("degree", [8, 16])
+def test_const_norm_fit_reaches_the_exact_disc_optimum(degree):
+    # no constant c has |c| < 1/2 and |c - 1| < 0.499 together: the least
+    # |c| is 1 - 0.499; the inscribed 32-gon of the former LP gave 0.505839
+    rep = norm_fit(_default_arcs(_target_measure(0.5)), _const, _BUDGET_SHARE * 0.5, degree)
+    assert rep.converged
+    assert abs(rep.value - 0.501) < 1e-6
 
 
-def test_each_cut_round_adds_whole_side_neighbourhoods_once(monkeypatch):
-    # a violated side j at a point comes with j - 1 and j + 1, and no
-    # (point, side) pair is cut twice
-    S = approximation._POLYGON_SIDES
-    programs = _programs(monkeypatch, _default_arcs(_target_measure(0.5)), _step,
-                         _BUDGET_SHARE * 0.5, 16)
-    assert len(programs) > 1
-    for before, after in zip(programs, programs[1:]):
-        m = before.pts.size
-        assert np.array_equal(after.pts[:m], before.pts)
-        assert np.array_equal(after.side[:m], before.side)
-        key = after.pts * S + after.side
-        assert np.unique(key).size == key.size > m
-        cut = set(key.tolist())
-        for p, j in zip(after.pts[m:], after.side[m:]):
-            assert any({p * S + (c + k) % S for k in (-1, 0, 1)} <= cut for c in (j - 1, j, j + 1))
+# the former LP's values on the same samples, under inscribed 32-gons
+_POLYGON_VALUES = {("const", 8): 0.505839, ("const", 16): 0.505839,
+                   ("re", 8): 0.136004, ("re", 16): 0.107408,
+                   ("step", 8): 0.503017, ("step", 16): 0.497292}
 
 
-def test_a_round_with_nothing_new_to_cut_ends_the_fit_unconverged(monkeypatch):
-    # an LP that ignores its rows returns the same violations each round:
-    # the second round finds every side it would add already cut
-    shapes = []
+@pytest.mark.parametrize("target, degree", sorted(_POLYGON_VALUES))
+def test_exact_discs_relax_the_inscribed_polygon(target, degree):
+    phi = {"const": _const, "re": _re, "step": _step}[target]
+    rep = norm_fit(_default_arcs(_target_measure(0.5)), phi, _BUDGET_SHARE * 0.5, degree)
+    assert rep.converged
+    assert rep.value <= _POLYGON_VALUES[target, degree] + 1e-6
 
-    def stuck(A, b, c):
-        shapes.append(A.shape)
-        return np.zeros(A.shape[1]), True
 
-    monkeypatch.setattr(approximation, "_lp_solve", stuck)
-    rep = norm_fit(_two_arcs(0.77), lambda z: np.full(np.shape(z), 2.0 + 0j), 0.1, 8)
-    assert not rep.converged
-    assert len(shapes) == 2 and shapes[1][0] > shapes[0][0]
+def _count_factorizations(monkeypatch):
+    calls = []
+    normal = approximation._ConeRows.normal
+
+    def counted(self, *scaling):
+        calls.append(1)
+        return normal(self, *scaling)
+
+    monkeypatch.setattr(approximation._ConeRows, "normal", counted)
+    return calls
 
 
 def test_step_disc_fits_stay_within_a_factorization_budget(monkeypatch):
-    # step's simul_approx_disc factors 218 normal matrices, 264 when each
-    # round cut only the facing side of a violated point
-    calls = []
-    gram = approximation._PolygonRows.gram
-
-    def counted(self, d):
-        calls.append(d.size)
-        return gram(self, d)
-
-    monkeypatch.setattr(approximation._PolygonRows, "gram", counted)
+    # step's simul_approx_disc factors 50 normal matrices, starts included;
+    # the cutting-plane LP over inscribed 32-gons factored 218
+    calls = _count_factorizations(monkeypatch)
     simul_approx_disc(_step, 0.5)
-    assert len(calls) <= 230
+    assert len(calls) <= 60
 
 
-def _dense_rows(A):
-    """``_PolygonRows`` of the full-width rows A alone, with no polygon points."""
-    none = np.zeros(0, dtype=int)
-    return approximation._PolygonRows(np.zeros((0, 0), dtype=complex), none, none, none, A)
+@pytest.mark.parametrize("spec, dim, budget", [({"kind": "constant", "value": 1.0}, 1, 43),
+                                               ({"kind": "re"}, 1, 24),
+                                               ({"kind": "product_re"}, 2, 48)],
+                         ids=["const", "re", "product-re"])
+def test_the_other_simul_targets_stay_within_a_factorization_budget(monkeypatch, spec, dim,
+                                                                    budget):
+    # 36, 20 and 40 factorizations, starts included (the LP: 38, 38 and 81)
+    phi, _ = _target_from_config(spec)
+    calls = _count_factorizations(monkeypatch)
+    simul_approx_polydisc(phi, 0.5, dim)
+    assert len(calls) <= budget
 
 
-# minimise -x1 - x2 subject to x1 + 2 x2 <= 4, 3 x1 + x2 <= 6, x >= 0;
-# the optimum is the vertex (1.6, 1.2)
-_LP = (_dense_rows(np.array([[1.0, 2.0], [3.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])),
-       np.array([4.0, 6.0, 0.0, 0.0]), np.array([-1.0, -1.0]))
+# the least disc enclosing 1, -1 and 2i: |c - p| <= t for each p, minimise t;
+# its centre is 0.75i and its radius 1.25
+_ENCLOSING = (approximation._ConeRows(-np.ones((3, 1)), -np.ones((3, 1), dtype=complex)),
+              np.zeros(3), -np.array([1.0, -1.0, 2.0j]), np.array([0.0, 0.0, 1.0]))
 
 
-def test_lp_solve_finds_the_optimal_vertex():
-    x, converged = approximation._lp_solve(*_LP)
+def test_cone_solve_finds_the_least_enclosing_disc():
+    x, converged = approximation._cone_solve(*_ENCLOSING)
     assert converged
-    assert np.max(np.abs(x - [1.6, 1.2])) < 1e-7
+    assert np.max(np.abs(x - [0.0, 0.75, 1.25])) < 1e-7
 
 
-def test_lp_solve_at_its_iteration_cap_is_not_converged(monkeypatch):
-    monkeypatch.setattr(approximation, "_LP_MAX_ITER", 1)
-    _, converged = approximation._lp_solve(*_LP)
+def test_cone_solve_at_its_iteration_cap_is_not_converged(monkeypatch):
+    monkeypatch.setattr(approximation, "_CONE_MAX_ITER", 1)
+    _, converged = approximation._cone_solve(*_ENCLOSING)
     assert not converged
+
+
+def test_a_non_finite_iterate_ends_the_fit_with_the_last_finite_one(monkeypatch):
+    # from the 5th factorization on, the normal matrix is subnormal, so the
+    # 4th iteration's step overflows; the fit keeps the 3rd iterate
+    args = (_default_arcs(_target_measure(0.5)), _step, _BUDGET_SHARE * 0.5, 8)
+    monkeypatch.setattr(approximation, "_CONE_MAX_ITER", 3)
+    capped = norm_fit(*args)
+    monkeypatch.undo()
+    calls = _count_factorizations(monkeypatch)
+    counted = approximation._ConeRows.normal
+
+    def overflowing(self, *scaling):
+        H = counted(self, *scaling)
+        return H * 1e-310 if len(calls) >= 5 else H
+
+    monkeypatch.setattr(approximation._ConeRows, "normal", overflowing)
+    with np.errstate(all="ignore"):
+        rep = norm_fit(*args)
+    assert len(calls) == 5
+    assert not rep.converged and not capped.converged
+    assert np.all(np.isfinite(rep.poly.coeffs))
+    assert np.array_equal(rep.poly.coeffs, capped.poly.coeffs)
+    assert (rep.value, rep.excess) == (capped.value, capped.excess)
+
+
+def test_a_normal_matrix_that_is_not_positive_definite_is_an_approx_error(monkeypatch):
+    normal = approximation._ConeRows.normal
+    monkeypatch.setattr(approximation._ConeRows, "normal", lambda self, *w: -normal(self, *w))
+    with pytest.raises(ApproxError, match="degree-8 norm fit is not numerically positive"):
+        norm_fit(_two_arcs(0.77), _re, 0.3, 8)

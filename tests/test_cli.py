@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from blochlab import cli, serialize
+from blochlab import approximation, cli, serialize
 from blochlab.blochnorm import (IntegralTestResult, WeightSpec, bloch_norm,
                                 weight_integral_test, weighted_bloch_norm)
 from blochlab.cli import main
@@ -466,6 +466,14 @@ def _cantor(**fields):
     ("weight-test", {"weight": {"kind": "custom-table", "table": [[0.0, 1.0]] * 3}},
      "weight.table: expected two rows of equal length, t values then omega values, "
      "got [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]"),
+    ("inner-quotient", {"inner": {"kind": "atomic", "atoms": [5]}, "samples": 64},
+     "inner.atoms[0]: expected an [a, b] pair, got 5"),
+    ("runge", {"arcs": [5], "delta": 0.3}, "arcs[0]: expected an [a, b] pair, got 5"),
+    ("bloch-norm", {"function": {"kind": "poly1d", "coeffs": [5]}},
+     "function.coeffs[0]: expected an [re, im] pair of numbers, got 5"),
+    ("inner-quotient", {"inner": {"kind": "inner", "inner_kind": "singular", "measure": {
+        "kind": "measure", "measure_kind": "atomic", "atoms": [[5]]}}, "samples": 64},
+     "inner.measure.atoms[0]: expected an atom [[re, im], mass], got [5]"),
 ], ids=["certify-no-anchor", "universal-no-anchor", "universal-no-eps", "universal-no-target",
         "universal-enumerate-0", "universal-enumerate-negative", "inner-quotient-no-samples",
         "compose-node", "monomial-negative-n", "cantor-negative-depth", "cantor-fractional-depth",
@@ -475,7 +483,8 @@ def _cantor(**fields):
         "runge-fractional-degree-cap", "universal-text-n-max", "simul-product-re-without-dim",
         "step-unsorted-jumps", "step-jump-past-2-pi", "step-no-jumps", "certify-product-re-target",
         "universal-product-re-target", "weight-table-short-row", "weight-table-text-entry",
-        "weight-table-unequal-rows", "weight-table-three-rows"])
+        "weight-table-unequal-rows", "weight-table-three-rows", "atomic-atom-not-a-pair",
+        "arc-not-a-pair", "poly1d-coefficient-not-a-pair", "measure-atom-not-a-pair"])
 def test_a_vacuous_or_unknown_spec_is_a_config_error(tmp_path, capsys, command, cfg, err):
     status, doc, _ = _run(tmp_path, command, cfg)
     assert status == 2
@@ -504,12 +513,28 @@ def _polynd(dim, *alphas):
      f"is not a whole number in [0, {_IMAX}]"),
     ("bloch-norm", {"function": {**_polynd(1, [1]), "dim": True}},
      "function.dim: dim must be a whole number >= 1, got True"),
+    ("bloch-norm", {"function": {**_polynd(1), "terms": [[1]]}},
+     "function.terms[0]: expected a term [multi-index, [re, im]], got [1]"),
+    ("bloch-norm", {"function": {**_polynd(1), "terms": [5]}},
+     "function.terms[0]: expected a term [multi-index, [re, im]], got 5"),
 ], ids=["negative", "negative-beside-a-valid-term", "fractional", "certify-negative", "too-large",
-        "bool-dim"])
+        "bool-dim", "term-of-one-entry", "term-not-a-list"])
 def test_a_malformed_polynd_is_a_config_error(tmp_path, capsys, command, cfg, err):
     status, doc, _ = _run(tmp_path, command, cfg)
     assert (status, doc) == (2, None)
     assert capsys.readouterr().err.strip() == f"config error: {err}"
+
+
+def test_a_type_error_inside_a_reader_is_not_a_config_error(tmp_path, monkeypatch, capsys):
+    # readers raise ValueError for bad input; anything else is their own fault
+    def fault(alpha, dim):
+        raise TypeError("fault inside the reader")
+
+    monkeypatch.setattr("blochlab.serialize.multi_index", fault)
+    with pytest.raises(TypeError, match="fault inside the reader"):
+        _run(tmp_path, "bloch-norm", {"function": _polynd(1, [1])})
+    assert "config error" not in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_report.json"))
 
 
 def test_an_unreadable_config_file_is_a_config_error(tmp_path, capsys):
@@ -703,6 +728,18 @@ def test_a_gram_matrix_that_is_not_positive_definite_is_a_stage_failure(
     assert doc is None
     assert capsys.readouterr().err.strip().splitlines() == [
         "stage failure [runge]: the Gram matrix of the degree-8 fit is not "
+        "numerically positive definite"]
+
+
+def test_a_norm_fit_normal_matrix_that_is_not_positive_definite_is_a_stage_failure(
+        tmp_path, monkeypatch, capsys):
+    normal = approximation._ConeRows.normal
+    monkeypatch.setattr(approximation._ConeRows, "normal", lambda self, *w: -normal(self, *w))
+    status, doc, _ = _run(tmp_path, "simul", {"target": {"kind": "re"}, "eps": 0.5})
+    assert status == 1
+    assert doc is None
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "stage failure [simul]: the normal matrix of the degree-8 norm fit is not "
         "numerically positive definite"]
 
 

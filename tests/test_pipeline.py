@@ -76,7 +76,7 @@ def test_simul_disc_miss_returns_the_fit_of_least_certified_norm(phi):
 
 
 def test_every_step_norm_fit_converges():
-    # a solve stopped at the LP's iteration cap shows only as this field
+    # a solve stopped at its iteration cap shows only as this field
     trail = simul_approx_disc(_step_target, 0.5).report["norm_fit"]
     assert [t["converged"] for t in trail] == [True] * len(trail)
 
@@ -102,14 +102,14 @@ def test_step_norm_fits_do_not_depend_on_rounding_in_the_normal_matrix(monkeypat
     # reordered sum, must neither stall a solve nor move a certified norm
     trail = simul_approx_disc(_step_target, 0.5).report["norm_fit"]
     rng = np.random.default_rng(11)
-    gram = approximation._PolygonRows.gram
+    normal = approximation._ConeRows.normal
 
-    def perturbed(self, d):
-        H = gram(self, d)
+    def perturbed(self, *scaling):
+        H = normal(self, *scaling)
         E = rng.uniform(-1.0, 1.0, size=H.shape)
         return H * (1.0 + 1e-15 * (E + E.T) / 2.0)
 
-    monkeypatch.setattr(approximation._PolygonRows, "gram", perturbed)
+    monkeypatch.setattr(approximation._ConeRows, "normal", perturbed)
     moved = simul_approx_disc(_step_target, 0.5).report["norm_fit"]
     assert [t["converged"] for t in moved] == [True] * len(trail)
     for a, b in zip(trail, moved):
