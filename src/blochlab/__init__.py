@@ -10,7 +10,7 @@ from blochlab.numerics import MeasureEstimate, sample_torus, measure_metric, ind
 from blochlab.expressions import Polynomial1D, PolynomialND, PathSpec
 from blochlab.inner import SingularMeasureSpec, InnerSpec
 from blochlab.arcs import ArcSet
-from blochlab.blochnorm import BlochReport, WeightSpec, bloch_norm, weighted_bloch_norm, weight_integral_test
+from blochlab.blochnorm import BlochReport, WeightSpec, bloch_norm, weight_integral_test
 from blochlab.approximation import runge_pair, uniform_fit, product_decompose
 from blochlab.pipeline import SimulApproxResult, simul_approx_disc, simul_approx_polydisc
 from blochlab.universality import TargetEnumeration, Certificate, UniversalCandidate, certify, universal_build, cluster_probe, lacunary_baseline
@@ -31,7 +31,6 @@ __all__ = [
     "BlochReport",
     "WeightSpec",
     "bloch_norm",
-    "weighted_bloch_norm",
     "weight_integral_test",
     "runge_pair",
     "uniform_fit",

@@ -43,7 +43,6 @@ __all__ = [
     "bloch_norm",
     "little_bloch_profile",
     "profile_to_csv",
-    "weighted_bloch_norm",
     "weight_integral_test",
 ]
 
@@ -107,11 +106,6 @@ def _dim(f) -> int:
     raise TypeError(f"cannot interpret {type(f).__name__} as a Bloch function")
 
 
-def _value_at_zero(f) -> float:
-    """|f(0)| of a one-variable f, from a one-point array: numpy rounds scalars differently."""
-    return abs(complex(f(np.zeros(1))[0]))
-
-
 #: angles per shell for an InnerSpec
 _ANGULAR_COUNT = 512
 
@@ -126,14 +120,17 @@ def _certify(sup: float, degree, m: int):
 _BOUND_GUARD = 1.0 + 1e-9
 
 
-def _bound_ordered(sample, count: int, bound=None) -> dict:
-    """{i: sample(i)} for the items i < count that a bound-ordered scan visits.
+def _bound_ordered(sample, count: int, bound, origin: tuple):
+    """(sup, first argmax in index order, visited items) of a scan of the items i < count.
 
-    ``sample(i)`` returns a pair whose first entry is the item's largest
-    sample.  Items are visited in decreasing order of ``bound`` (ties in
-    index order) and the scan stops once the bound is 0 or below the
-    largest sample so far.  Without a bound, or with a non-finite one,
-    every item is visited in index order.  Keys come back sorted.
+    ``sample(i)`` returns the item's largest sample and its point.  Items
+    are visited in decreasing order of ``bound`` (ties in index order)
+    and the scan stops once the bound is 0 or below the largest sample so
+    far: no skipped item can reach or tie it, so the first maximum in
+    index order among the visited items is the full scan's.  Without a
+    bound, or with a non-finite one, every item is visited in index
+    order.  The argmax is ``origin`` when no sample is positive; the
+    visited items come back as {i: sample(i)}, keys sorted.
     """
     if bound is not None and np.all(np.isfinite(bound)):
         order = np.argsort(-bound, kind="stable")
@@ -145,24 +142,22 @@ def _bound_ordered(sample, count: int, bound=None) -> dict:
             break
         visited[i] = sample(i)
         best = max(best, visited[i][0])
-    return dict(sorted(visited.items()))
+    visited = dict(sorted(visited.items()))
+    arg = next((z for v, z in visited.values() if v == best), origin) if best > 0.0 else origin
+    return best, arg, visited
 
 
-def _disc_shells(f, radii, stop_early: bool = False):
-    """Per-shell sup of (1 - r^2)|f'| over |z| = r on the disc, for each r in radii.
+def _disc_shells(f, radii, omega=None):
+    """Sampler of (1 - r^2)|f'| / omega on the disc's shells |z| = r, r in radii.
 
-    Returns (sups, argmax points, degree, m): ``degree`` is f's degree
-    when f is a polynomial (else None) and m the angles per shell.  A
-    polynomial's derivative is taken once and evaluated on each shell by
-    FFT, an ``InnerSpec`` is differentiated pointwise.
-    The first shell with a non-finite sample raises.
-
-    With ``stop_early`` a polynomial's shells are visited in decreasing
-    order of b(r) = (1 - r^2) sum k |a_k| r^(k-1), which bounds every
-    sample of the shell, and the scan stops once b is 0 or below the
-    largest sample so far: no skipped shell can reach or tie it.  Only
-    the visited shells are returned, in radius order, so their first
-    maximum is the full scan's.
+    Returns (shell, bound, degree, m): shell(i) is the sup over m angles
+    of shell i and its point (a 1-tuple), ``degree`` f's degree when f is
+    a polynomial (else None).  ``omega``, one positive value per radius,
+    defaults to 1.  A polynomial's derivative is taken once and
+    evaluated on each shell by FFT; ``bound`` then holds
+    b(r) = (1 - r^2) sum k |a_k| r^(k-1) / omega, which bounds every
+    sample of its shell.  An ``InnerSpec`` is differentiated pointwise
+    and has no bound (None).  A shell with a non-finite sample raises.
     """
     degree = f.degree if isinstance(f, PolynomialND) else None
     m = _ANGULAR_COUNT if degree is None else angular_count(degree)
@@ -171,9 +166,10 @@ def _disc_shells(f, radii, stop_early: bool = False):
     sign = 1.0 if dpoly is None else -1.0  # the FFT walks the circle clockwise
     radii = np.asarray(radii, dtype=float)
     bound = None
-    if stop_early and dpoly is not None:
+    if dpoly is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             bound = (1.0 - radii * radii) * PolynomialND(np.abs(dpoly.coeffs))(radii).real * _BOUND_GUARD
+            bound = bound if omega is None else bound / np.asarray(omega)
 
     def shell(i):
         r = float(radii[i])
@@ -185,16 +181,10 @@ def _disc_shells(f, radii, stop_early: bool = False):
             k = int(np.flatnonzero(~np.isfinite(mag))[0])
             raise NonFiniteSampleError(r * np.exp(sign * 2j * np.pi * k / m), complex("nan"))
         k = int(np.argmax(mag))
-        return (1.0 - r * r) * float(mag[k]), r * np.exp(sign * 2j * np.pi * k / m)
+        value = (1.0 - r * r) * float(mag[k])
+        return value if omega is None else value / omega[i], (r * np.exp(sign * 2j * np.pi * k / m),)
 
-    shells = _bound_ordered(shell, radii.size, bound).values()
-    return [s for s, _ in shells], [z for _, z in shells], degree, m
-
-
-def _first_max(values, points):
-    """(largest value, (its first argmax point,)), or (0.0, (0.0,)) when none is positive."""
-    best = max(values, default=0.0)
-    return (best, (points[values.index(best)],)) if best > 0.0 else (0.0, (0.0,))
+    return shell, bound, degree, m
 
 
 def _tensor_sup(pairs, terms, m: int):
@@ -205,14 +195,9 @@ def _tensor_sup(pairs, terms, m: int):
     circles of radii (r_1, r_2), D takes the values V(r_1) D V(r_2)^T,
     V(r) the Vandermonde matrix of m equispaced points of |z| = r; the
     factors of a radius that recurs on its side are computed once.
-    Returns (sup, argmax, visited pair indices).
-
-    Pairs are visited in decreasing order of the bound
-    b = sum_t w_t sum |D_t|_jk r_1^j r_2^k on their samples, and the scan
-    stops once b is 0 or below the largest sample so far: no skipped pair
-    can reach or tie it, so the first maximum in index order among the
-    visited pairs is the full scan's.  With a non-finite bound every pair
-    is scanned in index order; the first non-finite sample raises.
+    Returns ``_bound_ordered``'s (sup, argmax, visited pairs) under the
+    bound b = sum_t w_t sum |D_t|_jk r_1^j r_2^k on a pair's samples; the
+    first non-finite sample raises.
     """
     n = max(max(d.shape) for d, _ in terms)
     unit = np.exp(2j * np.pi * np.outer(np.arange(m), np.arange(n)) / m)
@@ -244,16 +229,14 @@ def _tensor_sup(pairs, terms, m: int):
     with np.errstate(over="ignore", invalid="ignore"):
         bound = sum(w * np.einsum("pj,jk,pk->p", powers[:, 0, :d.shape[0]], np.abs(d),
                                   powers[:, 1, :d.shape[1]]) for d, w in terms) * _BOUND_GUARD
-        visited = _bound_ordered(pair, len(pairs), bound)
-    best = max((v for v, _ in visited.values()), default=0.0)
-    arg = next((z for v, z in visited.values() if best > 0.0 and v == best), (0.0, 0.0))
-    return best, arg, list(visited)
+        return _bound_ordered(pair, len(pairs), bound, (0.0, 0.0))
 
 
-def _polydisc_sup(f, weight):
-    """Sup of weight(|z_1|)|d_1 f| + weight(|z_2|)|d_2 f| over every pair of radii.
+def _polydisc_sup(f, weight=None):
+    """Sup of w(|z_1|)|d_1 f| + w(|z_2|)|d_2 f| over every pair of radii.
 
-    f must be a two-variable polynomial; the radii are
+    w(r) = (1 - r^2) / omega(1 - r^2), omega the ``WeightSpec`` ``weight``
+    or 1.  f must be a two-variable polynomial; the radii are
     ``dyadic_radii(12, linear=16)``.  Returns (|f(0)|, sup, argmax, note,
     visited): ``visited`` lists the (i, j) radius-index pairs sampled,
     in row-major order.
@@ -264,7 +247,8 @@ def _polydisc_sup(f, weight):
     n1, n2 = c.shape
     radii = np.asarray(dyadic_radii(12, linear=16))
     m = angular_count(max(n1, n2) - 1)
-    w = np.array([float(weight(r)) for r in radii])
+    w = np.array([(1.0 - r * r) / (1.0 if weight is None else _omega(weight, 1.0 - r * r))
+                  for r in radii])
     pairs = np.stack(np.meshgrid(radii, radii, indexing="ij"), axis=-1).reshape(-1, 2)
     with np.errstate(over="ignore", invalid="ignore"):
         terms = [(c[1:] * np.arange(1, n1)[:, None], np.repeat(w, radii.size)),
@@ -274,13 +258,18 @@ def _polydisc_sup(f, weight):
     return float(abs(c[0, 0])), best, arg, note, [divmod(p, len(radii)) for p in visited]
 
 
-def bloch_norm(f, domain: str = "disc") -> BlochReport:
+def bloch_norm(f, domain: str = "disc", weight=None) -> BlochReport:
     """Estimate the Bloch norm of ``f`` on the disc, ball or polydisc.
 
     Returns |f(0)| plus the grid supremum of the defining seminorm;
     polynomial inputs on the disc additionally carry a certified upper
     bound for the seminorm.  The polydisc takes two-variable polynomials
     only, the ball at most two variables (``ValueError`` otherwise).
+
+    A ``WeightSpec`` ``weight`` divides the disc seminorm by
+    omega(1 - |z|) and axis k of the polydisc seminorm by
+    omega(1 - |z_k|^2); the two conventions differ on purpose.  A
+    weighted norm carries no certificate, and the ball takes no weight.
     """
     dim = _dim(f)
     if domain not in ("disc", "ball", "polydisc"):
@@ -289,9 +278,12 @@ def bloch_norm(f, domain: str = "disc") -> BlochReport:
         raise ValueError("disc norm needs a one-variable function")
     if domain == "ball" and dim > 2:
         raise ValueError("ball norm needs at most two variables")
+    if domain == "ball" and weight is not None:
+        raise ValueError("ball norm takes no weight")
+    prefix = "" if weight is None else "weighted "
     if domain == "polydisc":
-        f0, best, arg, note, _ = _polydisc_sup(f, lambda r: 1.0 - r * r)
-        return BlochReport(domain, f0, best, None, arg, note)
+        f0, best, arg, note, _ = _polydisc_sup(f, weight)
+        return BlochReport(domain, f0, best, None, arg, prefix + note)
     radii = dyadic_radii()
     if dim == 2:
         # Rf, with coefficients (j + k) c_jk, at (r cos t e^(ia), r sin t e^(ib))
@@ -305,11 +297,13 @@ def bloch_norm(f, domain: str = "disc") -> BlochReport:
         best, arg, _ = _tensor_sup(pairs, [(d, np.repeat(1.0 - r * r, t.size))], m)
         note = f"ball grid: {len(radii)} shells x {t.size} polar angles x {m}^2 angles"
         return BlochReport(domain, float(abs(c[0, 0])), best, None, arg, note)
-    f0 = _value_at_zero(f)
-    sups, points, degree, m = _disc_shells(f, radii, stop_early=True)
-    best, arg = _first_max(sups, points)
-    note = f"disc grid: {len(radii)} dyadic shells x {m} angles"
-    return BlochReport(domain, f0, best, _certify(best, degree, m), arg, note)
+    f0 = abs(complex(f(np.zeros(1))[0]))  # from a one-point array: numpy rounds scalars differently
+    omega = None if weight is None else [_omega(weight, 1.0 - float(r)) for r in radii]
+    shell, bound, degree, m = _disc_shells(f, radii, omega)
+    best, arg, _ = _bound_ordered(shell, len(radii), bound, (0.0,))
+    certified = _certify(best, degree, m) if weight is None else None
+    note = f"{prefix}disc grid: {len(radii)} dyadic shells x {m} angles"
+    return BlochReport(domain, f0, best, certified, arg, note)
 
 
 def little_bloch_profile(f, radii) -> np.ndarray:
@@ -323,7 +317,8 @@ def little_bloch_profile(f, radii) -> np.ndarray:
     radii = np.asarray(radii, dtype=float)
     if radii.size and (np.any(np.diff(radii) <= 0) or np.any(radii <= 0) or np.any(radii >= 1)):
         raise ValueError("radii must be strictly increasing inside (0, 1)")
-    return np.array(_disc_shells(f, radii)[0], dtype=float)
+    shell = _disc_shells(f, radii)[0]
+    return np.array([shell(i)[0] for i in range(radii.size)], dtype=float)
 
 
 def profile_to_csv(radii, values, path) -> None:
@@ -387,36 +382,12 @@ class WeightSpec:
         return np.interp(t, ts, ws)
 
 
-def weighted_bloch_norm(f, w: WeightSpec) -> BlochReport:
-    """Weighted Bloch norm estimate.
-
-    The disc seminorm weights by omega(1 - |z|); the polydisc seminorm
-    weights coordinate k by omega(1 - |z_k|^2).  The two conventions are
-    intentionally different and are both used verbatim.  The polydisc
-    uses the tensor grid of ``bloch_norm`` and takes two-variable
-    polynomials only.
-    """
-    if _dim(f) != 1:
-        def weight(r):
-            wv = float(w.omega(1.0 - r * r))
-            if not (math.isfinite(wv) and wv > 0.0):
-                raise WeightError(f"weight not usable at 1 - r^2 = {1.0 - r * r!r}")
-            return (1.0 - r * r) / wv
-
-        f0, best, arg, note, _ = _polydisc_sup(f, weight)
-        return BlochReport("polydisc", f0, best, None, arg, "weighted " + note)
-    radii = dyadic_radii()
-    f0 = _value_at_zero(f)
-    weights = []
-    for r in radii:
-        wv = float(w.omega(1.0 - float(r)))
-        if not (math.isfinite(wv) and wv > 0.0):
-            raise WeightError(f"weight not usable at 1 - r = {1.0 - float(r)!r}")
-        weights.append(wv)
-    sups, points, _, m = _disc_shells(f, radii)
-    best, arg = _first_max([s / wv for s, wv in zip(sups, weights)], points)
-    note = f"weighted disc grid: {len(radii)} shells x {m} angles"
-    return BlochReport("disc", f0, best, None, arg, note)
+def _omega(w: WeightSpec, t) -> float:
+    """omega(t) as a float; a WeightError where it is not finite and positive."""
+    wv = float(w.omega(t))
+    if not (math.isfinite(wv) and wv > 0.0):
+        raise WeightError(f"weight not usable at t = {float(t)!r}")
+    return wv
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .approximation import (ApproxError, decomposition_csv, jensen_gap_floor, pr
                             runge_pair)
 from .arcs import TWO_PI, ArcSet
 from .blochnorm import (WeightSpec, bloch_norm, little_bloch_profile, profile_to_csv,
-                        weight_integral_test, weighted_bloch_norm)
+                        weight_integral_test)
 from .expressions import PathSpec, PolynomialND
 from .inner import (InnerSpec, QuadratureError, ShrinkFailure, compose_shrink,
                     hyperbolic_quotient, loewner_transport_check)
@@ -73,6 +73,13 @@ def _real(name, lo=-math.inf, hi=math.inf):
 def _whole(name, lo=-math.inf, hi=math.inf):
     return _checked(_int, lambda n: lo <= n <= hi, f"{name} must be >= {lo}, got {{v!r}}"
                     if hi == math.inf else f"{name} must lie in [{lo}, {hi}], got {{v!r}}")
+
+
+def _seed(v) -> int:
+    """A random seed: a whole number >= 0."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"seed must be a number, not {type(v).__name__}")
+    return _whole("seed", 0)(v)
 
 
 def _complex(v) -> complex:
@@ -200,7 +207,8 @@ def _cmd_little_bloch(seed, out, *, function: _function_from_config,
 
 
 def _cmd_weighted(seed, out, *, function: _function_from_config, weight: _weight_from_config):
-    return {"report": weighted_bloch_norm(function[0], weight).to_dict()}, 0
+    domain = "disc" if getattr(function[0], "dim", 1) == 1 else "polydisc"
+    return {"report": bloch_norm(function[0], domain, weight=weight).to_dict()}, 0
 
 
 def _cmd_weight_test(seed, out, *, weight: _weight_from_config, x: _real("x", 0.0, 1.0) = 0.5,
@@ -341,7 +349,7 @@ def _artifact(path) -> tuple:
     stored.pop("timestamp", None)
     if stored.get("command") not in _HANDLERS or "config" not in stored:
         return path, stored, None
-    field(stored, "seed", _int)
+    field(stored, "seed", _seed)
     return path, stored, field(stored, "config", lambda cfg: _parse(stored["command"], cfg, None))
 
 
@@ -444,11 +452,13 @@ def main(argv=None) -> int:
         out = args.out or cfg.get("out") or os.environ.get("BLOCHLAB_OUT", ".")
         if not isinstance(out, str):
             raise ConfigError(f"out: out must be a directory path, not {type(out).__name__}")
-        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, (int, float)):
-            raise ConfigError(f"seed: seed must be a number, not {type(seed).__name__}")
+        try:
+            seed = serialize.at("seed", _seed,
+                                args.seed if args.seed is not None else cfg.get("seed", 0))
+        except SerializationError as exc:
+            raise ConfigError(str(exc)) from exc
         os.makedirs(out, exist_ok=True)
-        return _report(args.command, keys, cfg, out, int(seed))
+        return _report(args.command, keys, cfg, out, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -141,7 +141,7 @@ def measure_metric(g, h) -> float:
     for vals in (gv, hv):
         if not np.all(np.isfinite(vals)):
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-            raise NonFiniteSampleError(bad, vals[bad])
+            raise NonFiniteSampleError(metric_points(vals.size)[bad], vals[bad])
     if gv.shape != hv.shape:
         raise ValueError("sample shapes disagree")
     return float(np.mean(np.minimum(1.0, np.abs(gv - hv))))

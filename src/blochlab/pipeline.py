@@ -264,16 +264,9 @@ def _contract(norm_rep, sup_err: float, E: ArcSet, eps: float) -> dict:
     }
 
 
-def _is_zero_target(phi, dim: int = 1) -> bool:
-    """|phi| < 1e-13 on a product grid of equispaced circle points.
-
-    The grid has 512 points on the circle and 64 per axis on the bidisc,
-    so a target that vanishes only on the diagonal is not zero.
-    """
-    count = 512 if dim == 1 else 64
-    zeta = np.exp(1j * TWO_PI * np.arange(count) / count)
-    pts = np.stack(np.meshgrid(*(zeta,) * dim, indexing="ij"), axis=-1).reshape(-1, dim)
-    values = phi(pts[:, 0] if dim == 1 else pts)
+def _is_zero_target(phi) -> bool:
+    """|phi| < 1e-13 on 512 equispaced circle points."""
+    values = phi(np.exp(1j * TWO_PI * np.arange(512) / 512))
     return float(np.max(np.abs(np.asarray(values, dtype=complex)))) < 1e-13
 
 
@@ -393,9 +386,6 @@ def simul_approx_polydisc(phi, eps: float, n_dim: int) -> SimulApproxResult:
         return simul_approx_disc(phi, eps)
     if n_dim != 2:
         raise ValueError(f"polydisc assembly takes dimension 1 or 2, not {n_dim}")
-    if _is_zero_target(phi, 2):
-        return _zero_result(2)
-
     dec = product_decompose(phi, n_dim, eps / 2.0, m_cap=_FACTOR_TERM_CAP)
     n_terms = len(dec.terms)
     if n_terms == 0:

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from blochlab.arcs import ArcSet
-from blochlab.blochnorm import (BlochReport, WeightSpec, WeightError, _certify, _disc_shells,
-                                _first_max, _polydisc_sup, bloch_norm, little_bloch_profile,
-                                profile_to_csv, weight_integral_test,
-                                weighted_bloch_norm)
+from blochlab.blochnorm import (BlochReport, WeightSpec, WeightError, _bound_ordered, _certify,
+                                _disc_shells, _polydisc_sup, bloch_norm, little_bloch_profile,
+                                profile_to_csv, weight_integral_test)
 from blochlab.expressions import Polynomial1D, PolynomialND
 from blochlab.inner import InnerSpec
 from blochlab.numerics import NonFiniteSampleError, angular_count, dyadic_radii
@@ -83,8 +82,8 @@ def test_polydisc_norm_off_the_diagonal():
 def test_weighted_polydisc_norm_applies_the_weight():
     # omega(t) = t cancels the factor 1 - |z_k|^2: for f = z1 z2 the
     # weighted seminorm is sup |z2| + |z1| = 2, the plain one 0.77
-    rep = weighted_bloch_norm(PolynomialND.from_terms({(1, 1): 1.0}, 2),
-                              WeightSpec(kind="power", parameter=1.0))
+    rep = bloch_norm(PolynomialND.from_terms({(1, 1): 1.0}, 2), "polydisc",
+                     weight=WeightSpec(kind="power", parameter=1.0))
     assert rep.seminorm_sup == pytest.approx(2.0, abs=1e-3)
 
 
@@ -95,7 +94,7 @@ def test_polydisc_norms_need_two_variable_polynomials():
             bloch_norm(f, domain="polydisc")
         if f.dim != 1:
             with pytest.raises(ValueError):
-                weighted_bloch_norm(f, w)
+                bloch_norm(f, "polydisc", weight=w)
             # the ball takes at most two variables, as its tensor grid does
             with pytest.raises(ValueError):
                 bloch_norm(f, domain="ball")
@@ -154,7 +153,7 @@ def test_weighted_norm_sqrt_weight_oracle():
     w = WeightSpec(kind="power", parameter=0.5)
     r = np.linspace(0.0, 1.0, 400_001)[:-1]
     exact = float(np.max((1.0 - r * r) * 2.0 * r / np.sqrt(1.0 - r)))
-    rep = weighted_bloch_norm(_monomial(2), w)
+    rep = bloch_norm(_monomial(2), weight=w)
     assert rep.seminorm_sup == pytest.approx(exact, abs=2e-3)
 
 
@@ -178,7 +177,7 @@ def test_bloch_norm_of_expression():
     rng = np.random.default_rng(5)
     radii = dyadic_radii(16, linear=32)[1:]
     w = WeightSpec(kind="log-power", parameter=0.5)
-    norms = (bloch_norm, lambda h: bloch_norm(h, "ball"), lambda h: weighted_bloch_norm(h, w),
+    norms = (bloch_norm, lambda h: bloch_norm(h, "ball"), lambda h: bloch_norm(h, weight=w),
              lambda h: little_bloch_profile(h, radii).tolist())
     for f in (_monomial(2), Polynomial1D(rng.normal(size=12) + 1j * rng.normal(size=12))):
         g = PolynomialND.from_terms(f.terms, 1)
@@ -200,14 +199,14 @@ def test_disc_argmax_attains_the_reported_sup():
         rep = bloch_norm(p)
         a = rep.argmax[0]
         assert (1.0 - abs(a) ** 2) * abs(dp(a)) == pytest.approx(rep.seminorm_sup, rel=1e-12)
-        rep = weighted_bloch_norm(p, WeightSpec(kind="power", parameter=1.0))
+        rep = bloch_norm(p, weight=WeightSpec(kind="power", parameter=1.0))
         a = rep.argmax[0]
         assert (1.0 + abs(a)) * abs(dp(a)) == pytest.approx(rep.seminorm_sup, rel=1e-12)
 
 
 def test_bloch_norm_of_an_object_that_is_no_function_is_a_type_error():
     for norm in (bloch_norm, lambda f: little_bloch_profile(f, [0.5]),
-                 lambda f: weighted_bloch_norm(f, WeightSpec(kind="power"))):
+                 lambda f: bloch_norm(f, weight=WeightSpec(kind="power"))):
         with pytest.raises(TypeError):
             norm(object())
 
@@ -215,12 +214,17 @@ def test_bloch_norm_of_an_object_that_is_no_function_is_a_type_error():
 def test_a_one_variable_polynd_takes_the_fft_shell_scan():
     # _disc_shells reports a degree, and so a certified bound, for a
     # polynomial; one read from terms gives the dense polynomial's shells
-    # bit for bit, and an InnerSpec is scanned pointwise
+    # and shell bounds bit for bit, and an InnerSpec is scanned pointwise
     radii = dyadic_radii()[:8]
-    ref = _disc_shells(_monomial(3), radii)
+
+    def scan(f):
+        shell, bound, degree, m = _disc_shells(f, radii)
+        return [shell(i) for i in range(len(radii))], bound, degree, m
+
+    ref = scan(_monomial(3))
     assert ref[2:] == (3, angular_count(3))
-    assert repr(_disc_shells(PolynomialND.from_terms({(3,): 1.0}, 1), radii)) == repr(ref)
-    assert _disc_shells(InnerSpec.blaschke([0.3]), radii)[2] is None
+    assert repr(scan(PolynomialND.from_terms({(3,): 1.0}, 1))) == repr(ref)
+    assert scan(InnerSpec.blaschke([0.3]))[1:3] == (None, None)
 
 
 def test_bloch_norm_of_a_blaschke_factor_is_one():
@@ -240,22 +244,35 @@ def test_little_bloch_profile_of_a_singular_inner_function_stays_below_one():
     assert prof.max() > 0.5
 
 
+def _full_disc_scan(p, omega=None):
+    """Every shell of dyadic_radii() in radius order, as (sup, (point,)) pairs."""
+    shell = _disc_shells(p, dyadic_radii(), omega)[0]
+    return [shell(i) for i in range(len(dyadic_radii()))]
+
+
+def _first_max(shells, origin=(0.0,)):
+    """Reference: the largest sample and the first point attaining it, origin when none is positive."""
+    best = max((v for v, _ in shells), default=0.0)
+    return (best, next(z for v, z in shells if v == best)) if best > 0.0 else (0.0, origin)
+
+
 def _assert_matches_full_scan(p):
     """bloch_norm's early-stopped scan gives the full scan's sup, argmax and bound bit for bit."""
-    sups, points, degree, m = _disc_shells(p, dyadic_radii())
-    best, arg = _first_max(sups, points)
+    best, arg = _first_max(_full_disc_scan(p))
+    _, _, degree, m = _disc_shells(p, dyadic_radii())
     rep = bloch_norm(p)
     assert rep.seminorm_sup == best
     assert rep.argmax == arg
     assert rep.certified == _certify(best, degree, m)
 
 
-def _visited_shells(p):
-    """How many shells the early stop visits; they must come back in radius order."""
-    full = list(zip(*_disc_shells(p, dyadic_radii())[:2]))
-    visited = list(zip(*_disc_shells(p, dyadic_radii(), stop_early=True)[:2]))
-    index = [full.index(shell) for shell in visited]
-    assert index == sorted(index)
+def _visited_shells(p, omega=None):
+    """How many shells the early stop visits; each is the full scan's shell, in radius order."""
+    shell, bound, _, _ = _disc_shells(p, dyadic_radii(), omega)
+    visited = _bound_ordered(shell, len(dyadic_radii()), bound, (0.0,))[2]
+    full = _full_disc_scan(p, omega)
+    assert list(visited) == sorted(visited)
+    assert [repr(s) for s in visited.values()] == [repr(full[i]) for i in visited]
     return len(visited)
 
 
@@ -294,6 +311,47 @@ def test_early_stop_skips_every_shell_of_a_constant():
     assert _visited_shells(p) == 0
     _assert_matches_full_scan(p)
     assert bloch_norm(p).argmax == (0.0,)
+
+
+_WEIGHTS = [WeightSpec(kind="power", parameter=0.5), WeightSpec(kind="log-power", parameter=1.0),
+            WeightSpec(kind="custom-table", table=((0.0, 0.25, 1.0), (0.0, 0.5, 1.0)))]
+
+
+def _assert_weighted_matches_full_scan(p, w):
+    """The bound-ordered weighted disc report is the full 82-shell scan's, repr for repr.
+
+    Returns how many shells the bound-ordered scan visits.
+    """
+    radii = dyadic_radii()
+    omega = [float(w.omega(1.0 - float(r))) for r in radii]
+    best, arg = _first_max([(v / o, z) for (v, z), o in zip(_full_disc_scan(p), omega)])
+    m = _disc_shells(p, radii)[3]
+    ref = BlochReport("disc", abs(complex(p(np.zeros(1))[0])), best, None, arg,
+                      f"weighted disc grid: {len(radii)} dyadic shells x {m} angles")
+    assert repr(bloch_norm(p, weight=w)) == repr(ref)
+    return _visited_shells(p, omega)
+
+
+@pytest.mark.parametrize("w", _WEIGHTS, ids=["power", "log-power", "custom-table"])
+def test_weighted_early_stop_matches_full_scan_on_random_polynomials(w):
+    rng = np.random.default_rng(17)
+    for degree in (1, 2, 7, 64, 500):
+        decay = rng.uniform(0.5, 3.0) ** -np.arange(degree + 1) if degree % 2 else 1.0
+        p = Polynomial1D((rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)) * decay)
+        assert _assert_weighted_matches_full_scan(p, w) < len(dyadic_radii())
+
+
+def test_weighted_disc_norm_of_an_inner_function_scans_every_shell():
+    # an InnerSpec has no shell bound: every shell is sampled, in radius order
+    f = InnerSpec.blaschke([0.3])
+    omega = [float(_WEIGHTS[0].omega(1.0 - float(r))) for r in dyadic_radii()]
+    assert _visited_shells(f, omega) == len(dyadic_radii())
+    assert bloch_norm(f, weight=_WEIGHTS[0]).certified is None
+
+
+def test_the_ball_takes_no_weight():
+    with pytest.raises(ValueError):
+        bloch_norm(PolynomialND.from_terms({(1, 0): 1.0}, 2), "ball", weight=_WEIGHTS[0])
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -338,7 +396,7 @@ def _assert_polydisc_matches_full_scan(p, w=None):
     if w is None:
         rep, prefix, weight = bloch_norm(p, domain="polydisc"), "", lambda r: 1.0 - r * r
     else:
-        rep, prefix = weighted_bloch_norm(p, w), "weighted "
+        rep, prefix = bloch_norm(p, "polydisc", weight=w), "weighted "
         weight = lambda r: (1.0 - r * r) / float(w.omega(1.0 - r * r))
     f0, best, arg, note = _full_polydisc_scan(p, weight)
     assert repr(rep) == repr(BlochReport("polydisc", f0, best, None, arg, prefix + note))
@@ -364,14 +422,14 @@ def test_polydisc_early_stop_keeps_the_first_of_tied_maxima():
     for alpha in ((1, 0), (0, 1)):
         p = PolynomialND.from_terms({alpha: 1.0}, 2)
         _assert_polydisc_matches_full_scan(p)
-        assert len(_polydisc_sup(p, lambda r: 1.0 - r * r)[4]) == 24
+        assert len(_polydisc_sup(p)[4]) == 24
     _assert_polydisc_matches_full_scan(PolynomialND.from_terms({(1, 0): 1.0, (0, 1): 1.0}, 2))
     _assert_polydisc_matches_full_scan(PolynomialND.from_terms({(1, 8): 1.0}, 2))
 
 
 def test_polydisc_early_stop_skips_every_pair_of_a_constant():
     for p in (PolynomialND.from_terms({}, 2), PolynomialND.from_terms({(0, 0): 0.7 + 0.1j}, 2)):
-        assert _polydisc_sup(p, lambda r: 1.0 - r * r)[4] == []
+        assert _polydisc_sup(p)[4] == []
         _assert_polydisc_matches_full_scan(p)
         assert bloch_norm(p, domain="polydisc").argmax == (0.0, 0.0)
 
@@ -390,7 +448,7 @@ def test_polydisc_early_stop_visits_only_pairs_whose_bound_reaches_the_sup():
         return (pts[..., 0].real * pts[..., 1].real).astype(complex)
 
     f = simul_approx_polydisc(phi, 0.5, 2).f
-    _, best, _, _, visited = _polydisc_sup(f, lambda r: 1.0 - r * r)
+    _, best, _, _, visited = _polydisc_sup(f)
     c = f.coeffs
     d1, d2 = (np.abs(np.polynomial.polynomial.polyder(c, axis=a)) for a in (0, 1))
     radii = dyadic_radii(12, linear=16)
@@ -408,4 +466,5 @@ def test_non_finite_polydisc_coefficients_raise(coeffs):
         with pytest.raises(NonFiniteSampleError):
             bloch_norm(PolynomialND.from_terms(coeffs, 2), domain=domain)
     with pytest.raises(NonFiniteSampleError):
-        weighted_bloch_norm(PolynomialND.from_terms(coeffs, 2), WeightSpec(kind="power", parameter=1.0))
+        bloch_norm(PolynomialND.from_terms(coeffs, 2), "polydisc",
+                   weight=WeightSpec(kind="power", parameter=1.0))

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from blochlab import approximation, cli, serialize
-from blochlab.blochnorm import (IntegralTestResult, WeightSpec, bloch_norm,
-                                weight_integral_test, weighted_bloch_norm)
+from blochlab.blochnorm import IntegralTestResult, WeightSpec, bloch_norm, weight_integral_test
 from blochlab.cli import main
 from blochlab.expressions import Polynomial1D, PolynomialND
 from blochlab.inner import QuadratureError, TransportReport
@@ -87,8 +86,42 @@ def test_a_custom_weight_table_takes_more_than_two_points(tmp_path, command, ext
     assert status == 0
     w = WeightSpec("custom-table", table=tuple(map(tuple, table)))
     want = (weight_integral_test(w, 0.5) if command == "weight-test"
-            else weighted_bloch_norm(PolynomialND.from_terms({(2,): 1.0}, 1), w))
+            else bloch_norm(PolynomialND.from_terms({(2,): 1.0}, 1), weight=w))
     assert doc["report"] == json.loads(json.dumps(want.to_dict()))
+
+
+@pytest.mark.parametrize("function, domain", [
+    ({"kind": "coeffs", "coeffs": [0.3, 1.0, [0.0, 0.5]]}, "disc"),
+    ({"kind": "polynd", "dim": 2, "terms": [[[1, 1], [1.0, 0.0]], [[0, 2], [0.0, -0.5]]]}, "polydisc"),
+], ids=["disc", "polydisc"])
+def test_a_weighted_report_is_the_weighted_bloch_norm(tmp_path, function, domain):
+    # one variable takes the disc norm, two the polydisc norm, both weighted
+    status, doc, _ = _run(tmp_path, "weighted",
+                          {"function": function, "weight": {"kind": "power", "parameter": 0.5}})
+    assert status == 0
+    f, _ = cli._function_from_config(function)
+    want = bloch_norm(f, domain, weight=WeightSpec("power", 0.5))
+    assert doc["report"]["domain"] == domain
+    assert doc["report"] == json.loads(json.dumps(want.to_dict()))
+
+
+@pytest.mark.parametrize("seed, argv, err", [
+    (-1, [], "seed: seed must be >= 0, got -1"),
+    (7.5, [], "seed: expected a whole number, got 7.5"),
+    (7, ["--seed", "-3"], "seed: seed must be >= 0, got -3"),
+], ids=["negative", "fraction", "negative-flag"])
+@pytest.mark.parametrize("command, cfg", [
+    ("inner-quotient", {"inner": {"kind": "atomic", "atoms": [[0.0, 0.5]]}, "samples": 200}),
+    ("transport", {"inner": {"kind": "atomic", "atoms": [[0.0, 1.0]]}, "arcs": [[0.5, 2.0]],
+                   "samples": 200}),
+], ids=["inner-quotient", "transport"])
+def test_a_seed_that_is_no_whole_number_of_at_least_0_is_a_config_error(
+        tmp_path, capsys, command, cfg, seed, argv, err):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**cfg, "seed": seed}))
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path), *argv]) == 2
+    assert capsys.readouterr().err.strip() == f"config error: {err}"
+    assert not (tmp_path / f"{command.replace('-', '_')}_report.json").exists()
 
 
 def test_inner_quotient_schwarz_pick(tmp_path):

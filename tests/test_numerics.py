@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from blochlab.numerics import (Z95, MeasureEstimate, dyadic_radii, indicator_measure,
-                               measure_metric, metric_points, sample_torus, wilson_interval)
+from blochlab.numerics import (Z95, MeasureEstimate, NonFiniteSampleError, dyadic_radii,
+                               indicator_measure, measure_metric, metric_points, sample_torus,
+                               wilson_interval)
 
 
 def test_dyadic_radii_schedule():
@@ -43,6 +44,18 @@ def test_measure_metric_triangle_inequality():
     z = metric_points(512)
     f, g, h = z, z ** 2, 0.3 * z ** 3
     assert measure_metric(f, h) <= measure_metric(f, g) + measure_metric(g, h) + 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_measure_metric_names_the_quadrature_node_of_a_non_finite_sample(bad):
+    z = metric_points(64)
+    g = z ** 2
+    g[5] = bad
+    for args in ((g, z), (z, g)):
+        with pytest.raises(NonFiniteSampleError) as info:
+            measure_metric(*args)
+        assert info.value.point == z[5]
+        assert np.isnan(info.value.value) if np.isnan(bad) else info.value.value == bad
 
 
 def test_indicator_measure_half_circle():

@@ -9,8 +9,8 @@ from blochlab.arcs import ArcSet
 from blochlab.blochnorm import bloch_norm
 from blochlab.cli import _target_from_config, main
 from blochlab.expressions import Polynomial1D, PolynomialND
-from blochlab.pipeline import (_product_polynd, plateau_polynomial, simul_approx_disc,
-                               simul_approx_polydisc, sup_error)
+from blochlab.pipeline import (_product_polynd, _zero_result, plateau_polynomial,
+                               simul_approx_disc, simul_approx_polydisc, sup_error)
 
 TWO_PI = 2.0 * np.pi
 
@@ -182,6 +182,20 @@ def test_simul_polydisc_target_vanishing_on_the_diagonal_is_not_zero():
     res = simul_approx_polydisc(phi, 0.5, 2)
     assert "trivial_zero" not in res.report
     assert res.report["sup_error"] == pytest.approx(sup_error(res.f, res.E, phi), abs=1e-12)
+
+
+def test_simul_polydisc_target_vanishing_on_the_zero_test_grid_is_not_zero():
+    # z1^64 - 1 vanishes on a grid of 64 points per axis, but sup |phi| = 2:
+    # the decomposition, not a grid test, tells a zero target
+    res = simul_approx_polydisc(lambda p: np.asarray(p, dtype=complex)[..., 0] ** 64 - 1.0, 0.5, 2)
+    assert "trivial_zero" not in res.report
+    assert res.report["sup_error"] > 0.0
+    assert not res.report["error_ok"]
+
+
+def test_simul_polydisc_zero_target_is_the_zero_result():
+    res = simul_approx_polydisc(lambda p: np.zeros(np.shape(p)[:-1], dtype=complex), 0.5, 2)
+    assert repr(res) == repr(_zero_result(2))
 
 
 def test_simul_polydisc_rejects_large_dim():
