@@ -226,9 +226,11 @@ def _cmd_inner_quotient(seed, out, *, inner: _inner_from_config,
     z = np.sqrt(rng.uniform(0.0, 0.9999, samples)) * np.exp(1j * rng.uniform(0.0, TWO_PI, samples))
     q = hyperbolic_quotient(inner, z)
     q = q[np.isfinite(q)]
-    ok = bool(np.max(q) <= 1.0 + 1e-9)
-    return {"samples": int(q.size), "max_quotient": float(np.max(q)),
-            "mean_quotient": float(np.mean(q)), "schwarz_pick_ok": ok}, 0 if ok else 1
+    # every sample boundary-saturated: nothing measured, so nothing shown
+    top, mean = (float(np.max(q)), float(np.mean(q))) if q.size else (None, None)
+    ok = top is not None and top <= 1.0 + 1e-9
+    return {"samples": int(q.size), "max_quotient": top,
+            "mean_quotient": mean, "schwarz_pick_ok": ok}, 0 if ok else 1
 
 
 def _cmd_shrink(seed, out, *, inner: _inner_from_config, eta: _real("eta", 0.0, 1.0),
@@ -345,7 +347,12 @@ def _differences(stored, fresh, key=""):
 
 def _artifact(path) -> tuple:
     """(path, the stored report, its config's typed keys: None without a known command's)."""
-    stored = serialize.load(pathlib.Path(path))  # a path: not an int, which open() reads as a fd
+    if not isinstance(path, str):  # an int would be read as a file descriptor
+        raise ValueError(f"expected a path, got {path!r}")
+    try:
+        stored = serialize.load(path)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path!r}: {exc.strerror}") from exc
     stored.pop("timestamp", None)
     if stored.get("command") not in _HANDLERS or "config" not in stored:
         return path, stored, None

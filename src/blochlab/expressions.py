@@ -29,7 +29,8 @@ def multi_index(alpha, dim: int) -> tuple:
     if len(alpha) != dim:
         raise ValueError("multi-index length mismatch")
     for a in alpha:
-        if not (isinstance(a, (int, float, np.integer)) and 0 <= a <= _MAX_EXPONENT
+        if not (isinstance(a, (int, float, np.integer)) and not isinstance(a, bool)
+                and 0 <= a <= _MAX_EXPONENT
                 and float(a).is_integer()):
             raise ValueError(f"multi-index {list(alpha)!r}: entry {a!r} "
                              f"is not a whole number in [0, {_MAX_EXPONENT}]")

@@ -208,23 +208,10 @@ def cantor_gauss_rule(ratio: float):
     return nodes, weights
 
 
-def _herglotz_sums(z, zetas_conj, masses):
-    """H(z) = sum m_j (1+z c_j)/(1-z c_j) and its z-derivative, chunked in z."""
-    z = np.asarray(z, dtype=complex)
-    flat = z.ravel()
-    A = np.empty(flat.shape, dtype=complex)
-    Ap = np.empty(flat.shape, dtype=complex)
-    for lo in range(0, flat.size, _Z_CHUNK):
-        zc = flat[lo:lo + _Z_CHUNK, None]
-        den = 1.0 - zc * zetas_conj[None, :]
-        A[lo:lo + _Z_CHUNK] = ((1.0 + zc * zetas_conj) / den) @ masses
-        Ap[lo:lo + _Z_CHUNK] = (2.0 * zetas_conj / (den * den)) @ masses
-    return A.reshape(z.shape), Ap.reshape(z.shape)
+def _cantor_tree(spec, flat):
+    """Herglotz integrals A, A' over a Cantor measure at a chunk of points.
 
-
-def _cantor_integrals(spec, z):
-    """Herglotz integrals A, A' over a Cantor measure, certified error <= QUAD_TOL.
-
+    Returns A, A' and each point's certified truncation bound, <= QUAD_TOL.
     One level-synchronous traversal of the Cantor tree: the frontier holds
     (point, interval) pairs, starting with the whole arc for every point.
     Each pair is integrated by the measure's own Gauss rule, mapped to the
@@ -255,20 +242,6 @@ def _cantor_integrals(spec, z):
     support |A'| reaches about 1e6, and against an 8-point rule run to
     1e-13 the difference there exceeds both certificates by up to about
     4e-12 |A'|, far above QUAD_TOL in absolute terms.
-    """
-    z = np.asarray(z, dtype=complex)
-    flat = z.ravel()
-    A = np.empty(flat.shape, dtype=complex)
-    Ap = np.empty(flat.shape, dtype=complex)
-    for lo in range(0, flat.size, _Z_CHUNK):
-        A[lo:lo + _Z_CHUNK], Ap[lo:lo + _Z_CHUNK], _ = _cantor_tree(spec, flat[lo:lo + _Z_CHUNK])
-    return A.reshape(z.shape), Ap.reshape(z.shape)
-
-
-def _cantor_tree(spec, flat):
-    """The tree traversal of _cantor_integrals for one chunk of points.
-
-    Returns A, A' and each point's certified truncation bound.
     """
     n = flat.size
     x, omega = cantor_gauss_rule(spec.ratio)
@@ -340,14 +313,26 @@ def _cantor_tree(spec, flat):
 # Evaluation
 
 
+def _atomic_sums(measure, flat):
+    """A = sum m_j (1+z c_j)/(1-z c_j), c_j the conjugate atoms, and A' at a chunk of points."""
+    zetas_conj = np.conj(np.array([zeta for zeta, _ in measure.atoms], dtype=complex))
+    masses = np.array([m for _, m in measure.atoms], dtype=float)
+    zc = flat[:, None]
+    den = 1.0 - zc * zetas_conj
+    return ((1.0 + zc * zetas_conj) / den) @ masses, (2.0 * zetas_conj / (den * den)) @ masses
+
+
 def _eval_singular(measure, z):
     """(value, derivative, 1-|value|^2) for exp(-Herglotz integral)."""
-    if measure.kind == "atomic":
-        zetas = np.array([zeta for zeta, _ in measure.atoms], dtype=complex)
-        masses = np.array([m for _, m in measure.atoms], dtype=float)
-        A, Ap = _herglotz_sums(z, np.conj(zetas), masses)
-    else:
-        A, Ap = _cantor_integrals(measure, z)
+    # one loop over chunks of points; each measure kind's integrator maps
+    # (measure, chunk) -> (A, A', ...)
+    integrate = _atomic_sums if measure.kind == "atomic" else _cantor_tree
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel()
+    A, Ap = np.empty((2, flat.size), dtype=complex)
+    for lo in range(0, flat.size, _Z_CHUNK):
+        A[lo:lo + _Z_CHUNK], Ap[lo:lo + _Z_CHUNK] = integrate(measure, flat[lo:lo + _Z_CHUNK])[:2]
+    A, Ap = A.reshape(z.shape), Ap.reshape(z.shape)
     val = np.exp(-A)
     der = -Ap * val
     oms = -np.expm1(-2.0 * np.real(A))  # 1 - |val|^2 without cancellation
@@ -413,31 +398,28 @@ def _chain_eval(spec: InnerSpec, z, one_minus_sq_z=None):
     return w, der_total, oms_w, q, saturated
 
 
-def inner_eval(spec: InnerSpec, z):
-    """Value and derivative of the inner function at interior point(s) z.
-
-    Accepts a scalar or an array; |z| must be < 1.
-    """
+def _interior_eval(spec: InnerSpec, z):
+    """_chain_eval at strictly interior point(s) z; Python scalars for a scalar z."""
     z_arr = np.asarray(z, dtype=complex)
     if np.any(np.abs(z_arr) >= 1.0):
         raise ValueError("inner functions are evaluated strictly inside the disc")
     # a scalar goes through as a one-point array: numpy scalar arithmetic
     # rounds differently from the array loops
-    val, der, _, _, _ = _chain_eval(spec, np.atleast_1d(z_arr))
-    if z_arr.ndim == 0:
-        return complex(val[0]), complex(der[0])
-    return val, der
+    out = _chain_eval(spec, np.atleast_1d(z_arr))
+    return tuple(a.item(0) for a in out) if z_arr.ndim == 0 else out
+
+
+def inner_eval(spec: InnerSpec, z):
+    """Value and derivative of the inner function at interior point(s) z.
+
+    Accepts a scalar or an array; |z| must be < 1.
+    """
+    return _interior_eval(spec, z)[:2]
 
 
 def hyperbolic_quotient(spec: InnerSpec, z):
     """q(z) = (1-|z|^2)|I'(z)| / (1-|I(z)|^2); NaN where boundary-saturated."""
-    z_arr = np.asarray(z, dtype=complex)
-    if np.any(np.abs(z_arr) >= 1.0):
-        raise ValueError("interior points required")
-    _, _, _, q, _ = _chain_eval(spec, np.atleast_1d(z_arr))
-    if z_arr.ndim == 0:
-        return float(q[0])
-    return q
+    return _interior_eval(spec, z)[3]
 
 
 @dataclass(frozen=True)
@@ -463,9 +445,10 @@ def compose_shrink(spec: InnerSpec, eta: float, max_chain: int = 64) -> ShrinkRe
     # support mass, which would flag every base as non-contracting.
     radii = np.asarray(dyadic_radii(j_max=7, linear=16))
     pts = (radii[:, None] * np.exp(1j * circle_angles(128))[None, :]).ravel()
-    one_minus = (1.0 - np.abs(pts)) * (1.0 + np.abs(pts))
-    w, _, oms_w, q, sat = _chain_eval(spec, pts, one_minus)
+    w, _, oms_w, q, sat = _chain_eval(spec, pts)
     clean = ~sat & np.isfinite(q)
+    if not np.any(clean):
+        raise ShrinkFailure("the base quotient is boundary-saturated at every reference point")
     base_sup = float(np.max(q[clean]))
     if base_sup <= eta:
         return ShrinkResult(spec, base_sup, True, 1)

@@ -234,27 +234,23 @@ def universal_build(targets, radii, L, eps_schedule,
 
         # stabilization: T_n^w(candidate) must sit near its boundary values
         bv = candidate(zeta)
-        chosen = None
+        cert = None
         for n in range(n_prev + 1, len(radii) + 1):
             stable = all(measure_metric(apply_Tnw(candidate, n, w, zeta, radii=radii),
                                         bv) < eps_l / 4.0 for w in L)
-            if not stable:
-                continue
             cert = certify(candidate, target, n, L, radii=radii,
                            tol=eps_l, block_norm=bnorm, target_id=tid,
-                           partial_index=l)
-            if cert.verified:
-                chosen = (n, cert)
+                           partial_index=l) if stable else None
+            if cert is not None and cert.verified:
                 break
-        if chosen is None:
-            # keep the last attempt on record with its measured values
+        else:
+            # the last radius's attempt stays on record with its measured values
             n = len(radii)
-            cert = certify(candidate, target, n, L, radii=radii,
-                           tol=eps_l, block_norm=bnorm, target_id=tid,
-                           partial_index=l)
+            if cert is None:
+                cert = certify(candidate, target, n, L, radii=radii,
+                               tol=eps_l, block_norm=bnorm, target_id=tid,
+                               partial_index=l)
             failed.append(tid)
-            chosen = (n, cert)
-        n, cert = chosen
         partial = candidate
         n_prev = n if cert.verified else n_prev
         blocks.append(block)

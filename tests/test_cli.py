@@ -132,6 +132,23 @@ def test_inner_quotient_schwarz_pick(tmp_path):
     assert doc["schwarz_pick_ok"]
 
 
+_SATURATED = {"kind": "atomic", "atoms": [[0.0, 1e-20]]}  # 1 - |I|^2 below the floor everywhere
+
+
+def test_inner_quotient_with_every_sample_saturated_reports_nothing_measured(tmp_path):
+    status, doc, _ = _run(tmp_path, "inner-quotient", {"inner": _SATURATED, "samples": 50})
+    assert status == 1
+    assert (doc["samples"], doc["max_quotient"], doc["mean_quotient"]) == (0, None, None)
+    assert doc["schwarz_pick_ok"] is False
+
+
+def test_shrink_of_a_saturated_base_is_a_shrink_failure(tmp_path):
+    status, doc, _ = _run(tmp_path, "shrink", {"inner": _SATURATED, "eta": 0.5})
+    assert status == 1
+    assert doc["stage"] == "shrink"
+    assert "boundary-saturated at every reference point" in doc["error"]
+
+
 def test_transport_report(tmp_path):
     status, doc, _ = _run(tmp_path, "transport",
                           {"inner": {"kind": "atomic", "atoms": [[0.0, 1.0]]},
@@ -550,8 +567,10 @@ def _polynd(dim, *alphas):
      "function.terms[0]: expected a term [multi-index, [re, im]], got [1]"),
     ("bloch-norm", {"function": {**_polynd(1), "terms": [5]}},
      "function.terms[0]: expected a term [multi-index, [re, im]], got 5"),
+    ("bloch-norm", {"function": _polynd(1, [True])},
+     f"function.terms[0]: multi-index [True]: entry True is not a whole number in [0, {_IMAX}]"),
 ], ids=["negative", "negative-beside-a-valid-term", "fractional", "certify-negative", "too-large",
-        "bool-dim", "term-of-one-entry", "term-not-a-list"])
+        "bool-dim", "term-of-one-entry", "term-not-a-list", "bool-entry"])
 def test_a_malformed_polynd_is_a_config_error(tmp_path, capsys, command, cfg, err):
     status, doc, _ = _run(tmp_path, command, cfg)
     assert (status, doc) == (2, None)
@@ -621,6 +640,18 @@ def test_a_bad_stored_config_is_named_under_the_artifact(tmp_path, capsys):
     assert (status2, vdoc) == (2, None)
     assert capsys.readouterr().err.strip().splitlines()[-1] == \
         "config error: artifact.config.eps: expected a number, got [0.5]"
+
+
+@pytest.mark.parametrize("artifact, err", [
+    (5, "artifact: expected a path, got 5"),
+    (["a"], "artifact: expected a path, got ['a']"),
+    ("missing.json", "artifact: cannot read 'missing.json': No such file or directory"),
+], ids=["number", "list", "missing-file"])
+def test_a_bad_artifact_path_is_a_config_error(tmp_path, monkeypatch, capsys, artifact, err):
+    monkeypatch.chdir(tmp_path)
+    status, doc, _ = _run(tmp_path, "verify", {"artifact": artifact})
+    assert (status, doc) == (2, None)
+    assert capsys.readouterr().err.strip() == f"config error: {err}"
 
 
 def test_bloch_norm_of_a_simul_f_reproduces_its_norms(tmp_path):

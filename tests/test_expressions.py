@@ -150,7 +150,7 @@ def test_polynd_trims_trailing_zeros_and_keeps_a_nan():
 
 
 @pytest.mark.parametrize("alpha", [(-1, 0), (1.5, 0), (0, float("nan")), (0, "1"), (10 ** 20, 0),
-                                   (0, float("inf"))])
+                                   (0, float("inf")), (True, 0)])
 def test_polynd_from_terms_rejects_an_entry_that_is_not_a_whole_number(alpha):
     with pytest.raises(ValueError, match="is not a whole number in"):
         PolynomialND.from_terms({alpha: 1.0, (1, 1): 2.0}, 2)

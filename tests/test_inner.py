@@ -6,7 +6,7 @@ import pytest
 
 from blochlab import inner
 from blochlab.inner import (InnerSpec, QuadratureError, ShrinkFailure,
-                            SingularMeasureSpec, _cantor_integrals, _cantor_tree,
+                            SingularMeasureSpec, _cantor_tree, _eval_singular,
                             cantor_gauss_rule, compose_shrink,
                             hyperbolic_quotient, inner_eval,
                             loewner_transport_check)
@@ -48,6 +48,8 @@ def test_calling_an_inner_function_needs_interior_points():
     for bad in (1.0, np.array([0.5, -1j]), np.array([0.1, 1.5])):
         with pytest.raises(ValueError, match="strictly inside the disc"):
             spec(bad)
+        with pytest.raises(ValueError, match="strictly inside the disc"):
+            hyperbolic_quotient(spec, bad)
 
 
 @pytest.mark.parametrize("z", [0.0, 0.3 + 0.2j, -0.5j, 0.7])
@@ -148,7 +150,7 @@ def test_cantor_quadrature_error_at_the_depth_cap():
     spec = SingularMeasureSpec(kind="cantor", depth=0)
     z = (1.0 - 1e-6) * spec.center
     with pytest.raises(QuadratureError) as info:
-        _cantor_integrals(spec, np.array([z]))
+        _eval_singular(spec, np.array([z]))
     message = str(info.value)
     assert f"at z={complex(z)}" in message
     assert math.isfinite(float(re.search(r"distance to support (\S+)\)", message).group(1)))
@@ -257,13 +259,15 @@ def test_cantor_tree_raises_the_per_pair_traversal_error():
     assert str(info.value) == str(ref.value)
 
 
-def test_cantor_integrals_do_not_depend_on_the_chunking(monkeypatch):
-    spec = SingularMeasureSpec(kind="cantor")
+def test_singular_evaluation_does_not_depend_on_the_chunking(monkeypatch):
     z = _disc_samples(500, seed=27, rmax=0.9999)
-    A, Ap = _cantor_integrals(spec, z)
-    monkeypatch.setattr(inner, "_Z_CHUNK", 7)
-    A7, Ap7 = _cantor_integrals(spec, z)
-    assert np.array_equal(A, A7) and np.array_equal(Ap, Ap7)
+    for spec in (SingularMeasureSpec(kind="cantor"),
+                 SingularMeasureSpec(kind="atomic", atoms=((1.0 + 0j, 0.5), (1j, 0.25)))):
+        ref = _eval_singular(spec, z)
+        with monkeypatch.context() as m:
+            m.setattr(inner, "_Z_CHUNK", 7)
+            for value, again in zip(ref, _eval_singular(spec, z)):
+                assert np.array_equal(value, again)
 
 
 def test_cantor_points_beside_the_support_converge():

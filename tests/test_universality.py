@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blochlab import universality
 from blochlab.expressions import PathSpec, Polynomial1D
 from blochlab.numerics import measure_metric, metric_points
 from blochlab.universality import (Certificate, TargetEnumeration, apply_Tnw,
@@ -168,3 +169,20 @@ def test_universal_build_rejects_an_empty_anchor_list_or_schedule(anchors, eps):
     targets = TargetEnumeration(1, (("zero", lambda z: np.zeros_like(z)),))
     with pytest.raises(ValueError):
         universal_build(targets, default_radii(5), anchors, eps)
+
+
+def test_a_failed_target_certifies_a_stable_last_radius_once(monkeypatch):
+    # the two trig[k=-1, ...] targets fail, and the last radius is stable for both
+    calls = []
+
+    def counting(f, target, n, L, **kw):
+        calls.append((kw["target_id"], n))
+        return certify(f, target, n, L, **kw)
+
+    monkeypatch.setattr(universality, "certify", counting)
+    radii = default_radii(20)
+    cand = universal_build(TargetEnumeration(8), radii, [0.0 + 0j], (0.3,))
+    assert cand.failed == ("trig[k=-1,c=-1]", "trig[k=-1,c=1]")
+    for tid in cand.failed:
+        assert calls.count((tid, len(radii))) == 1
+        assert [c.n for c in cand.certificates if c.target_id == tid] == [len(radii)]
