@@ -96,7 +96,8 @@ def _function_from_config(spec) -> tuple:
         f = PolynomialND.from_terms({(field(spec, "n", _whole("monomial degree n", 0)),): 1.0}, 1)
     elif kind == "lacunary":
         f = lacunary_baseline(field(spec, "K", _whole("K", 1)))
-    elif not isinstance(f := serialize.from_document(spec), (PolynomialND, InnerSpec)):
+    elif kind not in ("poly1d", "polynd", "inner", "expr") or \
+            not isinstance(f := serialize.from_document(spec), (PolynomialND, InnerSpec)):
         raise ValueError(f"cannot interpret function spec of kind {kind!r}")
     return f, "polynd" in (kind, spec.get("node"))
 
@@ -108,7 +109,7 @@ def _inner_from_config(spec) -> InnerSpec:
             (np.exp(1j * theta), mass) for theta, mass in each(_pair)(atoms)))
     if kind == "blaschke":
         return field(spec, "zeros", lambda zeros: InnerSpec.blaschke(each(_complex)(zeros)))
-    if not isinstance(obj := serialize.from_document(spec), InnerSpec):
+    if kind not in ("inner", "expr") or not isinstance(obj := serialize.from_document(spec), InnerSpec):
         raise ValueError("spec does not describe an inner function")
     return obj
 
@@ -197,7 +198,7 @@ def _cmd_bloch_norm(seed, out, *, function: _function_from_config, domain: _chec
 
 
 def _cmd_little_bloch(seed, out, *, function: _function_from_config,
-                      j_max: _whole("j_max", 0) = 16):
+                      j_max: _whole("j_max", 0, 53) = 16):
     radii = tuple(r for r in dyadic_radii(j_max, linear=32) if r > 0.0)
     prof = little_bloch_profile(function[0], radii)
     profile_to_csv(radii, prof, os.path.join(out, "little_bloch_profile.csv"))
@@ -298,7 +299,7 @@ def _cmd_universal(seed, out, *, targets: each(_CIRCLE_TARGET, _NO_TARGET) = (),
 
 
 def _cmd_certify(seed, out, *, function: _function_from_config, target: _CIRCLE_TARGET,
-                 n: _whole("n", 1, 20), tol: _real("tol") = 0.25,
+                 n: _whole("n", 1, 20), tol: _real("tol", 0.0) = 0.25,
                  anchors: each(_ANCHOR, "certify needs at least one anchor") = (0j,)):
     return {**serialize.to_document(certify(function[0], target[0], n, anchors, tol=tol,
                                             target_id=target[1])),

@@ -245,38 +245,36 @@ def sup_error(f, E, phi) -> float:
     return best
 
 
-def _contract(norm_rep, sup_err: float, E: ArcSet, eps: float) -> dict:
-    """The measured quantities of the disc contract and its three clauses.
+def _contract(f: PolynomialND, E, phi, eps: float) -> dict:
+    """The measured quantities of the simul contract for f on E and its three clauses.
 
-    ``norm`` is the grid estimate, a lower bound; ``certified_norm`` is
-    the certified upper bound of the same polynomial, and the norm clause
-    judges it.
+    ``norm`` is the grid estimate of ``bloch_norm``, a lower bound.  When
+    the norm report carries a certificate (one variable), the report
+    holds its ``certified_norm``, an upper bound of the same polynomial,
+    and the norm clause judges it; otherwise the clause judges ``norm``.
+    On the bidisc the measure is the product of the axis measures.
     """
+    norm_rep = bloch_norm(f, domain="disc" if f.dim == 1 else "polydisc")
+    certified = norm_rep.certified_norm
+    sup_err = sup_error(f, E, phi)
+    measure = E.measure if isinstance(E, ArcSet) else math.prod(s.measure for s in E)
     return {
         "norm": norm_rep.norm,
-        "certified_norm": norm_rep.certified_norm,
+        **({} if certified is None else {"certified_norm": certified}),
         "value_at_zero": norm_rep.value_at_zero,
         "sup_error": sup_err,
-        "measure": E.measure,
-        "norm_ok": norm_rep.certified_norm < eps,
+        "measure": measure,
+        "norm_ok": (norm_rep.norm if certified is None else certified) < eps,
         "error_ok": sup_err < eps,
-        "measure_ok": E.measure >= 1.0 - eps,
+        "measure_ok": measure >= 1.0 - eps,
     }
 
 
-def _is_zero_target(phi) -> bool:
-    """|phi| < 1e-13 on 512 equispaced circle points."""
-    values = phi(np.exp(1j * TWO_PI * np.arange(512) / 512))
-    return float(np.max(np.abs(np.asarray(values, dtype=complex)))) < 1e-13
-
-
-def _zero_result(dim: int = 1) -> SimulApproxResult:
+def _zero_result(phi, eps: float, dim: int) -> SimulApproxResult:
+    """f = 0 on the whole circle (each axis of the bidisc), measured against phi."""
     f = PolynomialND(np.zeros((1,) * dim))
-    report = {
-        "norm": 0.0, "value_at_zero": 0.0, "sup_error": 0.0,
-        "measure": 1.0, "degrees": {"f": 0}, "trivial_zero": True,
-    }
     E = ArcSet.full_circle() if dim == 1 else (ArcSet.full_circle(),) * dim
+    report = {**_contract(f, E, phi, eps), "degrees": {"f": 0}, "trivial_zero": True}
     return SimulApproxResult(f, E, report)
 
 
@@ -295,19 +293,21 @@ def simul_approx_disc(phi, eps: float) -> SimulApproxResult:
     earlier on ties) and ``report["norm_ok"]`` and friends say which
     clause fails.  ``report["norm_fit"]`` has one entry per degree tried.
     E is the verified part of F, a finite union of arcs, so its measure is
-    exact.
+    exact.  A target below 1e-13 on the circle samples of ``sup_error``
+    gives f = 0 on the whole circle, measured by the same contract.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if _is_zero_target(phi):
-        return _zero_result()
+    # the zero test samples phi where every disc report measures its sup error
+    if sup_error(PolynomialND.zero(), ArcSet.full_circle(), phi) < 1e-13:
+        return _zero_result(phi, eps, 1)
     F = _default_arcs(_target_measure(eps))
     best = None
     trail = []
     for degree in _FIT_DEGREES:
         fit = norm_fit(F, phi, _BUDGET_SHARE * eps, degree)
         E = _verified_subarcs(F, _disc_residual(fit.poly, phi), eps)
-        contract = _contract(bloch_norm(fit.poly), sup_error(fit.poly, E, phi), E, eps)
+        contract = _contract(fit.poly, E, phi, eps)
         trail.append({"degree": degree, "value": fit.value, "excess": fit.excess,
                       "converged": fit.converged, "norm": contract["norm"],
                       "certified_norm": contract["certified_norm"],
@@ -378,7 +378,8 @@ def simul_approx_polydisc(phi, eps: float, n_dim: int) -> SimulApproxResult:
     whole circle and the part of that set where the estimate verifies
     below eps, so ``result.E`` holds one arc set per axis and the measure
     is exact.  The norm is ``bloch_norm(f, domain="polydisc")`` and the
-    error ``sup_error``; both are deterministic grid values.
+    error ``sup_error``; both are deterministic grid values, and the norm
+    clause judges the grid norm, for which no certificate exists yet.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -389,84 +390,73 @@ def simul_approx_polydisc(phi, eps: float, n_dim: int) -> SimulApproxResult:
     dec = product_decompose(phi, n_dim, eps / 2.0, m_cap=_FACTOR_TERM_CAP)
     n_terms = len(dec.terms)
     if n_terms == 0:
-        return _zero_result(2)
+        return _zero_result(phi, eps, 2)
     total = _BUDGET_SHARE * eps - dec.error
     circle = np.exp(1j * TWO_PI * np.arange(4096) / 4096)
     whole = ArcSet.full_circle()
 
-    # per term: the first-axis factor f_1, phi_1, phi_2, and the sup error
-    # e and sup M of f_1 on the circle
+    # per term: the first-axis factor f1, phi2, the sup error err1 and sup
+    # sup1 of f1 on the circle, and whether f1's fit converged
     terms = []
     for term in dec.terms:
         phi1, phi2 = term.factors
         fit1 = norm_fit(whole, phi1, 0.0, _FIT_DEGREES[0])
         f1 = fit1.poly
-        terms.append((f1, phi1, phi2, float(np.max(np.abs(f1(circle) - phi1(circle)))),
+        terms.append((f1, phi2, float(np.max(np.abs(f1(circle) - phi1(circle)))),
                       max(float(np.max(np.abs(f1(circle)))), 1e-12), fit1.converged))
 
     def budget(phi2, err1, sup1):
         return lambda theta: (total / n_terms - err1 * np.abs(phi2(np.exp(1j * theta)))) / sup1
 
-    budgets = [budget(phi2, err1, sup1) for _, _, phi2, err1, sup1, _ in terms]
+    budgets = [budget(phi2, err1, sup1) for _, phi2, err1, sup1, _ in terms]
     # the second-axis set: where the least of the terms' unscaled budgets
     # sup1 * budget is largest
     F2 = _superlevel_arcs(
-        lambda th: np.min([b(th) * t[4] for b, t in zip(budgets, terms)], axis=0),
+        lambda th: np.min([b(th) * sup1 for b, (*_, sup1, _) in zip(budgets, terms)], axis=0),
         _target_measure(eps))
 
     def residual(z):
         # bound on sup over the first axis of |f - phi| at z_2 = z
         out = np.full(z.shape, dec.error)
-        for (f1, phi1, phi2, err1, sup1, _), f2 in zip(terms, second):
+        for (_, phi2, err1, sup1, _), fit in zip(terms, fits):
             v2 = phi2(z)
-            out += sup1 * np.abs(f2(z) - v2) + err1 * np.abs(v2)
+            out += sup1 * np.abs(fit.poly(z) - v2) + err1 * np.abs(v2)
         return out
 
     for degree in _FIT_DEGREES:
-        fits = [norm_fit(F2, t[2], b, degree, weights=_cross_weights(t[0]),
-                         origin_weight=abs(complex(t[0].coeffs[0])))
-                for b, t in zip(budgets, terms)]
-        second = [fit.poly for fit in fits]
-        factor_polys = [(t[0], f2) for t, f2 in zip(terms, second)]
-        axis_sets = (whole, _verified_subarcs(F2, residual, eps))
-        measure = float(np.prod([s.measure for s in axis_sets]))
-        f_nd = _product_polynd(factor_polys)
-        norm_rep = bloch_norm(f_nd, domain="polydisc")
-        norm = norm_rep.norm
-        sup_err = sup_error(f_nd, axis_sets, phi)
-        if norm < eps and sup_err < eps and measure >= 1.0 - eps:
+        fits = [norm_fit(F2, phi2, b, degree, weights=_cross_weights(f1),
+                         origin_weight=abs(complex(f1.coeffs[0])))
+                for b, (f1, phi2, *_) in zip(budgets, terms)]
+        E2 = _verified_subarcs(F2, residual, eps)
+        f_nd = _product_polynd([(f1, fit.poly) for (f1, *_), fit in zip(terms, fits)])
+        contract = _contract(f_nd, (whole, E2), phi, eps)
+        if contract["norm_ok"] and contract["error_ok"] and contract["measure_ok"]:
             break
 
     factors = []
-    for l, ((f1, phi1, phi2, err1, sup1, converged1), fit) in enumerate(zip(terms, fits)):
+    for l, ((f1, phi2, err1, sup1, converged1), fit) in enumerate(zip(terms, fits)):
         factors.append({"term": l, "axis": 0, "degree": f1.degree, "norm": bloch_norm(f1).norm,
                         "sup_error": err1, "sup": sup1, "measure": 1.0,
                         "fit_converged": converged1})
         factors.append({"term": l, "axis": 1, "degree": fit.degree,
                         "norm": bloch_norm(fit.poly).norm,
-                        "sup_error": sup_error(fit.poly, axis_sets[1], phi2),
-                        "measure": axis_sets[1].measure, "fit_value": fit.value,
+                        "sup_error": sup_error(fit.poly, E2, phi2),
+                        "measure": E2.measure, "fit_value": fit.value,
                         "fit_excess": fit.excess, "fit_converged": fit.converged})
     theta = F2.sample(2048)
     slack = np.min([b(theta) for b in budgets], axis=0)
     report = {
-        "norm": norm,
-        "value_at_zero": norm_rep.value_at_zero,
-        "sup_error": sup_err,
-        "measure": measure,
+        **contract,
         "terms": n_terms,
         "decomposition_error": dec.error,
         "budget": total,
         "axes": [
             {"axis": 0, "fit": "sup error on the whole circle", "measure": 1.0},
             {"axis": 1, "fit": "norm bound within the product-estimate budget",
-             "measure_fitted": F2.measure, "measure": axis_sets[1].measure,
+             "measure_fitted": F2.measure, "measure": E2.measure,
              "budget_min": float(np.min(slack)), "budget_max": float(np.max(slack))},
         ],
         "factors": factors,
         "degrees": {"f": f_nd.total_degree},
-        "norm_ok": norm < eps,
-        "error_ok": sup_err < eps,
-        "measure_ok": measure >= 1.0 - eps,
     }
-    return SimulApproxResult(f_nd, axis_sets, report)
+    return SimulApproxResult(f_nd, (whole, E2), report)

@@ -441,6 +441,12 @@ def _cantor(**fields):
     return {"kind": "inner", "inner_kind": "singular", "measure": {**measure, **fields}}
 
 
+# a certificate document with a malformed entry that decoding would trip over
+_CERTIFICATE = {"kind": "certificate", "target_id": "t", "n": 2, "radius": 0.5,
+                "anchors": [[0.0, 0.0]], "d_sup": "abc", "good_measure": 1.0,
+                "block_norm": 0.1, "partial_index": 3, "verified": True}
+
+
 @pytest.mark.parametrize("command, cfg, err", [
     ("certify", {**_NORM_Z, "target": _ZERO, "n": 3, "anchors": []},
      "anchors: certify needs at least one anchor"),
@@ -524,6 +530,21 @@ def _cantor(**fields):
     ("inner-quotient", {"inner": {"kind": "inner", "inner_kind": "singular", "measure": {
         "kind": "measure", "measure_kind": "atomic", "atoms": [[5]]}}, "samples": 64},
      "inner.measure.atoms[0]: expected an atom [[re, im], mass], got [5]"),
+    ("certify", {**_NORM_Z, "target": _ZERO, "n": 3, "tol": 0.0},
+     "tol: tol must lie in (0, inf), got 0.0"),
+    ("certify", {**_NORM_Z, "target": _ZERO, "n": 3, "tol": -0.5},
+     "tol: tol must lie in (0, inf), got -0.5"),
+    # from j_max 53 on, 1 - 2^-(j_max + 1) rounds to 1.0 and adds no radius
+    ("little-bloch", {**_NORM_Z, "j_max": 54}, "j_max: j_max must lie in [0, 53], got 54"),
+    # a document that is no function is rejected before it is decoded
+    ("bloch-norm", {"function": _CERTIFICATE},
+     "function: cannot interpret function spec of kind 'certificate'"),
+    ("inner-quotient", {"inner": _CERTIFICATE, "samples": 64},
+     "inner: spec does not describe an inner function"),
+    ("bloch-norm", {"function": {"kind": "arcs", "arcs": [[1.0, 0.0]]}},
+     "function: cannot interpret function spec of kind 'arcs'"),
+    ("inner-quotient", {"inner": {"kind": "poly1d", "coeffs": [5]}, "samples": 64},
+     "inner: spec does not describe an inner function"),
 ], ids=["certify-no-anchor", "universal-no-anchor", "universal-no-eps", "universal-no-target",
         "universal-enumerate-0", "universal-enumerate-negative", "inner-quotient-no-samples",
         "compose-node", "monomial-negative-n", "cantor-negative-depth", "cantor-fractional-depth",
@@ -534,7 +555,9 @@ def _cantor(**fields):
         "step-unsorted-jumps", "step-jump-past-2-pi", "step-no-jumps", "certify-product-re-target",
         "universal-product-re-target", "weight-table-short-row", "weight-table-text-entry",
         "weight-table-unequal-rows", "weight-table-three-rows", "atomic-atom-not-a-pair",
-        "arc-not-a-pair", "poly1d-coefficient-not-a-pair", "measure-atom-not-a-pair"])
+        "arc-not-a-pair", "poly1d-coefficient-not-a-pair", "measure-atom-not-a-pair",
+        "certify-zero-tol", "certify-negative-tol", "little-bloch-j-max-54",
+        "certificate-as-function", "certificate-as-inner", "arcs-as-function", "poly1d-as-inner"])
 def test_a_vacuous_or_unknown_spec_is_a_config_error(tmp_path, capsys, command, cfg, err):
     status, doc, _ = _run(tmp_path, command, cfg)
     assert status == 2

@@ -37,9 +37,50 @@ def test_plateau_polynomial_rejects_full_circle():
 
 def test_simul_disc_zero_target():
     res = simul_approx_disc(lambda z: np.zeros_like(np.asarray(z)), 0.5)
-    assert res.report["norm"] == 0.0
-    assert res.report["measure"] == 1.0
+    rep = res.report
+    assert rep["trivial_zero"]
+    assert (rep["norm"], rep["certified_norm"], rep["sup_error"], rep["measure"]) == \
+        (0.0, 0.0, 0.0, 1.0)
+    assert rep["norm_ok"] and rep["error_ok"] and rep["measure_ok"]
     assert res.E.is_full()
+
+
+def test_simul_disc_thin_step_target_is_not_zero():
+    # 1 on [0.001, 0.002) only: the zero test must sample where sup_error does
+    phi, _ = _target_from_config({"kind": "step", "jumps": [0.001, 0.002], "values": [0.0, 1.0]})
+    res = simul_approx_disc(phi, 0.5)
+    rep = res.report
+    assert "trivial_zero" not in rep
+    assert sup_error(PolynomialND.zero(), ArcSet.full_circle(), phi) == 1.0
+    assert rep["sup_error"] == sup_error(res.f, res.E, phi)
+    assert rep["measure"] == res.E.measure < 1.0
+
+
+_CONTRACT = {"norm", "value_at_zero", "sup_error", "measure", "norm_ok", "error_ok", "measure_ok"}
+
+
+def test_every_simul_report_carries_one_contract():
+    # disc fit, bidisc assembly and both zero results; only a one-variable
+    # norm carries a certificate, so only there is certified_norm written
+    re1, _ = _target_from_config({"kind": "re"})
+    zero1 = lambda z: np.zeros_like(np.asarray(z, dtype=complex))
+    zero2 = lambda p: np.zeros(np.shape(p)[:-1], dtype=complex)
+    diagonal = lambda p: np.asarray(p, dtype=complex)[..., 0] - np.asarray(p, dtype=complex)[..., 1]
+    results = [(simul_approx_disc(re1, 0.5), re1, True),
+               (simul_approx_disc(zero1, 0.5), zero1, True),
+               (simul_approx_polydisc(diagonal, 0.5, 2), diagonal, False),
+               (simul_approx_polydisc(zero2, 0.5, 2), zero2, False)]
+    for res, phi, certified in results:
+        rep = res.report
+        assert _CONTRACT <= rep.keys()
+        assert ("certified_norm" in rep) == certified
+        norm = bloch_norm(res.f, domain="disc" if certified else "polydisc")
+        judged = norm.certified_norm if certified else norm.norm
+        assert rep["certified_norm" if certified else "norm"] == judged
+        assert rep["sup_error"] == sup_error(res.f, res.E, phi)
+        assert rep["norm_ok"] == (judged < 0.5)
+        assert rep["error_ok"] == (rep["sup_error"] < 0.5)
+        assert rep["measure_ok"] == (rep["measure"] >= 0.5)
 
 
 def test_simul_disc_constant_target():
@@ -194,8 +235,10 @@ def test_simul_polydisc_target_vanishing_on_the_zero_test_grid_is_not_zero():
 
 
 def test_simul_polydisc_zero_target_is_the_zero_result():
-    res = simul_approx_polydisc(lambda p: np.zeros(np.shape(p)[:-1], dtype=complex), 0.5, 2)
-    assert repr(res) == repr(_zero_result(2))
+    phi = lambda p: np.zeros(np.shape(p)[:-1], dtype=complex)
+    res = simul_approx_polydisc(phi, 0.5, 2)
+    assert repr(res) == repr(_zero_result(phi, 0.5, 2))
+    assert res.report["norm_ok"] and res.report["error_ok"] and res.report["measure_ok"]
 
 
 def test_simul_polydisc_rejects_large_dim():
