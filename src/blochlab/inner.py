@@ -31,6 +31,9 @@ QUAD_TOL = 1e-8
 #: points K of the Cantor measure's own Gauss rule on each interval.
 GAUSS_POINTS = 4
 
+#: narrowest Cantor tree interval, 128 ulp of 2 pi: a narrower one's nodes are ulps apart.
+ANGLE_FLOOR = 128 * math.ulp(2.0 * math.pi)
+
 #: 1 - |I(z)|^2 below this is treated as boundary-saturated.
 SATURATION_FLOOR = 1e-14
 
@@ -61,8 +64,8 @@ class SingularMeasureSpec:
     kind ``cantor``: self-similar measure of total mass ``mass`` on the
     arc of length ``arc_length`` in (0, 2 pi] centered at ``center``;
     each interval splits into two end pieces of relative width ``ratio``
-    carrying half the mass; ``depth``, a whole number >= 0, caps the
-    quadrature recursion.
+    carrying half the mass.  It holds no quadrature setting: the depth of
+    its tree quadrature (``_cantor_tree``) follows from these fields.
     """
 
     kind: str
@@ -70,7 +73,6 @@ class SingularMeasureSpec:
     center: complex = 1.0 + 0.0j
     arc_length: float = np.pi / 2
     ratio: float = 1.0 / 3.0
-    depth: int = 16
     mass: float = 1.0
 
     def __post_init__(self):
@@ -89,9 +91,6 @@ class SingularMeasureSpec:
                 raise ValueError(f"cantor mass must be a positive number, got {self.mass!r}")
             if abs(abs(self.center) - 1.0) > 1e-12:
                 raise ValueError("cantor center must lie on the circle")
-            if isinstance(self.depth, bool) or not isinstance(self.depth, numbers.Integral) \
-                    or self.depth < 0:
-                raise ValueError(f"cantor depth must be a whole number >= 0, got {self.depth!r}")
             if not (_is_real(self.arc_length)
                     and 0.0 < self.arc_length <= 2.0 * np.pi):
                 raise ValueError(
@@ -218,12 +217,13 @@ def _cantor_tree(spec, flat):
     interval (nodes mid + w x_i, weights m omega_i; by self-similarity the
     reference rule serves every interval).  A pair is accepted when its
     truncation bound is at most its mass share QUAD_TOL m / total, or at
-    the depth cap spec.depth + 4; otherwise its two sub-intervals join the next
-    frontier.  A point whose summed bound exceeds QUAD_TOL raises
-    QuadratureError.  A pair holds its point and the index of its
-    interval among those occupied at its level, so the center e^(i mid)
-    and the node factors e^(-i(mid + w x_i)) are evaluated once per
-    occupied interval, not once per pair.
+    the last level, the deepest whose intervals are ANGLE_FLOOR wide or
+    wider; otherwise its two sub-intervals join the next frontier.  A
+    point whose summed bound still exceeds QUAD_TOL lies closer to the
+    support than angles resolve, and raises QuadratureError.  A pair
+    holds its point and the index of its interval among those occupied at
+    its level, so the center e^(i mid) and the node factors
+    e^(-i(mid + w x_i)) are evaluated once per occupied interval.
 
     Certificate.  The rule is exact on polynomials of degree <= 2K - 1 in
     the angle, K = GAUSS_POINTS, and its weights are positive and sum to m.
@@ -246,7 +246,7 @@ def _cantor_tree(spec, flat):
     n = flat.size
     x, omega = cantor_gauss_rule(spec.ratio)
     total = spec.total_mass
-    cap = spec.depth + 4
+    cap = max(0, math.floor(math.log(ANGLE_FLOOR / spec.arc_length) / math.log(spec.ratio)))
     power = 2 * GAUSS_POINTS
     A = np.zeros(n, dtype=complex)
     Ap = np.zeros(n, dtype=complex)
@@ -257,7 +257,7 @@ def _cantor_tree(spec, flat):
     iv = np.zeros(n, dtype=np.intp)
     mids = np.array([np.angle(spec.center)])
     width, mass = spec.arc_length, total
-    for depth in range(cap + 1):
+    for level in range(cap + 1):
         zp = flat[pt]
         absz = abs_flat[pt]
         half_d = 0.5 * np.abs(zp - np.exp(1j * mids)[iv])
@@ -268,9 +268,7 @@ def _cantor_tree(spec, flat):
         ok = t < 1.0
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             bound = np.where(ok, 2.0 * mass * M * t ** power / (1.0 - t), np.inf)
-        accept = bound <= QUAD_TOL * mass / total
-        if depth == cap:
-            accept[:] = True
+        accept = (bound <= QUAD_TOL * mass / total) | (level == cap)
         p = pt[accept]
         zeta_conj = np.exp(-1j * (mids[:, None] + width * x))
         ia = iv[accept]
@@ -304,8 +302,7 @@ def _cantor_tree(spec, flat):
         min_dist = float(np.min(np.abs(flat[worst] - np.exp(1j * angle)), initial=np.inf))
         raise QuadratureError(
             f"cantor quadrature error bound {err[worst]:.3e} exceeds {QUAD_TOL}"
-            f" at z={complex(flat[worst])} (distance to support {min_dist:.3e});"
-            " raise the depth cap")
+            f" at z={complex(flat[worst])} (distance to support {min_dist:.3e})")
     return A, Ap, err
 
 

@@ -193,8 +193,6 @@ def _verified_subarcs(F: ArcSet, residual, tol: float) -> ArcSet:
         ok = residual(np.exp(1j * th)) < tol
         # at least two verified samples make an arc
         arcs += [(th[i], th[j - 1]) for i, j in _runs(ok) if j - i >= 2]
-    if not arcs:
-        return ArcSet.empty()
     return ArcSet.from_arcs(arcs)
 
 
@@ -270,11 +268,12 @@ def _contract(f: PolynomialND, E, phi, eps: float) -> dict:
     }
 
 
-def _zero_result(phi, eps: float, dim: int) -> SimulApproxResult:
-    """f = 0 on the whole circle (each axis of the bidisc), measured against phi."""
-    f = PolynomialND(np.zeros((1,) * dim))
-    E = ArcSet.full_circle() if dim == 1 else (ArcSet.full_circle(),) * dim
-    report = {**_contract(f, E, phi, eps), "degrees": {"f": 0}, "trivial_zero": True}
+def _zero_result(phi, eps: float, dim: int, E=None, **facts) -> SimulApproxResult:
+    """f = 0 on E measured against phi; by default the ``trivial_zero`` fit on the whole circle."""
+    f, whole = PolynomialND(np.zeros((1,) * dim)), ArcSet.full_circle()
+    if E is None:
+        E, facts = (whole if dim == 1 else (whole,) * dim), {"trivial_zero": True}
+    report = {**_contract(f, E, phi, eps), "degrees": {"f": 0}, **facts}
     return SimulApproxResult(f, E, report)
 
 
@@ -380,6 +379,7 @@ def simul_approx_polydisc(phi, eps: float, n_dim: int) -> SimulApproxResult:
     is exact.  The norm is ``bloch_norm(f, domain="polydisc")`` and the
     error ``sup_error``; both are deterministic grid values, and the norm
     clause judges the grid norm, for which no certificate exists yet.
+    With no budget left by the decomposition, f = 0 and E2 is empty.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -392,8 +392,11 @@ def simul_approx_polydisc(phi, eps: float, n_dim: int) -> SimulApproxResult:
     if n_terms == 0:
         return _zero_result(phi, eps, 2)
     total = _BUDGET_SHARE * eps - dec.error
-    circle = np.exp(1j * TWO_PI * np.arange(4096) / 4096)
     whole = ArcSet.full_circle()
+    if total <= 0.0:  # the decomposition error alone spends the budget
+        return _zero_result(phi, eps, 2, (whole, ArcSet.empty()), terms=n_terms,
+                            decomposition_error=dec.error, budget=total)
+    circle = np.exp(1j * TWO_PI * np.arange(4096) / 4096)
 
     # per term: the first-axis factor f1, phi2, the sup error err1 and sup
     # sup1 of f1 on the circle, and whether f1's fit converged

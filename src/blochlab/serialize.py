@@ -12,7 +12,8 @@ read into one class, ``PolynomialND``; one variable is written as a
 ``poly1d`` (the coefficients), more as a ``polynd`` (terms and ``dim``).
 Two writers name ``polynd`` in one variable too: simul's f, whose
 readers take ``dim`` from it, and the ``bloch-norm`` and ``certify``
-copy of a config function given as one.
+copy of a config function given as one.  The ``depth`` key of older
+Cantor measures is ignored, like any key a reader does not read.
 """
 
 from __future__ import annotations
@@ -118,8 +119,7 @@ def to_document(obj, polynd: bool = False) -> dict:
             doc["atoms"] = [[_cpx(z), float(m)] for z, m in obj.atoms]
         else:
             doc.update(center=_cpx(obj.center), arc_length=float(obj.arc_length),
-                       ratio=float(obj.ratio), depth=int(obj.depth),
-                       mass=float(obj.mass))
+                       ratio=float(obj.ratio), mass=float(obj.mass))
         return doc
     if isinstance(obj, InnerSpec):
         doc = {"kind": "inner", "inner_kind": obj.kind}
@@ -169,7 +169,7 @@ def from_document(doc):
                     _uncpx(_items(a, 2, "an atom [[re, im], mass]")[0]), a[1]))(atoms))))
         # set field by field from valid defaults, so a field's error names it
         spec = SingularMeasureSpec(kind=mk)
-        for k in ("center", "arc_length", "ratio", "depth", "mass"):
+        for k in ("center", "arc_length", "ratio", "mass"):
             spec = field(doc, k, lambda v: replace(spec, **{k: _uncpx(v) if k == "center" else v}))
         return spec
     if kind == "inner":

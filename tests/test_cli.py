@@ -14,7 +14,7 @@ from blochlab import approximation, cli, serialize
 from blochlab.blochnorm import IntegralTestResult, WeightSpec, bloch_norm, weight_integral_test
 from blochlab.cli import main
 from blochlab.expressions import Polynomial1D, PolynomialND
-from blochlab.inner import QuadratureError, TransportReport
+from blochlab.inner import InnerSpec, QuadratureError, SingularMeasureSpec, TransportReport
 from blochlab.numerics import MeasureEstimate
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -437,7 +437,7 @@ _ZERO = {"kind": "constant", "value": 0.0}
 
 def _cantor(**fields):
     measure = {"kind": "measure", "measure_kind": "cantor", "center": [1.0, 0.0],
-               "arc_length": 1.5, "ratio": 0.25, "depth": 16, "mass": 1.0}
+               "arc_length": 1.5, "ratio": 0.25, "mass": 1.0}
     return {"kind": "inner", "inner_kind": "singular", "measure": {**measure, **fields}}
 
 
@@ -466,10 +466,6 @@ _CERTIFICATE = {"kind": "certificate", "target_id": "t", "n": 2, "radius": 0.5,
      "function.node: unknown expression node 'compose'"),
     ("bloch-norm", {"function": {"kind": "monomial", "n": -1}},
      "function.n: monomial degree n must be >= 0, got -1"),
-    ("inner-quotient", {"inner": _cantor(depth=-5), "samples": 64},
-     "inner.measure.depth: cantor depth must be a whole number >= 0, got -5"),
-    ("inner-quotient", {"inner": _cantor(depth=2.5), "samples": 64},
-     "inner.measure.depth: cantor depth must be a whole number >= 0, got 2.5"),
     ("inner-quotient", {"inner": _cantor(arc_length=7.0), "samples": 64},
      "inner.measure.arc_length: cantor arc_length must lie in (0, 2 pi], got 7.0"),
     ("inner-quotient", {"inner": _cantor(ratio="0.3"), "samples": 64},
@@ -547,9 +543,9 @@ _CERTIFICATE = {"kind": "certificate", "target_id": "t", "n": 2, "radius": 0.5,
      "inner: spec does not describe an inner function"),
 ], ids=["certify-no-anchor", "universal-no-anchor", "universal-no-eps", "universal-no-target",
         "universal-enumerate-0", "universal-enumerate-negative", "inner-quotient-no-samples",
-        "compose-node", "monomial-negative-n", "cantor-negative-depth", "cantor-fractional-depth",
-        "cantor-long-arc", "cantor-text-ratio", "cantor-text-mass", "atomic-text-mass",
-        "cantor-bool-arc-length", "cantor-bool-mass", "cantor-bool-ratio", "atomic-bool-mass",
+        "compose-node", "monomial-negative-n", "cantor-long-arc", "cantor-text-ratio",
+        "cantor-text-mass", "atomic-text-mass", "cantor-bool-arc-length", "cantor-bool-mass",
+        "cantor-bool-ratio", "atomic-bool-mass",
         "little-bloch-two-variables", "simul-eps-list", "universal-anchor-one-entry",
         "runge-fractional-degree-cap", "universal-text-n-max", "simul-product-re-without-dim",
         "step-unsorted-jumps", "step-jump-past-2-pi", "step-no-jumps", "certify-product-re-target",
@@ -640,11 +636,13 @@ def test_every_command_has_a_table_and_every_benchmark_config_parses(monkeypatch
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up there
     spec.loader.exec_module(workloads)
-    ops = [op for w in ("cantor_quotient", "disc_lemma", "polydisc_n2", "universal_enum")
-           for op in workloads.build_ops(w, 1)]
+    ops = [op for w in workloads.WORKLOADS for seed in (1, 101)
+           for op in workloads.build_ops(w, seed)]
     assert any("inner" in op.config and op.command == "simul" for op in ops)
+    # the cantor_quotient ops still send the Cantor measure's retired depth key
+    assert any("depth" in op.config.get("inner", {}).get("measure", {}) for op in ops)
     for op in ops:
-        cli._parse(op.command, op.config)
+        cli._parse(op.command, op.config, ValueError)
 
 
 def test_a_report_stores_its_config_as_given(tmp_path):
@@ -1013,3 +1011,36 @@ def test_quadrature_error_is_a_stage_failure(tmp_path, monkeypatch, capsys):
     assert status == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["stage failure [inner-quotient]: Cantor quadrature did not converge"]
+
+
+# the default Cantor inner function, SingularMeasureSpec(kind="cantor")
+_DEFAULT_CANTOR = {"kind": "inner", "inner_kind": "singular", "measure": {
+    "kind": "measure", "measure_kind": "cantor", "center": [1.0, 0.0],
+    "arc_length": np.pi / 2, "ratio": 1.0 / 3.0, "mass": 1.0}}
+
+
+def test_bloch_norm_of_the_default_cantor_inner_function(tmp_path):
+    # the disc grid's outermost shell lies 6e-8 from the support, which the
+    # tree quadrature resolves: the run reports a norm, not a stage failure
+    status, doc, report = _run(tmp_path, "bloch-norm", {"function": _DEFAULT_CANTOR})
+    assert status == 0
+    assert doc["function"] == _DEFAULT_CANTOR
+    assert doc["report"]["norm"] == pytest.approx(1.1034263953389902, abs=1e-9)
+    assert _verify(tmp_path, report) == (0, [])
+
+
+def test_a_cantor_depth_key_is_read_and_ignored(tmp_path):
+    spec = serialize.from_document(_DEFAULT_CANTOR)
+    assert spec == InnerSpec.singular(SingularMeasureSpec(kind="cantor"))
+    for depth in (16, -5, 2.5):
+        doc = {**_DEFAULT_CANTOR, "measure": {**_DEFAULT_CANTOR["measure"], "depth": depth}}
+        assert serialize.from_document(doc["measure"]) == spec.measure
+        assert serialize.from_document(doc) == spec
+        assert cli._parse("inner-quotient", {"inner": doc})["inner"] == spec
+    # a shrink report's spec is written without the key and reads back to the spec
+    status, out, _ = _run(tmp_path, "shrink", {"inner": _DEFAULT_CANTOR, "eta": 0.9,
+                                               "max_chain": 8})
+    assert status == 0
+    assert all("depth" not in link["measure"] for link in out["spec"]["chain"])
+    assert serialize.from_document(out["spec"]) == InnerSpec.composition(
+        [spec] * out["chain_length"])

@@ -146,9 +146,11 @@ def test_cantor_certificate_covers_a_finer_rule(monkeypatch):
 
 
 def test_cantor_quadrature_error_at_the_depth_cap():
-    # depth 0 caps the tree at depth 4, too shallow next to the arc's center
-    spec = SingularMeasureSpec(kind="cantor", depth=0)
-    z = (1.0 - 1e-6) * spec.center
+    # the tree stops at its last level, 27 at ratio 1/3 on the quarter arc,
+    # whose intervals are ANGLE_FLOOR wide; the arc's end is a point of the
+    # support, and 1e-12 inside the circle over it is closer than that
+    spec = SingularMeasureSpec(kind="cantor")
+    z = (1.0 - 1e-12) * np.exp(1j * np.pi / 4)
     with pytest.raises(QuadratureError) as info:
         _eval_singular(spec, np.array([z]))
     message = str(info.value)
@@ -157,10 +159,10 @@ def test_cantor_quadrature_error_at_the_depth_cap():
 
 
 def test_cantor_quadrature_error_reports_the_distance_to_the_last_level_arcs():
-    # a point 6.5e-9 inside the circle over the support: the distance to the
+    # a point 1e-11 inside the circle over the support: the distance to the
     # nearest arc of the last level is radial, 1 - |z|, never negative
     spec = SingularMeasureSpec(kind="cantor", ratio=0.49, arc_length=6.0)
-    z = (1.0 - 6.5e-9) * np.exp(1j * np.angle(0.42162 - 0.90677j))
+    z = (1.0 - 1e-11) * np.exp(1j * np.angle(0.42162 - 0.90677j))
     with pytest.raises(QuadratureError) as info:
         _cantor_tree(spec, np.array([z]))
     distance = float(re.search(r"distance to support (\S+)\)", str(info.value)).group(1))
@@ -172,7 +174,7 @@ def _per_pair_tree(spec, flat):
     n = flat.size
     x, omega = cantor_gauss_rule(spec.ratio)
     total = spec.total_mass
-    cap = spec.depth + 4
+    cap = max(0, math.floor(math.log(inner.ANGLE_FLOOR / spec.arc_length) / math.log(spec.ratio)))
     power = 2 * inner.GAUSS_POINTS
     A = np.zeros(n, dtype=complex)
     Ap = np.zeros(n, dtype=complex)
@@ -180,7 +182,7 @@ def _per_pair_tree(spec, flat):
     pt = np.arange(n)
     mid = np.full(n, np.angle(spec.center))
     width, mass = spec.arc_length, total
-    for depth in range(cap + 1):
+    for level in range(cap + 1):
         zp = flat[pt]
         absz = np.abs(zp)
         half_d = 0.5 * np.abs(zp - np.exp(1j * mid))
@@ -192,7 +194,7 @@ def _per_pair_tree(spec, flat):
         ok = t < 1.0
         bound[ok] = 2.0 * mass * M[ok] * t[ok] ** power / (1.0 - t[ok])
         accept = bound <= inner.QUAD_TOL * mass / total
-        if depth == cap:
+        if level == cap:
             accept[:] = True
         p = pt[accept]
         zeta_conj = np.exp(-1j * (mid[accept, None] + width * x))
@@ -216,8 +218,7 @@ def _per_pair_tree(spec, flat):
         min_dist = float(np.min(np.abs(flat[worst] - np.exp(1j * near)), initial=np.inf))
         raise QuadratureError(
             f"cantor quadrature error bound {err[worst]:.3e} exceeds {inner.QUAD_TOL}"
-            f" at z={complex(flat[worst])} (distance to support {min_dist:.3e});"
-            " raise the depth cap")
+            f" at z={complex(flat[worst])} (distance to support {min_dist:.3e})")
     return A, Ap, err
 
 
@@ -233,8 +234,8 @@ def _near_the_circle(n, seed):
 @pytest.mark.parametrize("spec, z, points", [
     (SingularMeasureSpec(kind="cantor"), _near_the_circle(300, 21), 4),
     (SingularMeasureSpec(kind="cantor"), _near_the_circle(300, 22), 4),
-    (SingularMeasureSpec(kind="cantor", ratio=1e-3, depth=10), _disc_samples(2000, seed=23), 4),
-    # depth 20 at ratio 0.49 leaves intervals of 4e-6: points 1e-7 inside raise
+    (SingularMeasureSpec(kind="cantor", ratio=1e-3), _disc_samples(2000, seed=23), 4),
+    # draws 5e-5 inside: points 1e-9..1e-7 inside take seconds down the 44 levels at ratio 0.49
     (SingularMeasureSpec(kind="cantor", ratio=0.49, arc_length=6.0),
      _disc_samples(2000, seed=24, rmax=0.99995), 4),
     (SingularMeasureSpec(kind="cantor"), _near_the_circle(300, 25), 8),
@@ -250,8 +251,8 @@ def test_cantor_tree_is_bit_identical_to_the_per_pair_traversal(monkeypatch, spe
 
 
 def test_cantor_tree_raises_the_per_pair_traversal_error():
-    spec = SingularMeasureSpec(kind="cantor", depth=0)
-    z = np.concatenate([_disc_samples(50, seed=26), [(1.0 - 1e-6) * spec.center]])
+    spec = SingularMeasureSpec(kind="cantor")
+    z = np.concatenate([_disc_samples(50, seed=26), [(1.0 - 1e-12) * np.exp(1j * np.pi / 4)]])
     with pytest.raises(QuadratureError) as ref:
         _per_pair_tree(spec, z)
     with pytest.raises(QuadratureError) as info:

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from blochlab import approximation, serialize
+from blochlab import approximation, pipeline, serialize
 from blochlab.arcs import ArcSet
 from blochlab.blochnorm import bloch_norm
 from blochlab.cli import _target_from_config, main
@@ -239,6 +239,20 @@ def test_simul_polydisc_zero_target_is_the_zero_result():
     res = simul_approx_polydisc(phi, 0.5, 2)
     assert repr(res) == repr(_zero_result(phi, 0.5, 2))
     assert res.report["norm_ok"] and res.report["error_ok"] and res.report["measure_ok"]
+
+
+def test_simul_polydisc_without_a_budget_fits_nothing(monkeypatch):
+    # z1^128 lives in the Nyquist row the 256-point decomposition grid drops:
+    # the decomposition error 1.0 spends the whole budget before any fit
+    fits = []
+    monkeypatch.setattr(pipeline, "norm_fit", lambda *args, **kw: fits.append(args))
+    res = simul_approx_polydisc(lambda p: np.asarray(p, dtype=complex)[..., 0] ** 128, 0.5, 2)
+    rep = res.report
+    assert fits == []
+    assert rep["budget"] <= 0.0 and rep["decomposition_error"] == pytest.approx(1.0)
+    assert rep["terms"] == 1 and res.f.total_degree == 0 and not res.E[1].arcs
+    assert (rep["norm_ok"], rep["error_ok"], rep["measure_ok"]) == (True, False, False)
+    assert (rep["sup_error"], rep["measure"]) == (float("inf"), 0.0)
 
 
 def test_simul_polydisc_rejects_large_dim():
