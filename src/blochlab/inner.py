@@ -34,6 +34,9 @@ GAUSS_POINTS = 4
 #: narrowest Cantor tree interval, 128 ulp of 2 pi: a narrower one's nodes are ulps apart.
 ANGLE_FLOOR = 128 * math.ulp(2.0 * math.pi)
 
+#: degree N of the Cantor Herglotz series; measured fastest of 128..1024 on 2000-point draws.
+SERIES_DEGREE = 256
+
 #: 1 - |I(z)|^2 below this is treated as boundary-saturated.
 SATURATION_FLOOR = 1e-14
 
@@ -164,7 +167,7 @@ class InnerSpec:
 
 
 # ---------------------------------------------------------------------------
-# Cantor measure: its own Gauss rule and certified tree quadrature
+# Cantor measure: its own Gauss rule, certified tree quadrature and Fourier series
 
 
 @functools.lru_cache(maxsize=8)
@@ -207,6 +210,36 @@ def cantor_gauss_rule(ratio: float):
     return nodes, weights
 
 
+@functools.lru_cache(maxsize=8)
+def cantor_fourier_coefficients(spec: SingularMeasureSpec):
+    """Fourier coefficients mu_k = int e^(-ik theta) dmu, k = 0..SERIES_DEGREE, of a Cantor measure.
+
+    The measure is the mean of its two halves, copies scaled by ratio r
+    about mid -+ shift_0, shift_0 = (1 - r) arc_length / 2, so
+    mu_k = m e^(-ik mid) prod_j cos(k shift_j), shift_j = shift_0 r^j
+    (Salem).  The product stops at the first J with N shift_J <= 1e-9,
+    N = SERIES_DEGREE.  As 1 - prod cos x_j <= sum x_j^2 / 2, the dropped
+    factors move mu_k by at most delta_k = m k^2 shift_J^2 / (2 (1 - r^2)),
+    and the series' sums 2 sum z^k delta_k and 2 sum k z^(k-1) delta_k
+    both stay below N (N + 1) delta_N on the closed disc: that is the
+    returned ``spill``.  The array is read-only: the cache shares it with
+    every caller.
+    """
+    n = SERIES_DEGREE
+    r = spec.ratio
+    shifts = []
+    shift = 0.5 * (1.0 - r) * spec.arc_length
+    while n * shift > 1e-9:
+        shifts.append(shift)
+        shift *= r
+    k = np.arange(n + 1)
+    mu = spec.total_mass * np.exp(-1j * k * np.angle(spec.center)) \
+        * np.prod(np.cos(np.outer(k, shifts)), axis=1)
+    spill = n * (n + 1) * spec.total_mass * (n * shift) ** 2 / (2.0 * (1.0 - r * r))
+    mu.flags.writeable = False
+    return mu, spill
+
+
 def _cantor_tree(spec, flat):
     """Herglotz integrals A, A' over a Cantor measure at a chunk of points.
 
@@ -236,7 +269,11 @@ def _cantor_tree(spec, flat):
     2 e^R/(D/2)^2).  Cauchy's estimate on the Taylor coefficients gives
     |f - T| <= M t^(2K)/(1 - t) for t < 1, and the pair's bound is
     2 m M t^(2K)/(1 - t); it is infinite for t >= 1.  R <= 1 keeps e^R,
-    and so M, of the order of the kernels themselves.
+    and so M, of the order of the kernels themselves.  Since D/2 < 1,
+    M >= 2 e^R/(D/2)^2 > 2, and t >= w/2: no pair of a level whose
+    4 (w/2)^(2K)/(1 - w/2) exceeds the share QUAD_TOL/total is accepted,
+    unless it is the last, so such leading levels split straight through
+    without computing a bound.
 
     The certificate bounds truncation only, not rounding.  Next to the
     support |A'| reaches about 1e6, and against an 8-point rule run to
@@ -252,12 +289,23 @@ def _cantor_tree(spec, flat):
     Ap = np.zeros(n, dtype=complex)
     err = np.zeros(n)
     abs_flat = np.abs(flat)
-    # each pair is (point pt, interval iv); iv indexes the occupied midpoints
-    pt = np.arange(n)
-    iv = np.zeros(n, dtype=np.intp)
     mids = np.array([np.angle(spec.center)])
     width, mass = spec.arc_length, total
-    for level in range(cap + 1):
+    first = 0
+    # the same float operations as the bound below with M = 2, t = w/2, each
+    # monotone, so the computed bound of every pair is at least this floor
+    while first < cap and (0.5 * width >= 1.0 or 2.0 * mass * 2.0 * (0.5 * width) ** power
+                           / (1.0 - 0.5 * width) > QUAD_TOL * mass / total):
+        shift = 0.5 * (1.0 - spec.ratio) * width
+        mids = np.concatenate([mids - shift, mids + shift])
+        width *= spec.ratio
+        mass *= 0.5
+        first += 1
+    # each pair is (point pt, interval iv); iv indexes the occupied midpoints,
+    # all of them at the first level that computes bounds
+    pt = np.tile(np.arange(n), mids.size)
+    iv = np.repeat(np.arange(mids.size), n)
+    for level in range(first, cap + 1):
         zp = flat[pt]
         absz = abs_flat[pt]
         half_d = 0.5 * np.abs(zp - np.exp(1j * mids)[iv])
@@ -306,6 +354,64 @@ def _cantor_tree(spec, flat):
     return A, Ap, err
 
 
+def _cantor_sums(spec, flat):
+    """Herglotz integrals A, A' over a Cantor measure, and each point's certified bound.
+
+    Herglotz's expansion A(z) = m + 2 sum_k mu_k z^k, with
+    A'(z) = 2 sum_k k mu_k z^(k-1) (``cantor_fourier_coefficients``), is
+    summed to k = N = SERIES_DEGREE.  As |mu_k| <= m the tails are at
+    most 2 m |z|^(N+1)/(1 - |z|) and 2 m |z|^N (N + 1 - N |z|)/(1 - |z|)^2,
+    the larger on the whole disc; that plus the product's spill is a
+    point's bound.  A point takes the series exactly when that bound is
+    at most QUAD_TOL (|z| up to about 0.9 for unit mass), every other
+    point the tree (``_cantor_tree``), whose certificate and
+    QuadratureError are unchanged.
+
+    The series is summed by blocks (Paterson-Stockmeyer): with
+    L = isqrt(N) + 1 each point's powers z^0..z^L are a running product
+    along its row, each block of L coefficients is one matrix-vector
+    product with the rows, and Horner in z^L finishes.  Every sum is then
+    taken along a point's own row, so no value depends on how many
+    points share the chunk (a matrix-matrix product over the points
+    rounds by the chunk's size).
+    """
+    mu, spill = cantor_fourier_coefficients(spec)
+    n = mu.size - 1
+    absz = np.minimum(np.abs(flat), 1.0)
+    with np.errstate(divide="ignore"):
+        err = 2.0 * spec.total_mass * absz ** n * (n + 1 - n * absz) / (1.0 - absz) ** 2 + spill
+    series = err <= QUAD_TOL
+    A = np.empty(flat.size, dtype=complex)
+    Ap = np.empty(flat.size, dtype=complex)
+    if np.any(series):
+        width = math.isqrt(n) + 1
+        rows = -(-(n + 1) // width)
+        value = np.zeros(rows * width, dtype=complex)
+        value[0] = mu[0]
+        value[1:n + 1] = 2.0 * mu[1:]
+        slope = np.zeros(rows * width, dtype=complex)
+        slope[:n] = 2.0 * np.arange(1, n + 1) * mu[1:]
+        z = flat[series]
+        # numpy takes a one-row product as a dot product, which rounds otherwise
+        powers = np.empty((max(z.size, 2), width + 1), dtype=complex)
+        powers[:, 0] = 1.0
+        powers[:, 1:] = z[:, None]
+        np.cumprod(powers, axis=1, out=powers)
+        small, step = powers[:, :width], powers[:, width]
+        sums = []
+        for coeffs in (value.reshape(rows, width), slope.reshape(rows, width)):
+            acc = small @ coeffs[-1]
+            for block in coeffs[-2::-1]:
+                acc *= step
+                acc += small @ block
+            sums.append(acc)
+        A[series], Ap[series] = (s[:z.size] for s in sums)
+    rest = ~series
+    if np.any(rest):
+        A[rest], Ap[rest], err[rest] = _cantor_tree(spec, flat[rest])
+    return A, Ap, err
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 
@@ -323,7 +429,7 @@ def _eval_singular(measure, z):
     """(value, derivative, 1-|value|^2) for exp(-Herglotz integral)."""
     # one loop over chunks of points; each measure kind's integrator maps
     # (measure, chunk) -> (A, A', ...)
-    integrate = _atomic_sums if measure.kind == "atomic" else _cantor_tree
+    integrate = _atomic_sums if measure.kind == "atomic" else _cantor_sums
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
     A, Ap = np.empty((2, flat.size), dtype=complex)

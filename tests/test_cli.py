@@ -859,8 +859,11 @@ _POLYND_2VAR = serialize.to_document(PolynomialND(
     ("simul", {"target": {"kind": "step", "jumps": [0.37, 2.77], "values": [0.0, 1.0]},
                "eps": 0.5}),
     ("simul", {"target": {"kind": "product_re"}, "eps": 0.5, "dim": 2}),
+    # most draws take the Cantor series, whose blocks are BLAS matrix-vector products
+    ("inner-quotient", {"inner": _cantor(ratio=1.0 / 3.0, arc_length=np.pi / 2),
+                        "samples": 20000}),
 ], ids=["universal", "runge", "bloch-norm-polydisc", "bloch-norm-ball", "simul-step",
-        "simul-product-re"])
+        "simul-product-re", "inner-quotient-cantor"])
 def test_report_does_not_depend_on_the_blas_thread_count(tmp_path, command, cfg):
     cfg_path = os.path.join(tmp_path, "cfg.json")
     with open(cfg_path, "w") as fh:

@@ -6,8 +6,8 @@ import pytest
 
 from blochlab import inner
 from blochlab.inner import (InnerSpec, QuadratureError, ShrinkFailure,
-                            SingularMeasureSpec, _cantor_tree, _eval_singular,
-                            cantor_gauss_rule, compose_shrink,
+                            SingularMeasureSpec, _cantor_sums, _cantor_tree, _eval_singular,
+                            cantor_fourier_coefficients, cantor_gauss_rule, compose_shrink,
                             hyperbolic_quotient, inner_eval,
                             loewner_transport_check)
 from blochlab.arcs import ArcSet
@@ -262,13 +262,98 @@ def test_cantor_tree_raises_the_per_pair_traversal_error():
 
 def test_singular_evaluation_does_not_depend_on_the_chunking(monkeypatch):
     z = _disc_samples(500, seed=27, rmax=0.9999)
-    for spec in (SingularMeasureSpec(kind="cantor"),
-                 SingularMeasureSpec(kind="atomic", atoms=((1.0 + 0j, 0.5), (1j, 0.25)))):
+    cantor = SingularMeasureSpec(kind="cantor")
+    # the Cantor points take both the series and the tree
+    series = _cantor_sums(cantor, z)[2] != _cantor_tree(cantor, z)[2]
+    assert 0 < np.count_nonzero(series) < z.size
+    for spec in (cantor, SingularMeasureSpec(kind="atomic", atoms=((1.0 + 0j, 0.5), (1j, 0.25)))):
         ref = _eval_singular(spec, z)
-        with monkeypatch.context() as m:
-            m.setattr(inner, "_Z_CHUNK", 7)
-            for value, again in zip(ref, _eval_singular(spec, z)):
-                assert np.array_equal(value, again)
+        # a chunk of 1 holds a one-point series
+        for chunk in (1, 7):
+            with monkeypatch.context() as m:
+                m.setattr(inner, "_Z_CHUNK", chunk)
+                for value, again in zip(ref, _eval_singular(spec, z)):
+                    assert np.array_equal(value, again)
+
+
+def _switch_radius(mass):
+    """|z| at which the Cantor series' tail bound reaches QUAD_TOL, by bisection."""
+    n = inner.SERIES_DEGREE
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        x = 0.5 * (lo + hi)
+        tail = 2.0 * mass * max(x ** (n + 1) / (1.0 - x), x ** n * (n + 1 - n * x) / (1.0 - x) ** 2)
+        lo, hi = (x, hi) if tail <= inner.QUAD_TOL else (lo, x)
+    return lo
+
+
+@pytest.mark.parametrize("spec", [
+    SingularMeasureSpec(kind="cantor"),
+    SingularMeasureSpec(kind="cantor", ratio=1e-3),
+    SingularMeasureSpec(kind="cantor", ratio=0.49, arc_length=6.0),
+    SingularMeasureSpec(kind="cantor", center=np.exp(2.5j), arc_length=1.0, mass=2.5),
+], ids=["ratio-1/3", "ratio-1e-3", "ratio-0.49-long-arc", "off-center-mass-2.5"])
+def test_cantor_series_certificate_covers_a_finer_rule(monkeypatch, spec):
+    # draws inside the switch radius, and points 1e-6 (relative) inside and
+    # outside it; the reference is an independent 8-point tree run to 1e-13
+    edge = _switch_radius(spec.total_mass)
+    angle = np.random.default_rng(31).uniform(0.0, 2 * np.pi, 400)
+    z = np.concatenate([_disc_samples(1000, seed=32, rmax=edge),
+                        edge * (1.0 - 1e-6) * np.exp(1j * angle[:200]),
+                        edge * (1.0 + 1e-6) * np.exp(1j * angle[200:])])
+    A, Ap, cert = _cantor_sums(spec, z)
+    series = cert != _cantor_tree(spec, z)[2]
+    assert np.all(series[:1200]) and not np.any(series[1200:])
+    monkeypatch.setattr(inner, "GAUSS_POINTS", 8)
+    monkeypatch.setattr(inner, "QUAD_TOL", 1e-13)
+    cantor_gauss_rule.cache_clear()
+    try:
+        A_ref, Ap_ref, cert_ref = _cantor_tree(spec, z)
+    finally:
+        cantor_gauss_rule.cache_clear()
+    assert cert.max() <= 1e-8 and cert_ref.max() <= 1e-13
+    for value, ref in ((A, A_ref), (Ap, Ap_ref)):
+        assert np.all(np.abs(value - ref) <= cert + cert_ref + 1e-11 * np.abs(ref))
+
+
+def _level_rule(spec, level):
+    """Nodes and weights of the measure's Gauss rule on every interval of a tree level."""
+    x, omega = cantor_gauss_rule(spec.ratio)
+    mids, width = np.array([np.angle(spec.center)]), spec.arc_length
+    for _ in range(level):
+        shift = 0.5 * (1.0 - spec.ratio) * width
+        mids = np.concatenate([mids - shift, mids + shift])
+        width *= spec.ratio
+    return (mids[:, None] + width * x).ravel(), np.tile(omega * spec.total_mass / mids.size, mids.size)
+
+
+@pytest.mark.parametrize("spec, level", [
+    (SingularMeasureSpec(kind="cantor"), 10),
+    (SingularMeasureSpec(kind="cantor", ratio=1e-3), 2),
+    (SingularMeasureSpec(kind="cantor", center=np.exp(2.5j), ratio=0.49, arc_length=6.0,
+                         mass=2.5), 14),
+], ids=["ratio-1/3", "ratio-1e-3", "ratio-0.49-off-center"])
+def test_cantor_fourier_coefficients_match_a_deep_gauss_rule(spec, level):
+    # at the level's width w the rule's error on e^(-ik theta), k <= 256, is
+    # at most 2 (k w / 2)^8 / 8! m, below 1e-15 m
+    mu, spill = cantor_fourier_coefficients(spec)
+    assert mu.size == inner.SERIES_DEGREE + 1
+    theta, weight = _level_rule(spec, level)
+    ref = np.array([np.exp(-1j * k * theta) @ weight for k in range(mu.size)])
+    assert np.max(np.abs(mu - ref)) <= 1e-12 * spec.total_mass
+    assert 0.0 < spill <= 1e-13 * spec.total_mass
+
+
+def test_cantor_fourier_coefficients_cache_is_bounded():
+    spec = SingularMeasureSpec(kind="cantor")
+    mu, _ = cantor_fourier_coefficients(spec)
+    for k in range(2 * cantor_fourier_coefficients.cache_info().maxsize):
+        cantor_fourier_coefficients(SingularMeasureSpec(kind="cantor", ratio=0.1 + 0.01 * k))
+    info = cantor_fourier_coefficients.cache_info()
+    assert info.currsize <= info.maxsize
+    again, _ = cantor_fourier_coefficients(spec)
+    assert np.array_equal(again, mu)
+    assert not again.flags.writeable
 
 
 def test_cantor_points_beside_the_support_converge():
