@@ -13,6 +13,7 @@ products of one-variable trigonometric polynomials.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -229,23 +230,68 @@ _EXCESS_WEIGHT = 100.0
 #: interior-point stopping tolerance and iteration cap
 _CONE_TOL = 1e-8
 _CONE_MAX_ITER = 100
-#: cones per normal-matrix block; the blocks are summed in order at any BLAS thread count
-_GRAM_BLOCK = 256
+
+
+@functools.lru_cache(maxsize=8)
+def _degree_tables(degree: int):
+    """Read-only tables of a degree-``degree`` norm fit that depend on nothing else.
+
+    m, the size of the circle grid of the sup and seminorm families, a
+    power of 2 >= 4 (degree + 1), so the moment orders -2 .. 2 degree are
+    distinct mod m; the seminorm rings' scales a_k = (1 - r^2) k r^(k - 1),
+    one row per radius r > 0 of ``dyadic_radii(8, linear=16)``; and the
+    index arrays degree + l - k and k + l that spread moments into the
+    Toeplitz and Hankel blocks of ``_ConeRows.normal``.  The cache shares
+    the arrays with every caller.
+    """
+    k = np.arange(degree + 1)
+    m = int(2 ** np.ceil(np.log2(4 * (degree + 1))))
+    radii = np.array([r for r in dyadic_radii(8, linear=16) if r > 0.0])[:, None]
+    scales = (1.0 - radii ** 2) * k * radii ** (k - 1.0)
+    toeplitz, hankel = degree + k - k[:, None], k + k[:, None]
+    for a in (scales, toeplitz, hankel):
+        a.flags.writeable = False
+    return m, scales, toeplitz, hankel
 
 
 class _ConeRows:
     """Rows of a program over M cones {(a, w) : |w| <= a}, a real, w complex.
 
-    x = (Re c, Im c, s); cone i holds (ha_i - Ga_i s, hw_i - Gw_i c), as
-    column i of a complex (2, M) array, and is a linear row when Gw_i and
-    hw_i are zero.  The products take row-wise dot products of contiguous
-    matrices, and ``normal`` adds fixed blocks of cones in order, so none
-    depends on the BLAS thread count.
+    x = (Re c, Im c, s), c of length nc; cone i holds (ha_i - Ga_i s,
+    hw_i - Gw_i c).  The cones come in families (points, scales, e, var),
+    one cone per scale row r and point zeta_j, r-major: Ga = -e_var and
+    Gw_k = -scales[r, k] zeta_j^(k - e).  ``points`` is an array of
+    unimodular zeta_j, or an int m for the circle grid e^(2 pi i j / m).
+    The rows of ``linear`` follow: Ga = linear, Gw = 0.  The products take
+    row-wise dot products of contiguous matrices, and ``normal`` adds
+    moments from FFTs and such products, so none depends on the BLAS
+    thread count.
     """
 
-    def __init__(self, Ga, Gw):
-        self.Ga, self.Gw, self.nc = Ga, Gw, Gw.shape[1]
-        self.GaT, self.GwT = np.ascontiguousarray(Ga.T), np.ascontiguousarray(Gw.T)
+    def __init__(self, families, linear):
+        nc = families[0][1].shape[1]
+        k, ns = np.arange(nc), linear.shape[1]
+        Gw, var, self.families, start = [], [], [], 0
+        for points, scales, e, v in families:
+            # how ``normal`` takes the moments: FFT indices of the orders q,
+            # q - 2e and q - e it reads, or the family's rows transposed
+            if isinstance(points, int):
+                circle = np.exp(2j * np.pi * np.arange(points) / points)
+                powers = circle[np.outer(np.arange(points), k - e) % points]
+                q = np.arange(2 * nc - 1)
+                moments = ((-q[:nc]) % points, (2 * e - q) % points, (e - q[:nc]) % points)
+            else:
+                powers = np.asarray(points, dtype=complex)[:, None] ** (k - e)
+                moments = np.ascontiguousarray(powers.T)
+            Gw.append(-(scales[:, None, :] * powers).reshape(-1, nc))
+            var.append(np.full(Gw[-1].shape[0], v))
+            self.families.append((slice(start, start + var[-1].size), scales, v, moments,
+                                  scales[:, :, None] * scales[:, None, :]))
+            start += var[-1].size
+        self.nc, self.linear = nc, linear
+        self.Ga = np.vstack([-np.eye(ns)[np.concatenate(var)], linear])
+        self.Gw = np.vstack(Gw + [np.zeros((len(linear), nc))])
+        self.GaT, self.GwT = np.ascontiguousarray(self.Ga.T), np.ascontiguousarray(self.Gw.T)
         self.GwH = np.conj(self.GwT)
 
     def __matmul__(self, x):
@@ -261,23 +307,40 @@ class _ConeRows:
 
         With (a, w) = (Ga s, Gw c) a cone adds beta^-2 ((2 w0^2 - 1) a^2 - 4 w0
         a Re(conj(w1) w) + w0^2 |w|^2 + Re(conj(w1)^2 w^2)), written out on
-        (Re c, Im c, s) from Gw^H diag(.) Gw, Gw^T diag(.) Gw, Ga^T diag(.) Gw
-        and Ga^T diag(.) Ga.
+        (Re c, Im c, s) from Gw^H diag(dh) Gw, Gw^T diag(ds) Gw, Ga^T diag(.) Gw
+        and Ga^T diag(.) Ga.  On a family with scales a these are a_k a_l
+        P^h[l - k], a_k a_l P^s[k + l - 2e], -a_l P^c[l - e] in row var and a
+        sum in (var, var), where P_q = sum_j d_j zeta_j^q are the moments of
+        the weights dh, ds and c = 2 conj(w1) dh / w0.  On the circle grid
+        they come from one batched FFT, indices mod m; on other points from
+        products with the family's rows zeta_j^(k - e) (two more for orders
+        past nc - 1 - e): O(M nc) in all, against O(M nc^2) for dense blocks.
         """
-        nc, ns, ib2, cw1 = self.nc, self.Ga.shape[1], beta ** -2.0, np.conj(w1)
-        dh, ds = ib2 * w0 ** 2, ib2 * cw1 ** 2
-        # Ga^T carrying the cross weight relative to dh, and the scalar weight
-        cross, scalar = self.GaT * (-2.0 * cw1 / w0), self.GaT * (ib2 * (2.0 * w0 ** 2 - 1.0))
-        Hh, Hs, X = (np.zeros((m, nc), dtype=complex) for m in (nc, nc, ns))
-        S = np.zeros((ns, ns))
-        for k in range(0, w0.size, _GRAM_BLOCK):
-            b = slice(k, k + _GRAM_BLOCK)
-            hg = dh[b, None] * self.Gw[b]
-            Hh += self.GwH[:, b] @ hg
-            X += cross[:, b] @ hg
-            Hs += self.GwT[:, b] @ (ds[b, None] * self.Gw[b])
-            S += scalar[:, b] @ self.Ga[b]
-        H = np.empty((2 * nc + ns,) * 2)
+        nc, ib2, cw1 = self.nc, beta ** -2.0, np.conj(w1)
+        dh, scalar = ib2 * w0 ** 2, ib2 * (2.0 * w0 ** 2 - 1.0)
+        weights = np.array([dh, ib2 * cw1 ** 2, 2.0 * cw1 * dh / w0])
+        _, _, toeplitz, hankel = _degree_tables(nc - 1)
+        Hh, Hs = np.zeros((nc, nc), dtype=complex), np.zeros((nc, nc), dtype=complex)
+        X = np.zeros((self.linear.shape[1], nc), dtype=complex)
+        lin = self.families[-1][0].stop
+        S = self.linear.T @ (scalar[lin:, None] * self.linear)
+        for sl, scales, v, moments, aa in self.families:
+            w = weights[:, sl].reshape(3, len(scales), -1)
+            if isinstance(moments, tuple):
+                th, hk, cx = (F[:, i] for F, i in zip(np.fft.fft(w, axis=-1), moments))
+            else:
+                u0, ud = moments[0], moments[-1]
+                th = np.array([moments @ (u * np.conj(u0)) for u in w[0]])
+                hk = np.array([np.concatenate([moments @ (u * u0), (moments @ (u * ud))[1:]])
+                               for u in w[1]])
+                cx = np.array([moments @ u for u in w[2]])
+            th[:, 0] = th[:, 0].real
+            t = np.concatenate([np.conj(th[:, :0:-1]), th], axis=1)
+            Hh += (aa * t[:, toeplitz]).sum(axis=0)
+            Hs += (aa * hk[:, hankel]).sum(axis=0)
+            X[v] -= (scales * cx).sum(axis=0)
+            S[v, v] += scalar[sl].sum()
+        H = np.empty((2 * nc + len(S),) * 2)
         H[:nc, :nc], H[:nc, nc:2 * nc] = Hh.real + Hs.real, -Hh.imag - Hs.imag
         H[nc:2 * nc, :nc], H[nc:2 * nc, nc:2 * nc] = Hh.imag - Hs.imag, Hh.real - Hs.real
         H[2 * nc:, :nc], H[2 * nc:, nc:2 * nc], H[2 * nc:, 2 * nc:] = X.real, -X.imag, S
@@ -430,27 +493,22 @@ def norm_fit(F: ArcSet, phi, budget, degree: int, weights=((0.0, 1.0),),
     on an iterate that was not finite.  ``ApproxError``: a normal matrix
     of the solve is not numerically positive definite.
     """
-    k = np.arange(degree + 1)
     theta = F.sample(max(16 * (degree + 1), 256))
     zeta = np.exp(1j * theta)
     slack = budget(theta) if callable(budget) else np.full(theta.size, float(budget))
-    m = int(2 ** np.ceil(np.log2(4 * (degree + 1))))
-    circle = np.exp(2j * np.pi * np.arange(m) / m)
-    # families of modulus bounds |G c + g0| <= rhs + s[var] on coefficients c
-    fam = [(zeta[:, None] ** k, -np.asarray(phi(zeta), dtype=complex), slack, "excess")]
+    m, rings, _, _ = _degree_tables(degree)
+    one = np.ones((1, degree + 1))
+    # families (points, scales a, e, name, g0, rhs) of modulus bounds
+    # |sum_k a_rk zeta_j^(k - e) c_k + g0| <= rhs + s[name] on coefficients c
+    fam = [(zeta, one, 0, "excess", -np.asarray(phi(zeta), dtype=complex), slack)]
     if origin_weight > 0.0:
-        fam.append((np.eye(1, degree + 1), np.zeros(1), np.zeros(1), "origin"))
+        fam.append((np.ones(1), np.eye(1, degree + 1), 0, "origin", np.zeros(1), np.zeros(1)))
     if any(s > 0.0 for s, _ in weights):
-        fam.append((circle[:, None] ** k, np.zeros(m), np.zeros(m), "sup"))
+        fam.append((m, one, 0, "sup", np.zeros(m), np.zeros(m)))
     if any(mu > 0.0 for _, mu in weights):
-        radii = np.array([r for r in dyadic_radii(8, linear=16) if r > 0.0])
-        z = (radii[:, None] * circle).ravel()
-        G = np.zeros((z.size, degree + 1), dtype=complex)
-        G[:, 1:] = ((1.0 - np.abs(z) ** 2)[:, None] * k[1:]) * z[:, None] ** (k[1:] - 1)
-        fam.append((G, np.zeros(z.size), np.zeros(z.size), "seminorm"))
+        fam.append((m, rings, 1, "seminorm", np.zeros(len(rings) * m), np.zeros(len(rings) * m)))
     names = [f[3] for f in fam] + ["t"]
     nc, ns = degree + 1, len(names)
-    var = np.concatenate([np.full(f[0].shape[0], i) for i, f in enumerate(fam)])
     # linear rows, cones with no modulus part: s_k sup + m_k seminorm <= t, excess >= 0
     linear = np.zeros((len(weights) + 1, ns))
     linear[:-1, -1] = linear[-1, 0] = -1.0
@@ -459,15 +517,14 @@ def norm_fit(F: ArcSet, phi, budget, degree: int, weights=((0.0, 1.0),),
             if v > 0.0:
                 row[names.index(name)] = v
     zeros = np.zeros(len(linear))
-    rows = _ConeRows(np.vstack([-np.eye(ns)[var], linear]),
-                     np.vstack([-f[0] for f in fam] + [np.zeros((zeros.size, nc))]))
+    rows = _ConeRows([f[:3] + (i,) for i, f in enumerate(fam)], linear)
     cost = np.zeros(2 * nc + ns)
     cost[[2 * nc, -1]] = _EXCESS_WEIGHT, 1.0
     if origin_weight > 0.0:
         cost[2 * nc + names.index("origin")] = origin_weight
     try:
-        x, converged = _cone_solve(rows, np.concatenate([f[2] for f in fam] + [zeros]),
-                                   np.concatenate([f[1] for f in fam] + [zeros]), cost)
+        x, converged = _cone_solve(rows, np.concatenate([f[5] for f in fam] + [zeros]),
+                                   np.concatenate([f[4] for f in fam] + [zeros]), cost)
     except np.linalg.LinAlgError as exc:
         raise ApproxError(f"the normal matrix of the degree-{degree} norm fit is not "
                           "numerically positive definite") from exc
@@ -532,12 +589,6 @@ class DecompositionResult:
 _TORUS_GRID = 256
 
 
-def _torus_grid(n_dim: int) -> np.ndarray:
-    ang = 2.0 * np.pi * np.arange(_TORUS_GRID) / _TORUS_GRID
-    axes = np.meshgrid(*([np.exp(1j * ang)] * n_dim), indexing="ij")
-    return np.stack(axes, axis=-1)
-
-
 def product_decompose(phi, n_dim: int, eps: float, m_cap: int = 64) -> DecompositionResult:
     """Approximate phi on the N-torus, N = 1 or 2, by <= m_cap products of TrigPolys.
 
@@ -557,9 +608,8 @@ def product_decompose(phi, n_dim: int, eps: float, m_cap: int = 64) -> Decomposi
     probe = np.exp(1j * np.outer(np.arange(1, 4), np.arange(1, n_dim + 1)))
     if np.shape(phi(probe[:, 0] if n_dim == 1 else probe)) != (3,):
         raise ValueError(f"target must return one value per point of the {n_dim}-torus")
-    pts = _torus_grid(n_dim)
-    if n_dim == 1:
-        pts = pts[..., 0]
+    axis = np.exp(1j * (2.0 * np.pi * np.arange(_TORUS_GRID) / _TORUS_GRID))
+    pts = axis if n_dim == 1 else np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
     vals = np.asarray(phi(pts), dtype=complex)
     # index k + K of each axis holds frequency k; the -128 row/column drops
     coeffs = np.fft.fftshift(np.fft.fftn(vals) / vals.size)[(slice(1, None),) * n_dim]
@@ -581,11 +631,15 @@ def product_decompose(phi, n_dim: int, eps: float, m_cap: int = 64) -> Decomposi
                     return
                 yield ProductTerm((TrigPoly(U[:, l] * s[l]), TrigPoly(Vh[l, :].copy())))
 
-    terms = []
+    # each factor takes 256 values, one per axis point: a term on the grid is
+    # their outer product, added to the running sum of the terms so far
+    terms, total = [], np.zeros(vals.shape, dtype=complex)
     err = float(np.max(np.abs(vals)))
     for term in candidates():
         terms.append(term)
-        err = float(np.max(np.abs(np.sum([t(pts) for t in terms], axis=0) - vals)))
+        values = [f(axis) for f in term.factors]
+        total += values[0] if n_dim == 1 else values[0][:, None] * values[1][None, :]
+        err = float(np.max(np.abs(total - vals)))
         if err < eps:
             break
     return DecompositionResult(tuple(terms), err)

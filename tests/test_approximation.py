@@ -300,6 +300,28 @@ def test_product_decompose_evaluation_matches_target():
     assert err < 0.1 + 1e-6
 
 
+def test_product_decompose_evaluates_each_factor_on_its_axis(monkeypatch):
+    sizes = []
+    call = approximation.TrigPoly.__call__
+
+    def counted(self, zeta):
+        sizes.append(np.size(zeta))
+        return call(self, zeta)
+
+    monkeypatch.setattr(approximation.TrigPoly, "__call__", counted)
+    product_decompose(lambda p: (p[..., 0].real * p[..., 1].imag).astype(complex), 2, 0.1)
+    product_decompose(lambda z: z.real.astype(complex), 1, 0.1)
+    assert sizes and max(sizes) <= 256
+
+
+def test_product_decompose_keeps_the_nyquist_monomial_as_one_term():
+    # z1^128 lives on the -128 row the coefficients drop: one term of
+    # rounding size is kept, and the grid error is |z1^128| = 1
+    dec = product_decompose(lambda p: p[..., 0] ** 128, 2, 0.25, m_cap=8)
+    assert len(dec.terms) == 1
+    assert abs(dec.error - 1.0) <= 1e-12
+
+
 def _re(z):
     return np.asarray(z, dtype=complex).real.astype(complex)
 
@@ -398,8 +420,9 @@ def test_the_other_simul_targets_stay_within_a_factorization_budget(monkeypatch,
 
 
 # the least disc enclosing 1, -1 and 2i: |c - p| <= t for each p, minimise t;
-# its centre is 0.75i and its radius 1.25
-_ENCLOSING = (approximation._ConeRows(-np.ones((3, 1)), -np.ones((3, 1), dtype=complex)),
+# its centre is 0.75i and its radius 1.25.  One family: three cones at the
+# point 1, scale 1, exponent offset 0, scalar t
+_ENCLOSING = (approximation._ConeRows([(np.ones(3), np.ones((1, 1)), 0, 0)], np.zeros((0, 1))),
               np.zeros(3), -np.array([1.0, -1.0, 2.0j]), np.array([0.0, 0.0, 1.0]))
 
 
@@ -444,3 +467,85 @@ def test_a_normal_matrix_that_is_not_positive_definite_is_an_approx_error(monkey
     monkeypatch.setattr(approximation._ConeRows, "normal", lambda self, *w: -normal(self, *w))
     with pytest.raises(ApproxError, match="degree-8 norm fit is not numerically positive"):
         norm_fit(_two_arcs(0.77), _re, 0.3, 8)
+
+
+def _dense_normal(rows, beta, w0, w1):
+    """G' W^-2 G from the dense rows, summed over blocks of 256 cones: the
+    reference for ``_ConeRows.normal``'s moment form."""
+    nc, ns, ib2, cw1 = rows.nc, rows.Ga.shape[1], beta ** -2.0, np.conj(w1)
+    dh, ds = ib2 * w0 ** 2, ib2 * cw1 ** 2
+    cross, scalar = rows.GaT * (-2.0 * cw1 / w0), rows.GaT * (ib2 * (2.0 * w0 ** 2 - 1.0))
+    Hh, Hs, X = (np.zeros((m, nc), dtype=complex) for m in (nc, nc, ns))
+    S = np.zeros((ns, ns))
+    for k in range(0, w0.size, 256):
+        b = slice(k, k + 256)
+        hg = dh[b, None] * rows.Gw[b]
+        Hh += rows.GwH[:, b] @ hg
+        X += cross[:, b] @ hg
+        Hs += rows.GwT[:, b] @ (ds[b, None] * rows.Gw[b])
+        S += scalar[:, b] @ rows.Ga[b]
+    H = np.empty((2 * nc + ns,) * 2)
+    H[:nc, :nc], H[:nc, nc:2 * nc] = Hh.real + Hs.real, -Hh.imag - Hs.imag
+    H[nc:2 * nc, :nc], H[nc:2 * nc, nc:2 * nc] = Hh.imag - Hs.imag, Hh.real - Hs.real
+    H[2 * nc:, :nc], H[2 * nc:, nc:2 * nc], H[2 * nc:, 2 * nc:] = X.real, -X.imag, S
+    H[:2 * nc, 2 * nc:] = H[2 * nc:, :2 * nc].T
+    return H
+
+
+def _fit_rows(monkeypatch, fit, *args, **kwargs):
+    """The ``_ConeRows`` of every cone solve that ``fit(*args, **kwargs)`` runs."""
+    rows = []
+    solve = approximation._cone_solve
+
+    def recorded(G, *program):
+        rows.append(G)
+        return solve(G, *program)
+
+    monkeypatch.setattr(approximation, "_cone_solve", recorded)
+    fit(*args, **kwargs)
+    monkeypatch.undo()
+    return rows
+
+
+@pytest.mark.parametrize("case", ["disc-8", "disc-16", "disc-64", "product-re-second-axis",
+                                  "zero-budget", "enclosing"])
+def test_normal_matrix_from_moments_matches_the_dense_products(monkeypatch, case):
+    if case.startswith("disc"):
+        args = (_default_arcs(_target_measure(0.5)), _step, _BUDGET_SHARE * 0.5,
+                int(case[5:]))
+        rows = _fit_rows(monkeypatch, norm_fit, *args)
+    elif case == "product-re-second-axis":
+        phi, _ = _target_from_config({"kind": "product_re"})
+        rows = [G for G in _fit_rows(monkeypatch, simul_approx_polydisc, phi, 0.5, 2)
+                if len(G.linear) > 2]
+        # error samples, origin, sup circle and seminorm rings; a linear row
+        # per weight pair (24 or 25, by near-ties of the first-axis fit) and
+        # the excess row
+        assert rows and all(len(G.families) == 4 and len(G.linear) >= 25 for G in rows)
+    elif case == "zero-budget":
+        rows = _fit_rows(monkeypatch, norm_fit, ArcSet.full_circle(), _re, 0.0, 8)
+    else:
+        rows = [_ENCLOSING[0]]
+    rng = np.random.default_rng(5)
+    for G in rows:
+        M = G.Ga.shape[0]
+        for _ in range(3):
+            # random NT scalings: beta > 0, w0 >= 1 and |w1|^2 = w0^2 - 1
+            beta = np.exp(rng.uniform(-3.0, 3.0, M))
+            w0 = 1.0 + rng.exponential(2.0, M)
+            w1 = np.sqrt(w0 ** 2 - 1.0) * np.exp(1j * rng.uniform(0.0, TWO_PI, M))
+            H, ref = G.normal(beta, w0, w1), _dense_normal(G, beta, w0, w1)
+            assert np.max(np.abs(H - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_degree_tables_are_cached_bounded_and_read_only():
+    tables = approximation._degree_tables
+    m, scales, toeplitz, hankel = tables(16)
+    assert m == 128 and scales.shape == (19, 17)
+    for degree in range(2 * tables.cache_info().maxsize):
+        tables(degree)
+    info = tables.cache_info()
+    assert info.currsize <= info.maxsize
+    again = tables(16)
+    assert np.array_equal(again[1], scales)
+    assert not any(a.flags.writeable for a in again[1:])
