@@ -238,20 +238,66 @@ def _degree_tables(degree: int):
 
     m, the size of the circle grid of the sup and seminorm families, a
     power of 2 >= 4 (degree + 1), so the moment orders -2 .. 2 degree are
-    distinct mod m; the seminorm rings' scales a_k = (1 - r^2) k r^(k - 1),
-    one row per radius r > 0 of ``dyadic_radii(8, linear=16)``; and the
-    index arrays degree + l - k and k + l that spread moments into the
-    Toeplitz and Hankel blocks of ``_ConeRows.normal``.  The cache shares
-    the arrays with every caller.
+    distinct mod m; and the seminorm rings' scales a_k = (1 - r^2) k
+    r^(k - 1), one row per radius r > 0 of ``dyadic_radii(8, linear=16)``.
+    The cache shares the arrays with every caller.
     """
     k = np.arange(degree + 1)
     m = int(2 ** np.ceil(np.log2(4 * (degree + 1))))
     radii = np.array([r for r in dyadic_radii(8, linear=16) if r > 0.0])[:, None]
     scales = (1.0 - radii ** 2) * k * radii ** (k - 1.0)
-    toeplitz, hankel = degree + k - k[:, None], k + k[:, None]
-    for a in (scales, toeplitz, hankel):
-        a.flags.writeable = False
-    return m, scales, toeplitz, hankel
+    scales.flags.writeable = False
+    return m, scales
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One family of a ``_ConeRows``: cone r n + j is scale row r at point j.
+
+    ``powers`` holds P[j, k] = zeta_j^(k - e) and P^H, both C-contiguous;
+    it is None on the circle grid, where every sum over the points is an
+    FFT (``_ConeRows.grid``).
+    """
+
+    rows: slice
+    scales: np.ndarray
+    var: int
+    e: int
+    powers: tuple | None
+
+
+class _ConeVec:
+    """A vector over the cones: real parts ``a`` and complex parts ``w``."""
+
+    __slots__ = ("a", "w")
+    # numpy defers to __rmul__ for array * _ConeVec
+    __array_ufunc__ = None
+
+    def __init__(self, a, w):
+        self.a, self.w = a, w
+
+    def __add__(self, other):
+        return _ConeVec(self.a + other.a, self.w + other.w)
+
+    def __sub__(self, other):
+        return _ConeVec(self.a - other.a, self.w - other.w)
+
+    def __neg__(self):
+        return _ConeVec(-self.a, -self.w)
+
+    def __rmul__(self, t):
+        # t a number or one real per cone
+        return _ConeVec(t * self.a, t * self.w)
+
+    def __truediv__(self, t):
+        return _ConeVec(self.a / t, self.w / t)
+
+    def dot(self, other):
+        """The trace inner product sum_i u_a v_a + Re(conj(u_w) v_w)."""
+        return float(np.sum(self.a * other.a) + np.sum((np.conj(self.w) * other.w).real))
+
+    def finite(self):
+        return bool(np.isfinite(np.sum(self.a) + np.sum(self.w)))
 
 
 class _ConeRows:
@@ -261,46 +307,88 @@ class _ConeRows:
     hw_i - Gw_i c).  The cones come in families (points, scales, e, var),
     one cone per scale row r and point zeta_j, r-major: Ga = -e_var and
     Gw_k = -scales[r, k] zeta_j^(k - e).  ``points`` is an array of
-    unimodular zeta_j, or an int m for the circle grid e^(2 pi i j / m).
-    The rows of ``linear`` follow: Ga = linear, Gw = 0.  The products take
-    row-wise dot products of contiguous matrices, and ``normal`` adds
-    moments from FFTs and such products, so none depends on the BLAS
-    thread count.
+    unimodular zeta_j, or an int m for the circle grid e^(2 pi i j / m);
+    the circle families share one m and follow each other.  The rows of
+    ``linear`` follow: Ga = linear, Gw = 0.
+
+    No row of Ga or Gw is stored.  Ga s is -s[var] repeated over each
+    family's cones, and Ga'v sums v_a over each family.  With P[j, k] =
+    zeta_j^(k - e), Gw c on a family is -(P (a o c)^T)^T and Gw'v is
+    -sum_r a_r o (P^H v_r).  On the circle grid (the sup circle and the
+    seminorm rings) P is never formed: row r of Gw c is minus the
+    unnormalised inverse DFT of a_r o c placed at the orders k - e mod m,
+    and P^H v_r the DFT of v_r read at those orders, one batched FFT over
+    all the grid's scale rows each, so the grid holds its scales and
+    O(nc) indices per row.  On other points (the error samples of F and
+    the origin) a family keeps P for Gw c and P^H for Gw'v.  So the
+    arrays grow as (arc samples) nc, not as M nc.  ``normal`` adds
+    moments from the same FFTs and products with P^H.  FFTs, einsum and
+    the row-wise dot products of contiguous matrices that these take do
+    not depend on the BLAS thread count.
     """
 
     def __init__(self, families, linear):
         nc = families[0][1].shape[1]
-        k, ns = np.arange(nc), linear.shape[1]
-        Gw, var, self.families, start = [], [], [], 0
+        k, q, self.families, start = np.arange(nc), np.arange(2 * nc - 1), [], 0
         for points, scales, e, v in families:
-            # how ``normal`` takes the moments: FFT indices of the orders q,
-            # q - 2e and q - e it reads, or the family's rows transposed
             if isinstance(points, int):
-                circle = np.exp(2j * np.pi * np.arange(points) / points)
-                powers = circle[np.outer(np.arange(points), k - e) % points]
-                q = np.arange(2 * nc - 1)
-                moments = ((-q[:nc]) % points, (2 * e - q) % points, (e - q[:nc]) % points)
+                n, powers = points, None
             else:
-                powers = np.asarray(points, dtype=complex)[:, None] ** (k - e)
-                moments = np.ascontiguousarray(powers.T)
-            Gw.append(-(scales[:, None, :] * powers).reshape(-1, nc))
-            var.append(np.full(Gw[-1].shape[0], v))
-            self.families.append((slice(start, start + var[-1].size), scales, v, moments,
-                                  scales[:, :, None] * scales[:, None, :]))
-            start += var[-1].size
-        self.nc, self.linear = nc, linear
-        self.Ga = np.vstack([-np.eye(ns)[np.concatenate(var)], linear])
-        self.Gw = np.vstack(Gw + [np.zeros((len(linear), nc))])
-        self.GaT, self.GwT = np.ascontiguousarray(self.Ga.T), np.ascontiguousarray(self.Gw.T)
-        self.GwH = np.conj(self.GwT)
+                P = np.asarray(points, dtype=complex)[:, None] ** (k - e)
+                n, powers = len(P), (P, np.ascontiguousarray(np.conj(P.T)))
+            size = len(scales) * n
+            self.families.append(_Family(slice(start, start + size), scales, v, e, powers))
+            start += size
+        self.nc, self.linear, self.cones = nc, linear, start
+        # each family's first cone, number of cones and variable
+        self.starts, self.sizes, self.vars = (
+            np.array(a) for a in zip(*[(f.rows.start, f.rows.stop - f.rows.start, f.var)
+                                       for f in self.families]))
+        self.points = [f for f in self.families if f.powers is not None]
+        grid = [f for f in self.families if f.powers is None]
+        # the grid: its cones, scale rows and, per row, the flat FFT indices
+        # of the orders k - e, then -q, 2e - q and e - q for ``normal``
+        self.grid, self.grid_scales, self.grid_index = None, np.zeros((0, nc)), ()
+        if grid:
+            self.grid = slice(grid[0].rows.start, grid[-1].rows.stop)
+            self.grid_scales = np.vstack([f.scales for f in grid])
+            m = (self.grid.stop - self.grid.start) // len(self.grid_scales)
+            if any(f.rows.stop - f.rows.start != m * len(f.scales) for f in grid):
+                raise ValueError("the circle families must share one grid and follow each other")
+            e = np.repeat([f.e for f in grid], [len(f.scales) for f in grid])[:, None]
+            row = m * np.arange(len(e))[:, None]
+            self.grid_index = tuple(row + o % m for o in (k - e, -q[:nc], 2 * e - q, e - q[:nc]))
+        # every scale row, points first, and its variable, in ``normal``'s order
+        self.scales = np.vstack([f.scales for f in self.points] + [self.grid_scales])
+        self.row_vars = np.concatenate([np.full(len(f.scales), f.var)
+                                        for f in self.points + grid])
 
     def __matmul__(self, x):
         nc = self.nc
-        return np.array([self.Ga @ x[2 * nc:], self.Gw @ (x[:nc] + 1j * x[nc:2 * nc])])
+        c, s = -(x[:nc] + 1j * x[nc:2 * nc]), x[2 * nc:]
+        w = np.zeros(self.cones + len(self.linear), dtype=complex)
+        for f in self.points:
+            np.matmul(f.scales * c, f.powers[0].T, out=w[f.rows].reshape(len(f.scales), -1))
+        if self.grid is not None:
+            wg = w[self.grid]
+            wg[self.grid_index[0]] = self.grid_scales * c
+            wg[:] = np.fft.ifft(wg.reshape(len(self.grid_scales), -1), axis=-1,
+                                norm="forward").ravel()
+        a = np.concatenate([np.repeat(-s[self.vars], self.sizes), self.linear @ s])
+        return _ConeVec(a, w)
 
     def rmatvec(self, v):
-        y = self.GwH @ v[1]
-        return np.concatenate([y.real, y.imag, self.GaT @ v[0].real])
+        y = np.zeros(self.nc, dtype=complex)
+        for f in self.points:
+            vr = v.w[f.rows].reshape(len(f.scales), -1)
+            y -= (f.scales * (vr @ f.powers[1].T)).sum(axis=0)
+        if self.grid is not None:
+            F = np.fft.fft(v.w[self.grid].reshape(len(self.grid_scales), -1), axis=-1)
+            y -= (self.grid_scales * np.take(F, self.grid_index[0])).sum(axis=0)
+        sums = np.add.reduceat(v.a[:self.cones], self.starts)
+        ya = self.linear.T @ v.a[self.cones:] - np.bincount(self.vars, sums,
+                                                             minlength=self.linear.shape[1])
+        return np.concatenate([y.real, y.imag, ya])
 
     def normal(self, beta, w0, w1):
         """G' W^-2 G for the cones' NT scalings, each beta and NT point (w0, w1).
@@ -313,33 +401,44 @@ class _ConeRows:
         sum in (var, var), where P_q = sum_j d_j zeta_j^q are the moments of
         the weights dh, ds and c = 2 conj(w1) dh / w0.  On the circle grid
         they come from one batched FFT, indices mod m; on other points from
-        products with the family's rows zeta_j^(k - e) (two more for orders
-        past nc - 1 - e): O(M nc) in all, against O(M nc^2) for dense blocks.
+        products with the family's P^H (two more for orders past
+        nc - 1 - e): O(M nc) in all, against O(M nc^2) for dense blocks.
+        The Toeplitz and Hankel blocks of all scale rows are two einsums
+        over strided views of the moments, with no (rows, nc, nc) array.
         """
         nc, ib2, cw1 = self.nc, beta ** -2.0, np.conj(w1)
         dh, scalar = ib2 * w0 ** 2, ib2 * (2.0 * w0 ** 2 - 1.0)
         weights = np.array([dh, ib2 * cw1 ** 2, 2.0 * cw1 * dh / w0])
-        _, _, toeplitz, hankel = _degree_tables(nc - 1)
-        Hh, Hs = np.zeros((nc, nc), dtype=complex), np.zeros((nc, nc), dtype=complex)
-        X = np.zeros((self.linear.shape[1], nc), dtype=complex)
-        lin = self.families[-1][0].stop
-        S = self.linear.T @ (scalar[lin:, None] * self.linear)
-        for sl, scales, v, moments, aa in self.families:
-            w = weights[:, sl].reshape(3, len(scales), -1)
-            if isinstance(moments, tuple):
-                th, hk, cx = (F[:, i] for F, i in zip(np.fft.fft(w, axis=-1), moments))
-            else:
-                u0, ud = moments[0], moments[-1]
-                th = np.array([moments @ (u * np.conj(u0)) for u in w[0]])
-                hk = np.array([np.concatenate([moments @ (u * u0), (moments @ (u * ud))[1:]])
-                               for u in w[1]])
-                cx = np.array([moments @ u for u in w[2]])
-            th[:, 0] = th[:, 0].real
-            t = np.concatenate([np.conj(th[:, :0:-1]), th], axis=1)
-            Hh += (aa * t[:, toeplitz]).sum(axis=0)
-            Hs += (aa * hk[:, hankel]).sum(axis=0)
-            X[v] -= (scales * cx).sum(axis=0)
-            S[v, v] += scalar[sl].sum()
+        ns = self.linear.shape[1]
+        S = self.linear.T @ (scalar[self.cones:, None] * self.linear)
+        sums = np.add.reduceat(scalar[:self.cones], self.starts)
+        S.flat[::ns + 1] += np.bincount(self.vars, sums, minlength=ns)
+        th, hk, cx = [], [], []
+        for f in self.points:
+            # sums over the points with P^T = conj(P^H): P^T u = conj(P^H conj(u))
+            w = np.conj(weights[:, f.rows].reshape(3, len(f.scales), -1))
+            PH = f.powers[1]
+            u0, ud = PH[0], PH[-1]
+            th.append(np.conj([PH @ (u * np.conj(u0)) for u in w[0]]))
+            hk.append(np.conj([np.concatenate([PH @ (u * u0), (PH @ (u * ud))[1:]])
+                               for u in w[1]]))
+            cx.append(np.conj([PH @ u for u in w[2]]))
+        if self.grid is not None:
+            w = weights[:, self.grid].reshape(3, len(self.grid_scales), -1)
+            for out, F, i in zip((th, hk, cx), np.fft.fft(w, axis=-1), self.grid_index[1:]):
+                out.append(np.take(F, i))
+        th, a = np.vstack(th), self.scales
+        th[:, 0] = th[:, 0].real
+        X = np.zeros((ns, nc), dtype=complex)
+        np.subtract.at(X, self.row_vars, a * np.vstack(cx))
+        # views [r, k, l] of row r's entries nc - 1 + l - k and k + l
+        toeplitz, hk = np.concatenate([np.conj(th[:, :0:-1]), th], axis=1), np.vstack(hk)
+        strided = np.lib.stride_tricks.as_strided
+        row, col = toeplitz.strides
+        Hh = np.einsum("rk,rl,rkl->kl", a, a, strided(toeplitz[:, nc - 1:], (len(a), nc, nc),
+                                                       (row, -col, col), writeable=False))
+        Hs = np.einsum("rk,rl,rkl->kl", a, a, strided(hk, (len(a), nc, nc), (row, col, col),
+                                                       writeable=False))
         H = np.empty((2 * nc + len(S),) * 2)
         H[:nc, :nc], H[:nc, nc:2 * nc] = Hh.real + Hs.real, -Hh.imag - Hs.imag
         H[nc:2 * nc, :nc], H[nc:2 * nc, nc:2 * nc] = Hh.imag - Hs.imag, Hh.real - Hs.real
@@ -350,8 +449,7 @@ class _ConeRows:
 
 def _jordan(u, v):
     """The cone product u o v = (u_a v_a + Re(conj(u_w) v_w), u_a v_w + v_a u_w)."""
-    ua, va = u[0].real, v[0].real
-    return np.array([ua * va + (np.conj(u[1]) * v[1]).real, ua * v[1] + va * u[1]])
+    return _ConeVec(u.a * v.a + (np.conj(u.w) * v.w).real, u.a * v.w + v.a * u.w)
 
 
 def _max_step(lam, det, *steps):
@@ -361,15 +459,26 @@ def _max_step(lam, det, *steps):
     det = lam_a^2 - |lam_w|^2 > 0, by the root formula that does not cancel;
     B^2 >= A det wherever a root is positive, so a negative discriminant is rounding.
     """
-    d = np.array(steps)
-    da, dw = d[:, 0].real, d[:, 1]
-    A = (da - np.abs(dw)) * (da + np.abs(dw))
-    B = lam[0].real * da - (np.conj(lam[1]) * dw).real
+    da, dw = np.array([d.a for d in steps]), np.array([d.w for d in steps])
+    mod = np.abs(dw)
+    A = (da - mod) * (da + mod)
+    B = lam.a * da - (np.conj(lam.w) * dw).real
     q = -(B + np.copysign(np.sqrt(np.maximum(B * B - A * det, 0.0)), B))
     with np.errstate(divide="ignore", invalid="ignore"):
         roots = np.concatenate([q / A, det / q], axis=1)
     roots[~(roots > 0.0)] = np.inf
     return np.minimum(1.0, roots.min(axis=1))
+
+
+def _nt_point(s, z, lo):
+    """(beta, w0, w1, lam, det) of the NT scaling W of s and z, lo = v_a - |v_w| of each."""
+    sr, zr = (np.sqrt(l * (v.a + np.abs(v.w))) for l, v in zip(lo, (s, z)))
+    sn, zn, det = s / sr, z / zr, sr * zr
+    gamma = np.sqrt((1.0 + sn.a * zn.a + (np.conj(sn.w) * zn.w).real) / 2.0)
+    w0, w1 = (sn.a + zn.a) / (2.0 * gamma), (sn.w - zn.w) / (2.0 * gamma)
+    lam = np.sqrt(det) * _ConeVec(gamma, ((gamma + zn.a) * sn.w + (gamma + sn.a) * zn.w)
+                                  / (sn.a + zn.a + 2.0 * gamma))
+    return np.sqrt(sr / zr), w0, w1, lam, det
 
 
 def _cone_solve(G, ha, hw, cost):
@@ -386,12 +495,13 @@ def _cone_solve(G, ha, hw, cost):
     to NaN).  ds comes from the primal equation; primal and dual take one
     step, 0.99 min(alpha_p, alpha_d).  The tiny diagonal shift keeps each
     Cholesky factor defined once inactive cones stop contributing.
+    Cone vectors are ``_ConeVec``s, a real and a complex array.
     ``converged`` is False at the iteration cap, or at an iterate that is
     not finite or not interior; x is then the last finite iterate.
     LinAlgError: a normal matrix that is not numerically positive definite.
     """
     M, n = ha.size, cost.size
-    h = np.array([ha, hw])
+    h = _ConeVec(ha, hw)
 
     def factor(*scaling):
         H = G.normal(*scaling)
@@ -402,48 +512,43 @@ def _cone_solve(G, ha, hw, cost):
         return Li.T @ (Li @ r)
 
     def shift(v):
-        v[0] += max(0.0, 1.0 - float(np.min(v[0].real - np.abs(v[1]))))
+        v.a += max(0.0, 1.0 - float(np.min(v.a - np.abs(v.w))))
         return v
 
     start = factor(np.ones(M), np.ones(M), np.zeros(M))
     x = solve(start, G.rmatvec(h))
     s, z = shift(h - G @ x), shift(-(G @ solve(start, cost)))
-    tol_p = _CONE_TOL * (1.0 + np.max(np.abs(h)))
+    tol_p = _CONE_TOL * (1.0 + max(np.max(np.abs(ha)), np.max(np.abs(hw))))
     tol_d = 10.0 * _CONE_TOL * (1.0 + np.max(np.abs(cost)))
     for _ in range(_CONE_MAX_ITER):
-        rz, rx, gap = G @ x + s - h, G.rmatvec(z) + cost, float(np.sum((np.conj(s) * z).real))
-        if (np.max(np.abs(rz)) <= tol_p and np.max(np.abs(rx)) <= tol_d
+        rz, rx, gap = G @ x + s - h, G.rmatvec(z) + cost, s.dot(z)
+        if (max(np.max(np.abs(rz.a)), np.max(np.abs(rz.w))) <= tol_p
+                and np.max(np.abs(rx)) <= tol_d
                 and gap <= _CONE_TOL * (1.0 + abs(float(cost @ x)))):
             return x, True
-        lo = [v[0].real - np.abs(v[1]) for v in (s, z)]
+        lo = [v.a - np.abs(v.w) for v in (s, z)]
         if not (np.all(lo[0] > 0.0) and np.all(lo[1] > 0.0) and np.isfinite(gap)):
             return x, False
-        sr, zr = (np.sqrt(l * (v[0].real + np.abs(v[1]))) for l, v in zip(lo, (s, z)))
-        sn, zn, det, beta = s / sr, z / zr, sr * zr, np.sqrt(sr / zr)
-        sa, za = sn[0].real, zn[0].real
-        gamma = np.sqrt((1.0 + sa * za + (np.conj(sn[1]) * zn[1]).real) / 2.0)
-        w0, w1 = (sa + za) / (2.0 * gamma), (sn[1] - zn[1]) / (2.0 * gamma)
+        beta, w0, w1, lam, det = _nt_point(s, z, lo)
         mod = np.abs(w1)
         rot, ep = np.divide(w1, mod, out=np.ones_like(w1), where=mod > 0.0), w0 + mod
-        lam = np.sqrt(det) * np.array([gamma, ((gamma + za) * sn[1] + (gamma + sa) * zn[1])
-                                       / (sa + za + 2.0 * gamma)])
         Li = factor(beta, w0, w1)
 
         crot, fp, fq, fo = np.conj(rot), 1.0 / (beta * ep), ep / beta, 1j / beta
 
         def scale_inv(v):
             # W^-1 v in the frame of the NT point
-            u = crot * v[1]
-            p, q = (v[0].real + u.real) * fp, (v[0].real - u.real) * fq
-            return np.array([(p + q) / 2.0, rot * ((p - q) / 2.0 + fo * u.imag)])
+            u = crot * v.w
+            p, q = (v.a + u.real) * fp, (v.a - u.real) * fq
+            return _ConeVec((p + q) / 2.0, rot * ((p - q) / 2.0 + fo * u.imag))
 
         vr = scale_inv(rz)
 
         def direction(rc):
             # lambda o (W dz + W^-1 ds) = rc, G dx + ds = -rz, G' dz = -rx:
             # dx, ds, W^-1 ds and W dz
-            ua = (lam[0].real * rc[0].real - (np.conj(lam[1]) * rc[1]).real) / det
-            u = np.array([ua, (rc[1] - ua * lam[1]) / lam[0].real])
+            ua = (lam.a * rc.a - (np.conj(lam.w) * rc.w).real) / det
+            u = _ConeVec(ua, (rc.w - ua * lam.w) / lam.a)
             dx = solve(Li, -rx - G.rmatvec(scale_inv(u + vr)))
             Gdx = G @ dx
             vg = scale_inv(Gdx)
@@ -452,15 +557,15 @@ def _cone_solve(G, ha, hw, cost):
         rc = -_jordan(lam, lam)
         _, _, vs, vz = direction(rc)
         ap, ad = _max_step(lam, det, vs, vz)
-        sigma = (np.sum((np.conj(lam + ap * vs) * (lam + ad * vz)).real) / gap) ** 3
-        rc -= _jordan(vs, vz)
-        rc[0] += sigma * gap / M
+        sigma = ((lam + ap * vs).dot(lam + ad * vz) / gap) ** 3
+        rc = rc - _jordan(vs, vz)
+        rc.a += sigma * gap / M
         dx, ds, vs, vz = direction(rc)
         alpha = 0.99 * float(np.min(_max_step(lam, det, vs, vz)))
-        step = (x + alpha * dx, s + alpha * ds, z + alpha * scale_inv(vz))
-        if not all(np.isfinite(np.sum(v)) for v in step):
+        x1, s1, z1 = x + alpha * dx, s + alpha * ds, z + alpha * scale_inv(vz)
+        if not (np.isfinite(np.sum(x1)) and s1.finite() and z1.finite()):
             return x, False
-        x, s, z = step
+        x, s, z = x1, s1, z1
     return x, False
 
 
@@ -496,7 +601,7 @@ def norm_fit(F: ArcSet, phi, budget, degree: int, weights=((0.0, 1.0),),
     theta = F.sample(max(16 * (degree + 1), 256))
     zeta = np.exp(1j * theta)
     slack = budget(theta) if callable(budget) else np.full(theta.size, float(budget))
-    m, rings, _, _ = _degree_tables(degree)
+    m, rings = _degree_tables(degree)
     one = np.ones((1, degree + 1))
     # families (points, scales a, e, name, g0, rhs) of modulus bounds
     # |sum_k a_rk zeta_j^(k - e) c_k + g0| <= rhs + s[name] on coefficients c

@@ -469,21 +469,40 @@ def test_a_normal_matrix_that_is_not_positive_definite_is_an_approx_error(monkey
         norm_fit(_two_arcs(0.77), _re, 0.3, 8)
 
 
-def _dense_normal(rows, beta, w0, w1):
+def _dense_rows(G):
+    """Ga and Gw of ``G`` as dense matrices, built from its families and linear
+    rows: the reference for ``_ConeRows``' products and normal matrix."""
+    ns, k, Ga, Gw = G.linear.shape[1], np.arange(G.nc), [], []
+    for f in G.families:
+        R = len(f.scales)
+        n = (f.rows.stop - f.rows.start) // R
+        if f.powers is not None:
+            powers = f.powers[0]
+        else:
+            # zeta_j^(k - e) on the circle grid e^(2 pi i j / n)
+            powers = np.exp(2j * np.pi * np.arange(n) / n)[np.outer(np.arange(n), k - f.e) % n]
+        Ga.append(-np.eye(ns)[np.full(R * n, f.var)])
+        Gw.append(-(f.scales[:, None, :] * powers).reshape(-1, G.nc))
+    return (np.vstack(Ga + [G.linear]),
+            np.vstack(Gw + [np.zeros((len(G.linear), G.nc), dtype=complex)]))
+
+
+def _dense_normal(G, beta, w0, w1):
     """G' W^-2 G from the dense rows, summed over blocks of 256 cones: the
     reference for ``_ConeRows.normal``'s moment form."""
-    nc, ns, ib2, cw1 = rows.nc, rows.Ga.shape[1], beta ** -2.0, np.conj(w1)
+    Ga, Gw = _dense_rows(G)
+    nc, ns, ib2, cw1 = G.nc, Ga.shape[1], beta ** -2.0, np.conj(w1)
     dh, ds = ib2 * w0 ** 2, ib2 * cw1 ** 2
-    cross, scalar = rows.GaT * (-2.0 * cw1 / w0), rows.GaT * (ib2 * (2.0 * w0 ** 2 - 1.0))
+    cross, scalar = Ga.T * (-2.0 * cw1 / w0), Ga.T * (ib2 * (2.0 * w0 ** 2 - 1.0))
     Hh, Hs, X = (np.zeros((m, nc), dtype=complex) for m in (nc, nc, ns))
     S = np.zeros((ns, ns))
     for k in range(0, w0.size, 256):
         b = slice(k, k + 256)
-        hg = dh[b, None] * rows.Gw[b]
-        Hh += rows.GwH[:, b] @ hg
+        hg = dh[b, None] * Gw[b]
+        Hh += np.conj(Gw[b].T) @ hg
         X += cross[:, b] @ hg
-        Hs += rows.GwT[:, b] @ (ds[b, None] * rows.Gw[b])
-        S += scalar[:, b] @ rows.Ga[b]
+        Hs += Gw[b].T @ (ds[b, None] * Gw[b])
+        S += scalar[:, b] @ Ga[b]
     H = np.empty((2 * nc + ns,) * 2)
     H[:nc, :nc], H[:nc, nc:2 * nc] = Hh.real + Hs.real, -Hh.imag - Hs.imag
     H[nc:2 * nc, :nc], H[nc:2 * nc, nc:2 * nc] = Hh.imag - Hs.imag, Hh.real - Hs.real
@@ -507,28 +526,35 @@ def _fit_rows(monkeypatch, fit, *args, **kwargs):
     return rows
 
 
-@pytest.mark.parametrize("case", ["disc-8", "disc-16", "disc-64", "product-re-second-axis",
-                                  "zero-budget", "enclosing"])
-def test_normal_matrix_from_moments_matches_the_dense_products(monkeypatch, case):
+def _case_rows(monkeypatch, case):
+    """The ``_ConeRows`` of the cone solves of one named fit."""
     if case.startswith("disc"):
         args = (_default_arcs(_target_measure(0.5)), _step, _BUDGET_SHARE * 0.5,
                 int(case[5:]))
-        rows = _fit_rows(monkeypatch, norm_fit, *args)
-    elif case == "product-re-second-axis":
+        return _fit_rows(monkeypatch, norm_fit, *args)
+    if case == "product-re-second-axis":
         phi, _ = _target_from_config({"kind": "product_re"})
         rows = [G for G in _fit_rows(monkeypatch, simul_approx_polydisc, phi, 0.5, 2)
                 if len(G.linear) > 2]
         # error samples, origin, sup circle and seminorm rings; a linear row
-        # per weight pair (24 or 25, by near-ties of the first-axis fit) and
-        # the excess row
-        assert rows and all(len(G.families) == 4 and len(G.linear) >= 25 for G in rows)
-    elif case == "zero-budget":
-        rows = _fit_rows(monkeypatch, norm_fit, ArcSet.full_circle(), _re, 0.0, 8)
-    else:
-        rows = [_ENCLOSING[0]]
+        # per weight pair (24) and the excess row
+        assert rows and all(len(G.families) == 4 and len(G.linear) == 25 for G in rows)
+        return rows
+    if case == "zero-budget":
+        return _fit_rows(monkeypatch, norm_fit, ArcSet.full_circle(), _re, 0.0, 8)
+    return [_ENCLOSING[0]]
+
+
+_ROW_CASES = ["disc-8", "disc-16", "disc-64", "product-re-second-axis", "zero-budget",
+              "enclosing"]
+
+
+@pytest.mark.parametrize("case", _ROW_CASES)
+def test_normal_matrix_from_moments_matches_the_dense_products(monkeypatch, case):
+    rows = _case_rows(monkeypatch, case)
     rng = np.random.default_rng(5)
     for G in rows:
-        M = G.Ga.shape[0]
+        M = G.cones + len(G.linear)
         for _ in range(3):
             # random NT scalings: beta > 0, w0 >= 1 and |w1|^2 = w0^2 - 1
             beta = np.exp(rng.uniform(-3.0, 3.0, M))
@@ -538,9 +564,58 @@ def test_normal_matrix_from_moments_matches_the_dense_products(monkeypatch, case
             assert np.max(np.abs(H - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _close(value, ref):
+    return np.max(np.abs(value - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("case", _ROW_CASES)
+def test_products_match_the_dense_rows(monkeypatch, case):
+    rng = np.random.default_rng(6)
+    for G in _case_rows(monkeypatch, case):
+        Ga, Gw = _dense_rows(G)
+        nc, M = G.nc, len(Ga)
+        for _ in range(3):
+            x = rng.standard_normal(2 * nc + Ga.shape[1])
+            v = approximation._ConeVec(rng.standard_normal(M),
+                                       rng.standard_normal(M) + 1j * rng.standard_normal(M))
+            Gx = G @ x
+            assert _close(Gx.a, Ga @ x[2 * nc:])
+            assert _close(Gx.w, Gw @ (x[:nc] + 1j * x[nc:2 * nc]))
+            y = np.conj(Gw.T) @ v.w
+            assert _close(G.rmatvec(v), np.concatenate([y.real, y.imag, Ga.T @ v.a]))
+
+
+def _held_arrays(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _held_arrays(item)
+    elif hasattr(obj, "__dict__"):
+        yield from _held_arrays(list(vars(obj).values()))
+
+
+def test_cone_rows_hold_no_array_larger_than_one_power_table(monkeypatch):
+    # step's degree-64 fit: 1040 arc samples, the origin and 19 rings on a
+    # 512-point grid, 10769 cones; only the arcs and the origin keep powers
+    (G,) = _case_rows(monkeypatch, "disc-64")
+    arcs, m = len(G.families[0].powers[0]), approximation._degree_tables(64)[0]
+    assert (arcs, m, G.cones) == (1040, 512, 10769)
+    assert [f.powers is None for f in G.families] == [False, False, True]
+    sizes = [a.size for a in _held_arrays(G)]
+    assert sizes and max(sizes) <= max(arcs, m) * 65
+
+
+def test_circle_families_must_share_one_grid():
+    one, linear = np.ones((1, 5)), np.zeros((1, 3))
+    approximation._ConeRows([(32, one, 0, 0), (32, one, 1, 1)], linear)
+    with pytest.raises(ValueError, match="share one grid"):
+        approximation._ConeRows([(32, one, 0, 0), (64, one, 1, 1)], linear)
+
+
 def test_degree_tables_are_cached_bounded_and_read_only():
     tables = approximation._degree_tables
-    m, scales, toeplitz, hankel = tables(16)
+    m, scales = tables(16)
     assert m == 128 and scales.shape == (19, 17)
     for degree in range(2 * tables.cache_info().maxsize):
         tables(degree)

@@ -157,6 +157,38 @@ def test_step_norm_fits_do_not_depend_on_rounding_in_the_normal_matrix(monkeypat
         assert abs(a["certified_norm"] - b["certified_norm"]) < 1e-8
 
 
+def _recorded_cross_weights(monkeypatch, phi):
+    """The weight sets ``_cross_weights`` returns in one bidisc run of ``phi``."""
+    sets = []
+    cross = pipeline._cross_weights
+    monkeypatch.setattr(pipeline, "_cross_weights", lambda p: sets.append(cross(p)) or sets[-1])
+    result = simul_approx_polydisc(phi, 0.5, 2)
+    monkeypatch.setattr(pipeline, "_cross_weights", cross)
+    return sets, result
+
+
+@pytest.mark.parametrize("seed", range(11, 17))
+def test_cross_weights_do_not_depend_on_rounding_in_the_first_axis_fit(monkeypatch, seed):
+    # the first-axis fit of product_re is p = c z up to terms near 1e-12:
+    # ties on its best circles must not change which pairs, or how many, come back
+    phi, _ = _target_from_config({"kind": "product_re"})
+    reference, _ = _recorded_cross_weights(monkeypatch, phi)
+    rng = np.random.default_rng(seed)
+    normal = approximation._ConeRows.normal
+
+    def perturbed(self, *scaling):
+        H = normal(self, *scaling)
+        E = rng.uniform(-1.0, 1.0, size=H.shape)
+        return H * (1.0 + 1e-15 * (E + E.T) / 2.0)
+
+    monkeypatch.setattr(approximation._ConeRows, "normal", perturbed)
+    moved, result = _recorded_cross_weights(monkeypatch, phi)
+    assert [len(w) for w in moved] == [len(w) for w in reference] == [24]
+    for a, b in zip(moved, reference):
+        assert np.max(np.abs(np.subtract(a, b))) <= 1e-9 * np.max(np.abs(b))
+    assert {f["degree"] for f in result.report["factors"] if f["axis"] == 1} == {8}
+
+
 def test_simul_disc_real_part_meets_contract():
     res = simul_approx_disc(
         lambda z: np.asarray(z, dtype=complex).real.astype(complex), 0.5)
